@@ -1,11 +1,23 @@
 """Deterministic cycle-driven simulation.
 
-Per cycle, in fixed order: message delivery, interference injection, forced
-deaths, data generation and forwarding (a generated piece crosses its whole
-chain within the generating cycle), per-node protocol steps (local-repair
-strategy only), consumer request sampling, the strategy hook (central
-recomputation), the death sweep, and metrics. Identical configurations,
-including the seed, produce bit-identical metrics.
+Per cycle, in fixed order:
+
+1. message delivery (messages sent last cycle reach alive receivers);
+2. link-cost reverts of interference that has run its course;
+3. interference injection;
+4. forced deaths;
+5. data generation and forwarding (a generated piece crosses its whole chain
+   within the generating cycle);
+6. per-node protocol steps (local-repair strategy only), in node-id order,
+   for the nodes with protocol work only (see ``Simulation._protocol_phase``);
+7. consumer request sampling;
+8. the strategy hook (central recomputation);
+9. the death sweep over the nodes whose energy reached zero;
+10. metrics;
+11. link-cost baselines settle: every link whose cost changed this cycle
+    takes its new cost as its previous one.
+
+Identical configurations, including the seed, produce bit-identical metrics.
 
 Three strategies share the same initial centrally computed plan:
 
@@ -307,6 +319,8 @@ class Simulation:
             self.pieces = sample_pieces(cfg, self.net)
         self.pieces_by_id = {p.id: p for p in self.pieces}
         self.piece_status = {p.id: PieceStatus() for p in self.pieces}
+        self._node_ids = sorted(self.net.nodes)
+        self._piece_ids = sorted(self.pieces_by_id)
 
         self.params = cfg.lifetime_params()
         self.metrics = Metrics(strategy=cfg.strategy, seed=cfg.seed)
@@ -314,6 +328,8 @@ class Simulation:
         self._rng_interference = random.Random(f"{cfg.seed}:interference")
         self._rng_requests = random.Random(f"{cfg.seed}:requests")
         self._link_ids = sorted(self.net.links)
+        # Links whose cost changed this cycle; only these can have
+        # eps_prev_j != eps_j, and they settle at the end of the cycle.
         self._dirty_links: set[tuple[NodeId, NodeId]] = set()
         self._reverts: dict[int, list[tuple[NodeId, NodeId]]] = {}
         self._forced: dict[int, list[NodeId]] = {}
@@ -321,7 +337,12 @@ class Simulation:
             self._forced.setdefault(cyc, []).append(node)
 
         self._pending_msgs: list[tuple[NodeId, NodeId, object]] = []
-        self._ctx = {u: NodeCtx(self, u) for u in sorted(self.net.nodes)}
+        self._ctx = {u: NodeCtx(self, u) for u in self._node_ids}
+        # Alive nodes whose energy reached zero, awaiting the death sweep.
+        self._drained: set[NodeId] = set()
+        # Nodes holding a collector, pending route or pending splice.
+        self._busy: set[NodeId] = set()
+        self._alive_count = sum(1 for st in self.net.nodes.values() if st.alive)
         self._chains: dict[int, tuple[int, list, bool]] = {}
         self._stride = cfg.effective_metrics_stride()
 
@@ -350,13 +371,13 @@ class Simulation:
         energy pays one controller exchange, then the plan is computed over
         the survivors and installed."""
         cost = self.net.link_params.controller_energy_j
-        for u in sorted(self.net.nodes):
+        for u in self._node_ids:
             node = self.net.nodes[u]
             if node.energy_j > 0.0:
                 self._charge(node, cost, CFG)
                 if self.cfg.trace:
                     self._trace(u, -1, protocol.StatusMsg(u, node.energy_j))
-        for u in sorted(self.net.nodes):
+        for u in self._node_ids:
             node = self.net.nodes[u]
             if node.alive and node.energy_j <= 0.0:
                 self.mark_dead(u)
@@ -365,12 +386,12 @@ class Simulation:
                                     self.cfg.latency_budget_ms, self.params)
         self._install_plan(plan)
         if self.cfg.trace:
-            for u in sorted(self.net.nodes):
+            for u in self._node_ids:
                 if self.net.nodes[u].alive:
                     self._trace(-1, u, protocol.PlanMsg(len(plan.pieces)))
 
     def _install_plan(self, plan: planner.Plan) -> None:
-        for pid in sorted(self.pieces_by_id):
+        for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             status = self.piece_status[pid]
             if pid in plan.pieces:
@@ -390,24 +411,41 @@ class Simulation:
     # ------------------------------------------------------------------- run
 
     def run(self, cycles: int | None = None) -> Metrics:
+        """Advance ``cycles`` cycles (default: the rest of the horizon).
+
+        Callers may edit the state between calls (drain a node's energy,
+        spike a link's cost), so the incremental bookkeeping is first derived
+        afresh from the state: the alive count, the alive nodes with no
+        energy left, the links whose cost differs from their previous cost
+        (they count as changed in the next cycle and settle at its end), and
+        the nodes with pending protocol work.
+        """
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
+        nodes = self.net.nodes
+        self._alive_count = sum(1 for st in nodes.values() if st.alive)
+        self._drained = {u for u, st in nodes.items()
+                         if st.alive and st.energy_j <= 0.0}
+        self._dirty_links = {lk for lk, link in self.net.links.items()
+                             if link.eps_j != link.eps_prev_j}
+        self._busy = {u for u, ctx in self._ctx.items()
+                      if ctx.state.has_pending_work()}
         for _ in range(max(0, remaining)):
             self._step()
         return self.metrics
 
     def _step(self) -> None:
         cyc = self.cycle
-        self._deliver_messages()
-        self._refresh_trigger_baselines(cyc)
+        receivers = self._deliver_messages()
+        self._revert_interference(cyc)
         self._inject_interference(cyc)
         for node in self._forced.get(cyc, ()):
             st = self.net.nodes[node]
             if st.alive:
                 st.spent_j = st.initial_energy_j   # forced exhaustion
+                self._drained.add(node)
         self._generate_and_forward()
         if self.cfg.strategy == "DistrDataFwd":
-            for u in sorted(self.net.nodes):
-                protocol.node_cycle(self._ctx[u], cyc)
+            self._protocol_phase(cyc, receivers)
         max_lat = self._sample_requests()
         if self.cfg.strategy == "PDD-CR":
             self._central_reconfiguration_hook()
@@ -416,27 +454,35 @@ class Simulation:
             raise EngineError("piece conservation violated cumulatively")
         if cyc % self._stride == 0 or cyc == self.cfg.horizon - 1:
             self._append_metrics(cyc, max_lat)
+        self._settle_links()
         self.cycle += 1
 
     # ------------------------------------------------------------- sub-steps
 
-    def _deliver_messages(self) -> None:
+    def _deliver_messages(self) -> set[NodeId]:
+        """Hand last cycle's messages to their alive receivers, and return
+        the receivers."""
         pending = self._pending_msgs
         self._pending_msgs = []
+        receivers = set()
         for src, dst, msg in pending:
             if self.net.nodes[dst].alive:
                 self._ctx[dst].deliver(src, msg)
+                receivers.add(dst)
+        return receivers
 
-    def _refresh_trigger_baselines(self, cyc: int) -> None:
-        for lk in sorted(self._dirty_links):
-            link = self.net.links[lk]
-            link.eps_prev_j = link.eps_j
-        self._dirty_links.clear()
+    def _revert_interference(self, cyc: int) -> None:
         for lk in self._reverts.pop(cyc, ()):
             link = self.net.links[lk]
             link.eps_prev_j = link.eps_j
             link.eps_j = link.eps_baseline_j
             self._dirty_links.add(lk)
+
+    def _settle_links(self) -> None:
+        for lk in self._dirty_links:
+            link = self.net.links[lk]
+            link.eps_prev_j = link.eps_j
+        self._dirty_links.clear()
 
     def _inject_interference(self, cyc: int) -> None:
         inter = self.cfg.interference
@@ -450,10 +496,10 @@ class Simulation:
             if fired:
                 self._cr_trigger = True
 
-    def _generate_and_forward(self) -> tuple[int, int, int]:
+    def _generate_and_forward(self) -> None:
         gen = dlv = lost = 0
         learn_prev = self.cfg.strategy == "DistrDataFwd"
-        for pid in sorted(self.pieces_by_id):
+        for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             src = self.net.nodes[piece.source]
             if not src.alive or piece.rate == 0:
@@ -508,7 +554,6 @@ class Simulation:
         self._lost += lost
         if gen != dlv + lost:
             raise EngineError("piece conservation violated within a cycle")
-        return gen, dlv, lost
 
     def _note_delivery_failure(self, piece: DataPiece, status: PieceStatus,
                                blocked_at: NodeId) -> None:
@@ -554,10 +599,34 @@ class Simulation:
         self._chains[piece.id] = (ver, hops, complete)
         return hops, complete
 
+    def _protocol_phase(self, cyc: int, receivers: set[NodeId]) -> None:
+        """Step, in id order, the alive nodes with protocol work: a non-empty
+        inbox, a collector, pending route or pending splice, an out-link
+        whose cost changed this cycle, or no energy left.
+
+        For any other node ``protocol.node_cycle`` does nothing, so this
+        equals stepping every node. No step creates such work for another
+        node within the cycle: a send is delivered next cycle and charges
+        only its sender.
+        """
+        wake = receivers | self._busy | self._drained
+        for lk in self._dirty_links:
+            wake.add(lk[0])
+        nodes = self.net.nodes
+        busy = self._busy
+        for u in sorted(wake):
+            ctx = self._ctx[u]
+            if nodes[u].alive:
+                protocol.node_cycle(ctx, cyc)
+            if nodes[u].alive and ctx.state.has_pending_work():
+                busy.add(u)
+            else:
+                busy.discard(u)
+
     def _sample_requests(self) -> float:
         cfg = self.cfg
         worst = 0.0
-        for pid in sorted(self.pieces_by_id):
+        for pid in self._piece_ids:
             draw = self._rng_requests.random()   # one draw per piece per cycle
             if cfg.request_prob <= 0.0 or draw >= cfg.request_prob:
                 continue
@@ -588,7 +657,9 @@ class Simulation:
         self.note_reconfiguration()
 
     def _death_sweep(self) -> None:
-        for u in sorted(self.net.nodes):
+        drained = sorted(self._drained)   # id order decides competing causes
+        self._drained.clear()
+        for u in drained:
             node = self.net.nodes[u]
             if node.alive and node.energy_j <= 0.0:
                 self.mark_dead(u)
@@ -603,7 +674,7 @@ class Simulation:
         m.lost.append(self._lost)
         m.max_latency_ms.append(max_lat)
         m.reconfigurations.append(self._reconfigs)
-        m.alive_nodes.append(sum(1 for n in self.net.nodes.values() if n.alive))
+        m.alive_nodes.append(self._alive_count)
 
     # ------------------------------------------------------------- primitives
 
@@ -615,6 +686,8 @@ class Simulation:
             self._cfg_energy += got
         if self.cfg.audit_energy and got > 0.0:
             self.energy_log.setdefault(node.node, []).append((self.cycle, kind, got))
+        if node.spent_j >= node.initial_energy_j and node.alive:   # energy_j <= 0
+            self._drained.add(node.node)
         return got
 
     def projected_lifetime(self, node: NodeId, next_node: NodeId,
@@ -682,9 +755,10 @@ class Simulation:
         if not st.alive:
             return
         st.alive = False
+        self._alive_count -= 1
         self.metrics.death_times[node] = self.cycle
         self._cr_deaths_pending = True
-        for pid in sorted(self.pieces_by_id):
+        for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             if piece.source == node:
                 self.mark_broken(pid, "source-dead")

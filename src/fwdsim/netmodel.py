@@ -186,9 +186,6 @@ class NetworkState:
             self.links[(u, v)].active_pieces.discard(piece_id)
         self.piece_edges[piece_id] = set()
 
-    def has_active_out_edge(self, u: NodeId) -> bool:
-        return any(self.links[(u, v)].active_pieces for v in self.neighbors[u])
-
 
 def build_grid_topology(
     rows: int,

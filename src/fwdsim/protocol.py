@@ -108,9 +108,6 @@ class RouteReply:
     target_key: float
 
 
-Message = (StatusMsg, PlanMsg, Alert, Join, ModifyPath, RouteRequest, RouteReply)
-
-
 # ---------------------------------------------------------------------------
 # Per-node protocol state
 # ---------------------------------------------------------------------------
@@ -139,12 +136,17 @@ class PendingSplice:
 
 @dataclass
 class ProtocolState:
-    relayed: set = field(default_factory=set)          # (origin, req_id) already re-broadcast
+    # relayed and answered map (origin, req_id) to the cycle the key was
+    # added, in insertion (so cycle) order; old keys are forgotten.
+    relayed: dict = field(default_factory=dict)        # already re-broadcast
     collectors: dict = field(default_factory=dict)     # (origin, req_id) -> RouteCollector
-    answered: set = field(default_factory=set)         # (origin, req_id) already replied to
+    answered: dict = field(default_factory=dict)       # already replied to
     pending_route: dict = field(default_factory=dict)  # piece -> PendingRoute
     pending_splice: dict = field(default_factory=dict) # piece -> PendingSplice
     next_request_id: int = 0
+
+    def has_pending_work(self) -> bool:
+        return bool(self.collectors or self.pending_route or self.pending_splice)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +161,17 @@ def node_cycle(ctx, cycle: int) -> None:
     per-edge trigger scan with deactivation and alerts, the inbox handlers,
     route-discovery timeouts, and the exit guard that disconnects a node that
     ran out of energy or saw most of its links spike at once.
+
+    No-op contract: the step changes nothing (beyond forgetting old request
+    ids) for a node with an empty inbox, no collector, pending route or
+    pending splice, no out-link whose cost changed this cycle, and energy
+    left. The engine steps only nodes outside that case, so a change here
+    that adds per-cycle work under other conditions must extend the engine's
+    wake set (``Simulation._protocol_phase``) to match.
     """
     if not ctx.alive():
         return
+    _forget_old_requests(ctx)
     triggered = _trigger_scan(ctx)
     for src, msg in ctx.take_inbox():
         _dispatch(ctx, src, msg)
@@ -171,6 +181,20 @@ def node_cycle(ctx, cycle: int) -> None:
     operational = len(ctx.alive_neighbor_ids())
     if ctx.energy_j() <= 0.0 or (operational and triggered > 0.5 * operational):
         disconnect(ctx)
+
+
+def _forget_old_requests(ctx) -> None:
+    """Drop relayed and answered request ids older than ``route_ttl + 1``
+    cycles. Every copy of a request arrives within ``route_ttl + 1`` cycles
+    of the origin's send and request ids never recur, so an older id can
+    never be looked up again (AODV's PATH_DISCOVERY_TIME, RFC 3561 6.3)."""
+    oldest = ctx.cycle() - (ctx.route_ttl + 1)
+    for seen in (ctx.state.relayed, ctx.state.answered):
+        while seen:
+            key = next(iter(seen))
+            if seen[key] >= oldest:
+                break
+            del seen[key]
 
 
 def _trigger_scan(ctx) -> int:
@@ -356,7 +380,7 @@ def _handle_route_request(ctx, msg: RouteRequest) -> None:
         return
     if msg.ttl < 1:
         return
-    ctx.state.relayed.add((msg.origin, msg.req_id))
+    ctx.state.relayed[(msg.origin, msg.req_id)] = ctx.cycle()
     rate = ctx.piece_rate(msg.piece)
     for nb in ctx.alive_neighbor_ids():
         if nb in msg.hops:
@@ -377,7 +401,7 @@ def _expire_collectors(ctx) -> None:
         if col.deadline > ctx.cycle():
             continue
         del state.collectors[key]
-        state.answered.add(key)
+        state.answered[key] = ctx.cycle()
         row = ctx.row(col.piece)
         if row is None:
             ctx.diagnostic(f"route collected for piece {col.piece} I no longer serve")
