@@ -651,8 +651,8 @@ class Simulation:
             return
         self._cr_deaths_pending = False
         plan, _ = planner.recompute_central(
-            "trigger", self.net, self.pieces, self.cfg.latency_budget_ms,
-            self.params, charge=lambda node, amount: self._charge(node, amount, CFG))
+            self.net, self.pieces, self.cfg.latency_budget_ms, self.params,
+            charge=lambda node, amount: self._charge(node, amount, CFG))
         self._install_plan(plan)
         self.note_reconfiguration()
 

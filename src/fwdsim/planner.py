@@ -6,6 +6,10 @@ consumer segment. Segments are chosen to maximize the minimum projected
 lifetime of their transmitting nodes, subject to the round-trip access
 latency budget on the consumer side. Planning is greedy in descending rate
 order and fully deterministic under the documented tie-breaking.
+
+Segments come from a Pareto label search (Martins 1984) over the view's
+adjacency index, built once per view. Each search memoizes edge lifetimes for
+its own duration only, because the view's spend changes between searches.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass, field
 
 from .lifetime import LifetimeParams, lifetime_from_spend
 from .netmodel import NetworkState, NodeId
+
+INFINITY = float("inf")
 
 
 class PlanningError(RuntimeError):
@@ -56,23 +62,43 @@ class Plan:
         return "\n".join(out) + "\n"
 
 
+# One adjacency index entry: (v, one-way latency, round-trip latency, eps_j).
+# The round-trip latency is infinite when (v, u) is missing.
+OutEdge = tuple[NodeId, float, float, float]
+
+
 @dataclass
 class PlannerView:
-    """Controller-side picture of the alive network built from status reports."""
+    """Controller-side picture of the alive network built from status reports.
+
+    ``out_edges`` is the adjacency index: each node's out-edges sorted by
+    neighbor id, built once at construction. Energies and edges stay fixed
+    for the view's life; only ``spend`` changes, so nothing derived from it
+    is stored here.
+    """
 
     energy: dict[NodeId, float]
     edges: dict[tuple[NodeId, NodeId], tuple[float, float]]  # (eps_j, latency_ms)
     spend: dict[NodeId, float]                               # accumulated J/cycle
     params: LifetimeParams
+    out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[NodeId, list[OutEdge]] = {u: [] for u in self.energy}
+        for (u, v), (eps, lat) in self.edges.items():
+            back = self.edges.get((v, u))
+            round_trip = INFINITY if back is None else lat + back[1]
+            out.setdefault(u, []).append((v, lat, round_trip, eps))
+        self.out_edges = {u: tuple(sorted(es)) for u, es in out.items()}
 
     @classmethod
     def from_status(cls, reports: list[StatusReport],
                     params: LifetimeParams) -> "PlannerView":
-        energy = {}
+        ordered = sorted(reports, key=lambda r: r.node)
+        energy = {rep.node: rep.energy_j for rep in ordered}
         edges = {}
-        for rep in sorted(reports, key=lambda r: r.node):
-            energy[rep.node] = rep.energy_j
-        for rep in sorted(reports, key=lambda r: r.node):
+        for rep in ordered:
             for v, (eps, lat) in sorted(rep.links.items()):
                 if v in energy:                      # both endpoints reported alive
                     edges[(rep.node, v)] = (eps, lat)
@@ -80,7 +106,7 @@ class PlannerView:
                    spend={u: 0.0 for u in energy}, params=params)
 
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
-        return sorted(v for (a, v) in self.edges if a == u)
+        return [edge[0] for edge in self.out_edges.get(u, ())]
 
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
@@ -107,19 +133,6 @@ def status_from_network(net: NetworkState) -> list[StatusReport]:
     return reports
 
 
-INFINITY = float("inf")
-
-
-def _edge_weight(view: PlannerView, u: NodeId, v: NodeId, round_trip: bool) -> float:
-    _, lat = view.edges[(u, v)]
-    if not round_trip:
-        return lat
-    back = view.edges.get((v, u))
-    if back is None:
-        return INFINITY
-    return lat + back[1]
-
-
 def bottleneck_path(
     view: PlannerView,
     src: NodeId,
@@ -140,6 +153,15 @@ def bottleneck_path(
     None when no feasible path exists. With ``hop_only`` the lifetime
     criterion is ignored and the search simply minimizes hops within the
     budget (used to generate low-blocking candidate segments).
+
+    Expansion reads ``view.out_edges``, taking the one-way or the round-trip
+    latency by position. Each edge's lifetime is computed at most once per
+    call and never cached on the view, whose spend may change between calls.
+    Two bounds drop labels that cannot win: a label whose best possible
+    terminal already loses to a terminal label pushed so far, and, under a
+    round-trip budget, a label that cannot reach dst within the budget. The
+    labels such a label would dominate cannot win either, so dropping it
+    changes no result, tied paths included.
     """
     if src == dst:
         raise PlanningError("source and target must differ")
@@ -148,15 +170,27 @@ def bottleneck_path(
     if src in excluded or dst in excluded:
         return None
     budget = INFINITY if latency_budget_ms is None else latency_budget_ms
+    weight = 2 if round_trip else 1              # latency position in an OutEdge
+    out_edges, energy, spend, params = (view.out_edges, view.energy,
+                                        view.spend, view.params)
+    lifetimes: dict[tuple[NodeId, NodeId], float] = {}
 
     labels: dict[NodeId, list[tuple[float, float, int]]] = {src: [(0.0, INFINITY, 0)]}
     best_terminal: tuple[float, int, tuple[NodeId, ...]] | None = None  # (-bot, hops, path)
     heap: list[tuple[float, float, int, tuple[NodeId, ...]]] = [(-INFINITY, 0.0, 0, (src,))]
+    # (bottleneck, hops) of the best terminal label pushed so far; the final
+    # answer is at least this good.
+    inc_bot, inc_hops = -INFINITY, 0
+    # Least round-trip latency from each node on to dst. The slack keeps
+    # float rounding from pruning a path that fits the budget exactly.
+    limit = budget * (1.0 + 1e-9)
+    to_go = (_round_trip_to_go(out_edges, dst, limit)
+             if round_trip and budget < INFINITY else None)
 
     while heap:
         neg_bot, lat, hops, path = heapq.heappop(heap)
         bot = -neg_bot
-        if best_terminal is not None and bot < -best_terminal[0]:
+        if bot < inc_bot:
             # Bottlenecks only shrink along a path and the heap pops them in
             # descending order, so no remaining label can beat the incumbent.
             break
@@ -166,38 +200,68 @@ def bottleneck_path(
             if best_terminal is None or cand < best_terminal:
                 best_terminal = cand
             continue
-        for v in view.out_neighbors(u):
+        nhops = hops + 1
+        if bot == inc_bot and nhops > inc_hops:
+            continue
+        for edge in out_edges[u]:
+            v = edge[0]
             if v in excluded or v in path:
                 continue
-            nlat = lat + _edge_weight(view, u, v, round_trip)
+            nlat = lat + edge[weight]
             if nlat > budget:
+                continue
+            if to_go is not None and nlat + to_go.get(v, INFINITY) > limit:
                 continue
             if hop_only:
                 nbot = INFINITY
             else:
-                nbot = min(bot, view.edge_lifetime(u, v, rate))
-            bucket = labels.setdefault(v, [])
-            if _dominated(bucket, nlat, nbot, hops + 1):
+                life = lifetimes.get((u, v))
+                if life is None:
+                    life = lifetimes[(u, v)] = lifetime_from_spend(
+                        energy[u], spend[u] + edge[3] * rate, params)
+                nbot = life if life < bot else bot
+            # A label that can only end in a terminal worse than the
+            # incumbent is dropped before it enters a bucket: any label it
+            # would keep out is no better, so cannot win either.
+            if nbot < inc_bot or (nbot == inc_bot
+                                  and nhops + (v != dst) > inc_hops):
                 continue
-            _insert_label(bucket, nlat, nbot, hops + 1)
-            heapq.heappush(heap, (-nbot, nlat, hops + 1, path + (v,)))
+            bucket = labels.get(v)
+            if bucket is None:
+                bucket = labels[v] = []
+            for elat, ebot, ehops in bucket:
+                if elat <= nlat and ebot >= nbot and ehops <= nhops:
+                    break
+            else:
+                bucket[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in bucket
+                             if not (nlat <= elat and nbot >= ebot and nhops <= ehops)]
+                bucket.append((nlat, nbot, nhops))
+                if v == dst and (nbot > inc_bot or nhops < inc_hops):
+                    inc_bot, inc_hops = nbot, nhops
+                heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,)))
 
     if best_terminal is None:
         return None
     return list(best_terminal[2])
 
 
-def _dominated(existing: list[tuple[float, float, int]],
-               lat: float, bot: float, hops: int) -> bool:
-    return any(elat <= lat and ebot >= bot and ehops <= hops
-               for (elat, ebot, ehops) in existing)
-
-
-def _insert_label(existing: list[tuple[float, float, int]],
-                  lat: float, bot: float, hops: int) -> None:
-    existing[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in existing
-                   if not (lat <= elat and bot >= ebot and hops <= ehops)]
-    existing.append((lat, bot, hops))
+def _round_trip_to_go(out_edges: dict[NodeId, tuple[OutEdge, ...]],
+                      dst: NodeId, limit: float) -> dict[NodeId, float]:
+    """Least round-trip latency from each node to dst, for the nodes within
+    ``limit`` of it (Dijkstra). Round-trip weights are symmetric, so searching
+    outward from dst gives the distances toward it."""
+    dist = {dst: 0.0}
+    heap = [(0.0, dst)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
+            continue
+        for edge in out_edges[x]:
+            nd = d + edge[2]
+            if nd <= limit and nd < dist.get(edge[0], INFINITY):
+                dist[edge[0]] = nd
+                heapq.heappush(heap, (nd, edge[0]))
+    return dist
 
 
 def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float) -> float:
@@ -291,7 +355,6 @@ def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
 
 
 def recompute_central(
-    trigger_event: str,
     net: NetworkState,
     pieces,
     latency_budget_ms: float,

@@ -1,15 +1,20 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, plus a frozen reference label search.
 
-Each oracle recomputes its answer by explicit enumeration, sharing no code
-path with the implementation it checks (only plain data structures).
+Each brute-force oracle recomputes its answer by explicit enumeration,
+sharing no code path with the implementation it checks (only plain data
+structures). ``reference_bottleneck_path`` is the planner's label search
+before its adjacency index and lifetime memo, kept to check that the fast
+search returns exactly the same path, ties included.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
-from fwdsim import DataPiece, PathTable, install_path
+from fwdsim import (DataPiece, NodeId, PathTable, PlannerView, PlanningError,
+                    install_path)
 
 from conftest import make_net
 
@@ -121,9 +126,11 @@ def enumerate_best_bottleneck(view, src, dst, budget, rate, round_trip=False):
     return best[1], len(best[2]) - 1, best[2]
 
 
-def random_planner_graph(rng: random.Random, max_nodes: int = 8):
+def random_planner_graph(rng: random.Random, max_nodes: int = 8,
+                         latencies: tuple[float, ...] | None = None):
     """Random small connected graph expressed as a PlannerView plus the raw
-    pieces needed to drive compute_plan."""
+    pieces needed to drive compute_plan. Latencies are uniform in [3, 20] ms,
+    or drawn from ``latencies`` when given (coarse sets make ties common)."""
     from fwdsim import LifetimeParams, PlannerView, StatusReport
 
     n = rng.randint(3, max_nodes)
@@ -135,10 +142,14 @@ def random_planner_graph(rng: random.Random, max_nodes: int = 8):
     for _ in range(rng.randint(0, 2 * n)):
         u, v = rng.sample(nodes, 2)
         edges.add((min(u, v), max(u, v)))
+
+    def latency():
+        return rng.uniform(3.0, 20.0) if latencies is None else rng.choice(latencies)
+
     links = {}
     for u, v in edges:
-        links[(u, v)] = (rng.choice([25e-6, 50e-6, 100e-6]), rng.uniform(3.0, 20.0))
-        links[(v, u)] = (rng.choice([25e-6, 50e-6, 100e-6]), rng.uniform(3.0, 20.0))
+        links[(u, v)] = (rng.choice([25e-6, 50e-6, 100e-6]), latency())
+        links[(v, u)] = (rng.choice([25e-6, 50e-6, 100e-6]), latency())
     reports = []
     for u in nodes:
         own = {v: links[(u, v)] for (a, v) in links if a == u}
@@ -197,3 +208,99 @@ def _all_simple_paths(view, src, dst):
 
     dfs(src, [src])
     return out
+
+
+INFINITY = float("inf")
+
+
+def _edge_weight(view: PlannerView, u: NodeId, v: NodeId, round_trip: bool) -> float:
+    _, lat = view.edges[(u, v)]
+    if not round_trip:
+        return lat
+    back = view.edges.get((v, u))
+    if back is None:
+        return INFINITY
+    return lat + back[1]
+
+
+def reference_bottleneck_path(
+    view: PlannerView,
+    src: NodeId,
+    dst: NodeId,
+    latency_budget_ms: float | None,
+    rate: float,
+    round_trip: bool = False,
+    excluded: frozenset[NodeId] | set[NodeId] = frozenset(),
+    hop_only: bool = False,
+) -> list[NodeId] | None:
+    """The label search as it stood before the planner's adjacency index:
+    a verbatim copy, except that out-neighbors come from a full edge scan.
+
+    Path from src to dst maximizing the minimum projected lifetime of its
+    transmitting nodes, among paths whose total latency fits the budget.
+
+    Label-correcting search keeping Pareto-optimal (latency, bottleneck, hops)
+    labels per node; a budget of None disables the constraint and the budget
+    comparison is inclusive. Ties resolve toward fewer hops, then the
+    lexicographically smallest node sequence among surviving labels. Returns
+    None when no feasible path exists. With ``hop_only`` the lifetime
+    criterion is ignored and the search simply minimizes hops within the
+    budget (used to generate low-blocking candidate segments).
+    """
+    if src == dst:
+        raise PlanningError("source and target must differ")
+    if src not in view.energy or dst not in view.energy:
+        return None
+    if src in excluded or dst in excluded:
+        return None
+    budget = INFINITY if latency_budget_ms is None else latency_budget_ms
+
+    labels: dict[NodeId, list[tuple[float, float, int]]] = {src: [(0.0, INFINITY, 0)]}
+    best_terminal: tuple[float, int, tuple[NodeId, ...]] | None = None  # (-bot, hops, path)
+    heap: list[tuple[float, float, int, tuple[NodeId, ...]]] = [(-INFINITY, 0.0, 0, (src,))]
+
+    while heap:
+        neg_bot, lat, hops, path = heapq.heappop(heap)
+        bot = -neg_bot
+        if best_terminal is not None and bot < -best_terminal[0]:
+            # Bottlenecks only shrink along a path and the heap pops them in
+            # descending order, so no remaining label can beat the incumbent.
+            break
+        u = path[-1]
+        if u == dst:
+            cand = (neg_bot, hops, path)
+            if best_terminal is None or cand < best_terminal:
+                best_terminal = cand
+            continue
+        for v in sorted(w for (a, w) in view.edges if a == u):
+            if v in excluded or v in path:
+                continue
+            nlat = lat + _edge_weight(view, u, v, round_trip)
+            if nlat > budget:
+                continue
+            if hop_only:
+                nbot = INFINITY
+            else:
+                nbot = min(bot, view.edge_lifetime(u, v, rate))
+            bucket = labels.setdefault(v, [])
+            if _dominated(bucket, nlat, nbot, hops + 1):
+                continue
+            _insert_label(bucket, nlat, nbot, hops + 1)
+            heapq.heappush(heap, (-nbot, nlat, hops + 1, path + (v,)))
+
+    if best_terminal is None:
+        return None
+    return list(best_terminal[2])
+
+
+def _dominated(existing: list[tuple[float, float, int]],
+               lat: float, bot: float, hops: int) -> bool:
+    return any(elat <= lat and ebot >= bot and ehops <= hops
+               for (elat, ebot, ehops) in existing)
+
+
+def _insert_label(existing: list[tuple[float, float, int]],
+                  lat: float, bot: float, hops: int) -> None:
+    existing[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in existing
+                   if not (lat <= elat and bot >= ebot and hops <= ehops)]
+    existing.append((lat, bot, hops))

@@ -3,15 +3,20 @@
 Every strategy on the shipped ``default`` and ``forced_death`` scenarios at
 seeds 1-3, full horizon: the SHA-256 of ``csv_text() + summary_text()`` must
 match the value recorded here, and so must the local-repair message trace of
-both scenarios at seed 1. A change that moves a digest on purpose updates it
-here and says why in CHANGES.md.
+both scenarios at seed 1. The central planner's ``Plan.to_text()`` is pinned
+the same way on grids from 3x6 to 14x14, both for the initial status reports
+and for a perturbed, replan-like set of reports. A change that moves a digest
+on purpose updates it here and says why in CHANGES.md.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 from pathlib import Path
 
-from fwdsim import Simulation, parse_scenario
+from fwdsim import (Simulation, StatusReport, build_grid_topology,
+                    compute_plan, parse_scenario, sample_pieces,
+                    status_from_network)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -84,3 +89,100 @@ def test_outputs_match_golden_digests():
     moved = {k: v for k, v in got.items() if GOLDEN[k] != v}
     moved_trace = {k: v for k, v in got_trace.items() if GOLDEN_TRACE[k] != v}
     assert not moved and not moved_trace, (moved, moved_trace)
+
+
+# (rows, cols, seed, view) -> SHA-256 of Plan.to_text().
+GOLDEN_PLANS = {
+    (3, 6, 1, "initial"):
+        "c9a2473dce76712b42ebea48804bb297e07878c7852656826c701235d1ba2870",
+    (3, 6, 1, "perturbed"):
+        "c9a2473dce76712b42ebea48804bb297e07878c7852656826c701235d1ba2870",
+    (3, 6, 2, "initial"):
+        "22e1cad702daf47b10e36b82bf8888868a5a668b2cd3fc6b36b906110fcd8e54",
+    (3, 6, 2, "perturbed"):
+        "d874958a2ccf4ae3edccbe502002e884bf97bf9ab91d8678da31d5ed163c84e4",
+    (3, 6, 3, "initial"):
+        "ecb64b385d2227a97e21e0de75357fa37ec6b0e54ddb5dff29431359e9316e9f",
+    (3, 6, 3, "perturbed"):
+        "4059486a68e3114bb806cec1534584a1f4261650cbb695a0458498597045c2ae",
+    (6, 6, 1, "initial"):
+        "4364f2412ce80042d882fbeddb045de9c86b428e14232fec6f025265d20b0e1b",
+    (6, 6, 1, "perturbed"):
+        "46b1600e3d394c2b7563c0e9a5711b0dd91335f4e5eff2d09e5fe8c375b506fa",
+    (6, 6, 2, "initial"):
+        "c7d3bea4ca15db24a5f393f627c402bd96a6fa0490e3f8939bc020ea89285414",
+    (6, 6, 2, "perturbed"):
+        "a0d9754fa61a235727f442ff5e51e3cf92cd2c329c2b1d49866ab1803352c267",
+    (6, 6, 3, "initial"):
+        "e746cad9dc94eb7f546401abd6f955989775759808aa03a029b37fd623829387",
+    (6, 6, 3, "perturbed"):
+        "84b6f8a5e86074263a4120cebc221a90f40e6d3a666926b9fa07030d8761b19c",
+    (10, 10, 1, "initial"):
+        "3f22ec90053d713a9f6c3f43e1e0ccdb1042388adfbf754d7ec88306e21cc4a1",
+    (10, 10, 1, "perturbed"):
+        "9dc3218960f740324984b230cd53a4897fc9f3c1aede5e5d77222d2cf1ca6a0f",
+    (10, 10, 2, "initial"):
+        "44f247a48e72c2420d18b7678f314f08f788d37a963d87578b6b4b7cb7f86b2e",
+    (10, 10, 2, "perturbed"):
+        "cd2943cc6ae15f2ceaac1181f85ae566bad3d18d53eab89196dc87e087ede657",
+    (10, 10, 3, "initial"):
+        "262ade83e45f0f718def267a0dfd945172f5a424b0859f4b287a5e7b75cba22a",
+    (10, 10, 3, "perturbed"):
+        "46d371060b5fe69ebd02b99c37c90b35d3cc8bef9381eab2e40eb73ec0d8591a",
+    (14, 14, 1, "initial"):
+        "9435305edf60666c6db79c1e8df1fa889902a8eadd4cf7c99c8042a1a81d3ef3",
+    (14, 14, 1, "perturbed"):
+        "f0f631622029b3b91af96f2345de795522efd731c1e2f2fc17847b204fc77b78",
+    (14, 14, 2, "initial"):
+        "0ee709d63f86a95c836518e83ea48dac8717f6b1cfd07b6bda91b088004ed34c",
+    (14, 14, 2, "perturbed"):
+        "f680f6c18c507fb5d9da3ab6a3cb8a772c4b10471d5bf6ba6c9e7fe111435059",
+    (14, 14, 3, "initial"):
+        "05596dc9fee0024040a1abee65b597341154dbc113b7ffb5ecc9360bc69dd244",
+    (14, 14, 3, "perturbed"):
+        "c5daccbe085848259f7795d98b465626f857749f9c991a6e081eb627568683d7",
+}
+
+
+def plan_instance(rows: int, cols: int, seed: int):
+    """The default scenario on a rows x cols grid, proxies at the thirds of
+    both axes (the ``replan`` benchmark layout on 8x8)."""
+    text = (SCENARIOS / "default.scenario").read_text()
+    proxies = tuple(r * cols + c for r in (rows // 3, 2 * rows // 3)
+                    for c in (cols // 3, 2 * cols // 3))
+    cfg = replace(parse_scenario(text), rows=rows, cols=cols, proxies=proxies,
+                  seed=seed)
+    net = build_grid_topology(cfg.rows, cfg.cols, cfg.spacing_m, cfg.range_m,
+                              set(cfg.proxies), cfg.link_params(), cfg.seed)
+    return cfg, net, sample_pieces(cfg, net)
+
+
+def perturbed(reports: list[StatusReport], seed: int) -> list[StatusReport]:
+    """A replan-like view: about 8% of nodes gone, about 10% of link costs
+    tripled, every energy scaled by a factor in [0.5, 1.0]."""
+    rng = random.Random(f"{seed}:perturb")
+    out = []
+    for rep in reports:
+        if rng.random() < 0.08:
+            continue
+        links = {}
+        for v, (eps, lat) in sorted(rep.links.items()):
+            links[v] = (eps * 3.0 if rng.random() < 0.1 else eps, lat)
+        out.append(StatusReport(node=rep.node,
+                                energy_j=rep.energy_j * rng.uniform(0.5, 1.0),
+                                links=links))
+    return out
+
+
+def test_plan_texts_match_golden_digests():
+    got = {}
+    for rows, cols, seed in sorted({k[:3] for k in GOLDEN_PLANS}):
+        cfg, net, pieces = plan_instance(rows, cols, seed)
+        reports = status_from_network(net)
+        for view, reps in (("initial", reports),
+                           ("perturbed", perturbed(reports, seed))):
+            plan = compute_plan(reps, pieces, net.proxies,
+                                cfg.latency_budget_ms, cfg.lifetime_params())
+            got[(rows, cols, seed, view)] = sha256(plan.to_text())
+    moved = {k: v for k, v in got.items() if GOLDEN_PLANS[k] != v}
+    assert not moved, moved

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
                     StatusReport, bottleneck_path, compute_plan, install_path,
@@ -10,7 +12,7 @@ from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
 
 from conftest import make_net
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
-                     random_planner_graph)
+                     random_planner_graph, reference_bottleneck_path)
 
 PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
 
@@ -93,6 +95,48 @@ class TestBottleneckPath:
                           for u, v in zip(got, got[1:]))
                 assert lat <= budget
         assert checked > 20
+
+
+class TestMatchesReferenceSearch:
+    """The indexed search returns exactly what the plain label search
+    returned, ties included, also after the view's spend changes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_same_path_as_reference(self, seed, data):
+        rng = random.Random(seed)
+        view, nodes = random_planner_graph(rng, max_nodes=9,
+                                           latencies=(5.0, 10.0, 20.0))
+        src, dst = data.draw(st.permutations(nodes))[:2]
+        kwargs = dict(
+            latency_budget_ms=data.draw(st.sampled_from([None, 10.0, 20.0, 40.0, 80.0])),
+            rate=data.draw(st.sampled_from([0, 1, 2, 8])),
+            round_trip=data.draw(st.booleans()),
+            excluded=frozenset(data.draw(st.sets(st.sampled_from(nodes), max_size=3))),
+            hop_only=data.draw(st.booleans()),
+        )
+
+        def check():
+            want = reference_bottleneck_path(view, src, dst, **kwargs)
+            assert bottleneck_path(view, src, dst, **kwargs) == want
+            return want
+
+        path = check()
+        if path is not None:
+            view.commit(path, data.draw(st.sampled_from([1, 4])))
+            check()
+        view.spend[src] = data.draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+        check()
+
+    def test_direct_construction_builds_the_index(self):
+        links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
+        links[(2, 3)] = (50e-6, 4.0)                 # no way back from 3
+        view = PlannerView(energy={u: 5.0 for u in range(4)}, edges=links,
+                           spend={u: 0.0 for u in range(4)}, params=PARAMS)
+        assert view.out_neighbors(1) == [0, 2]
+        assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6),
+                                     (3, 4.0, float("inf"), 50e-6))
+        assert view.out_edges[3] == ()
 
 
 def five_node_reports(dying=1):
@@ -204,7 +248,7 @@ class TestRecompute:
         net, pieces = self.make_net_with_pieces()
         cost = net.link_params.controller_energy_j
         before = {u: net.nodes[u].energy_j for u in net.nodes}
-        plan, charged = recompute_central("node-death", net, pieces, 100.0, PARAMS)
+        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
         assert charged == pytest.approx(len(net.nodes) * cost)
         for u in net.nodes:
             assert net.nodes[u].energy_j == pytest.approx(before[u] - cost)
@@ -213,7 +257,7 @@ class TestRecompute:
     def test_dead_nodes_neither_pay_nor_appear_in_paths(self):
         net, pieces = self.make_net_with_pieces()
         net.nodes[2].alive = False
-        plan, charged = recompute_central("node-death", net, pieces, 100.0, PARAMS)
+        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
         assert charged == pytest.approx(4 * net.link_params.controller_energy_j)
         chain = plan.pieces[0].chain
         assert 2 not in chain
@@ -226,6 +270,6 @@ class TestRecompute:
         net, pieces = self.make_net_with_pieces()
         for node in net.nodes.values():
             node.alive = False
-        plan, charged = recompute_central("node-death", net, pieces, 100.0, PARAMS)
+        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
         assert charged == 0.0
         assert plan.pieces == {} and plan.infeasible == {}
