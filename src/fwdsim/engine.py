@@ -19,6 +19,26 @@ Per cycle, in fixed order:
 
 Identical configurations, including the seed, produce bit-identical metrics.
 
+Quiet stretches (next-event time advance). Most cycles repeat the previous
+one exactly: the same charges on the same nodes, the same delivered and lost
+pieces. ``run()`` steps every cycle that has an event through ``_step()`` and
+advances the cycles between events in one loop (``Simulation._run_quiet``)
+over a list of (node, amount) charges compiled from the current state. A
+cycle is quiet when no message is pending or sitting in an inbox, no revert
+or forced death is due, no link changed, no node is drained or busy with a
+repair, no PDD-CR replan is pending, and, under DistrDataFwd, every piece
+that fails to deliver is already broken (no transmission feedback is
+running) and no data-plane learning write is due. A stretch ends at the
+first interference hit, the next due revert or forced death, the end of the
+``run()`` call, or one cycle of spend before any charged node could run out.
+The list is compiled afresh at every ``run()`` entry and after every
+``_step()``, so state edited between calls takes effect. Each quiet cycle
+still draws the interference event and one request per piece, so both
+random streams are consumed in the same order as by ``_step()``; a hit is
+handed to that cycle's ``_step()`` as its drawn value. Charges are applied
+in the same order and with the same float operations, so outputs are
+bit-identical to stepping every cycle.
+
 Three strategies share the same initial centrally computed plan:
 
 * ``PDD``           static plan, never reconfigured;
@@ -31,6 +51,7 @@ Three strategies share the same initial centrally computed plan:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -335,6 +356,9 @@ class Simulation:
         self._forced: dict[int, list[NodeId]] = {}
         for cyc, node in cfg.forced_deaths:
             self._forced.setdefault(cyc, []).append(node)
+        self._forced_cycles = sorted(self._forced)
+        # This cycle's interference event draw, when a quiet stretch drew it.
+        self._interference_draw: float | None = None
 
         self._pending_msgs: list[tuple[NodeId, NodeId, object]] = []
         self._ctx = {u: NodeCtx(self, u) for u in self._node_ids}
@@ -419,6 +443,9 @@ class Simulation:
         energy left, the links whose cost differs from their previous cost
         (they count as changed in the next cycle and settle at its end), and
         the nodes with pending protocol work.
+
+        Cycles with an event go through ``_step()``; the quiet cycles between
+        them through ``_run_quiet()``, compiled afresh before each stretch.
         """
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
         nodes = self.net.nodes
@@ -429,8 +456,11 @@ class Simulation:
                              if link.eps_j != link.eps_prev_j}
         self._busy = {u for u, ctx in self._ctx.items()
                       if ctx.state.has_pending_work()}
-        for _ in range(max(0, remaining)):
-            self._step()
+        end = self.cycle + max(0, remaining)
+        while self.cycle < end:
+            self._run_quiet(end)
+            if self.cycle < end:
+                self._step()
         return self.metrics
 
     def _step(self) -> None:
@@ -453,9 +483,168 @@ class Simulation:
         if self._generated != self._delivered + self._lost + self.metrics.in_transit:
             raise EngineError("piece conservation violated cumulatively")
         if cyc % self._stride == 0 or cyc == self.cfg.horizon - 1:
-            self._append_metrics(cyc, max_lat)
+            self._append_metrics(cyc, self._data_energy, self._generated,
+                                 self._delivered, self._lost, max_lat)
         self._settle_links()
         self.cycle += 1
+
+    def _run_quiet(self, end: int) -> None:
+        """Advance the quiet cycles from ``self.cycle`` on, stopping before
+        the next cycle with an event or at ``end`` (see the module
+        docstring). Each quiet cycle does exactly what ``_step()`` would."""
+        start = self.cycle
+        if (self._pending_msgs or self._dirty_links or self._drained
+                or self._busy or self._cr_deaths_pending):
+            return
+        stop = end
+        for due in self._reverts:
+            if start <= due < stop:
+                stop = due
+        k = bisect_left(self._forced_cycles, start)
+        if k < len(self._forced_cycles) and self._forced_cycles[k] < stop:
+            stop = self._forced_cycles[k]
+        if stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
+            return
+        stretch = self._compile_quiet()
+        if stretch is None:
+            return
+        charges, spend, gen, dlv, lost, causes, delivered = stretch
+        for node, per_cycle, count in spend:
+            # Stop one cycle of spend short of the clamp, allowing for the
+            # rounding of every addition to spent_j on the way.
+            room = node.initial_energy_j - node.spent_j - per_cycle
+            slack = count * node.initial_energy_j * 2.0 ** -50
+            cycles = room / (per_cycle + slack)
+            if cycles < stop - start:
+                stop = start + max(0, int(cycles))
+        if stop <= start:
+            return
+
+        cfg, m = self.cfg, self.metrics
+        draw_interference = self._rng_interference.random
+        p_hit = cfg.interference.prob_per_cycle
+        draw_request = self._rng_requests.random
+        p_req = cfg.request_prob
+        budget = cfg.latency_budget_ms
+        audit = cfg.audit_energy
+        stride, last = self._stride, cfg.horizon - 1
+        pieces = [self.pieces_by_id[pid] for pid in self._piece_ids]
+        access: list = [None] * len(pieces)   # sample_access_latency, lazily
+        table, net, log = self.table, self.net, self.energy_log
+        miss_causes, in_transit = m.miss_causes, m.in_transit
+        data = self._data_energy
+        generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
+        requests = ok = violations = misses = 0
+        max_access = m.max_access_latency_ms
+        cyc = start
+        while cyc < stop:
+            if p_hit > 0.0:
+                draw = draw_interference()
+                if draw < p_hit:
+                    self._interference_draw = draw   # _step() takes it from here
+                    break
+            for node, amount in charges:
+                node.spent_j += amount
+                data += amount
+            if audit:
+                for node, amount in charges:
+                    log.setdefault(node.node, []).append((cyc, DATA, amount))
+            generated += gen
+            dlv_total += dlv
+            lost_total += lost
+            max_lat = 0.0
+            for i, piece in enumerate(pieces):
+                if draw_request() < p_req:
+                    requests += 1
+                    sample = access[i]
+                    if sample is None:
+                        sample = access[i] = sample_access_latency(piece, table, net)
+                    latency, miss = sample
+                    if miss is not None:
+                        misses += 1
+                        miss_causes[miss] += 1
+                        continue
+                    max_lat = max(max_lat, latency)
+                    max_access = max(max_access, latency)
+                    if latency > budget:
+                        violations += 1
+                    else:
+                        ok += 1
+            if generated != dlv_total + lost_total + in_transit:
+                raise EngineError("piece conservation violated cumulatively")
+            if cyc % stride == 0 or cyc == last:
+                self._append_metrics(cyc, data, generated, dlv_total,
+                                     lost_total, max_lat)
+            cyc += 1
+
+        ran = cyc - start
+        if ran == 0:
+            return
+        self.cycle = cyc
+        self._data_energy = data
+        self._generated, self._delivered, self._lost = generated, dlv_total, lost_total
+        for cause, rate in causes:
+            m.loss_causes[cause] += rate * ran
+        for status in delivered:
+            status.stuck_cycles = 0
+        m.requests_total += requests
+        m.requests_ok += ok
+        m.latency_violations += violations
+        m.request_misses += misses
+        m.max_access_latency_ms = max_access
+
+    def _compile_quiet(self):
+        """One quiet cycle of ``_generate_and_forward``, compiled: the
+        charges in the order it makes them, each charged node's total spend
+        and charge count per cycle, the generated, delivered and lost
+        counts, the (loss cause, rate) pairs and the statuses of the
+        delivered pieces. None when the cycle would not be quiet."""
+        local_repair = self.cfg.strategy == "DistrDataFwd"
+        charges: list[tuple[netmodel.NodeState, float]] = []
+        gen = dlv = lost = 0
+        causes: list[tuple[str, int]] = []
+        delivered: list[PieceStatus] = []
+        for pid in self._piece_ids:
+            piece = self.pieces_by_id[pid]
+            if not self.net.nodes[piece.source].alive or piece.rate == 0:
+                continue
+            gen += piece.rate
+            hops, complete = self._chain(piece)
+            cause = None
+            for tx, link, rx, learn in hops:
+                if not tx.alive:
+                    cause = "node-dead"
+                    break
+                if pid not in link.active_pieces:
+                    cause = "link-down"
+                    break
+                need = link.eps_j * piece.rate
+                if need > 0.0:
+                    charges.append((tx, need))
+                if not rx.alive:
+                    cause = "node-dead"
+                    break
+                if learn:
+                    return None
+            else:
+                if not complete:
+                    cause = "path-broken"
+            status = self.piece_status[pid]
+            if cause is None:
+                dlv += piece.rate
+                delivered.append(status)
+            elif local_repair and not status.broken:
+                return None   # transmission feedback is counting
+            else:
+                lost += piece.rate
+                causes.append((status.cause or cause, piece.rate))
+        spend: dict[NodeId, tuple[float, int]] = {}
+        for node, amount in charges:
+            per_cycle, count = spend.get(node.node, (0.0, 0))
+            spend[node.node] = (per_cycle + amount, count + 1)
+        nodes = self.net.nodes
+        return (charges, [(nodes[u], *v) for u, v in spend.items()], gen, dlv,
+                lost, causes, delivered)
 
     # ------------------------------------------------------------- sub-steps
 
@@ -487,9 +676,10 @@ class Simulation:
     def _inject_interference(self, cyc: int) -> None:
         inter = self.cfg.interference
         self._cr_trigger = False
+        drawn, self._interference_draw = self._interference_draw, None
         affected = inject_interference(self.net, self._rng_interference, inter,
                                        self.cfg.trigger_threshold,
-                                       link_ids=self._link_ids)
+                                       link_ids=self._link_ids, drawn=drawn)
         for lk, fired in affected:
             self._dirty_links.add(lk)
             self._reverts.setdefault(cyc + inter.duration_cycles, []).append(lk)
@@ -498,7 +688,6 @@ class Simulation:
 
     def _generate_and_forward(self) -> None:
         gen = dlv = lost = 0
-        learn_prev = self.cfg.strategy == "DistrDataFwd"
         for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             src = self.net.nodes[piece.source]
@@ -509,7 +698,7 @@ class Simulation:
             cause = None
             delivered = False
             blocked_at = piece.source
-            for tx, link, rx in hops:
+            for tx, link, rx, learn in hops:
                 blocked_at = tx.node
                 if not tx.alive:
                     cause = "node-dead"
@@ -525,14 +714,10 @@ class Simulation:
                 if not rx.alive:
                     cause = "node-dead"
                     break
-                if learn_prev:
-                    # Data-plane learning: whoever actually handed me the
-                    # piece is my previous hop. Reconciles a stale pointer
-                    # left by the losing side of two concurrent repairs.
+                if learn:
                     rx_row = self.table.row(pid, rx.node)
-                    if rx_row is not None and rx_row.prev != tx.node:
-                        self.write_row(pid, rx.node, tx.node, rx_row.next,
-                                       rx_row.order_key)
+                    self.write_row(pid, rx.node, tx.node, rx_row.next,
+                                   rx_row.order_key)
                 blocked_at = rx.node
             else:
                 if complete:
@@ -573,11 +758,23 @@ class Simulation:
             self.mark_broken(piece.id, "repair-failed")
 
     def _chain(self, piece: DataPiece):
+        """The piece's hops as (tx, link, rx, learn) and whether the chain
+        reaches the consumer, cached per chain version.
+
+        ``learn`` marks the hops whose receiver needs a data-plane learning
+        write (DistrDataFwd only): whoever actually hands a node the piece
+        is its previous hop, which reconciles a stale pointer left by the
+        losing side of two concurrent repairs. Every row write bumps the
+        version, so the marks hold until the next write. A looped chain may
+        reach a receiver twice; the second hop sees the first hop's write.
+        """
         ver = self.table.version.get(piece.id, 0)
         cached = self._chains.get(piece.id)
         if cached is not None and cached[0] == ver:
             return cached[1], cached[2]
         rows = self.table.rows_for_piece(piece.id)
+        learn_prev = self.cfg.strategy == "DistrDataFwd"
+        prevs = {u: row.prev for u, row in rows.items()} if learn_prev else {}
         hops = []
         complete = False
         node = piece.source
@@ -591,7 +788,10 @@ class Simulation:
             link = self.net.links.get((node, nxt))
             if link is None:
                 break
-            hops.append((self.net.nodes[node], link, self.net.nodes[nxt]))
+            learn = nxt in prevs and prevs[nxt] != node
+            if learn:
+                prevs[nxt] = node
+            hops.append((self.net.nodes[node], link, self.net.nodes[nxt], learn))
             if nxt in seen:
                 break
             seen.add(nxt)
@@ -664,14 +864,15 @@ class Simulation:
             if node.alive and node.energy_j <= 0.0:
                 self.mark_dead(u)
 
-    def _append_metrics(self, cyc: int, max_lat: float) -> None:
+    def _append_metrics(self, cyc: int, data_energy: float, generated: int,
+                        delivered: int, lost: int, max_lat: float) -> None:
         m = self.metrics
         m.cycles.append(cyc)
-        m.energy_data_j.append(self._data_energy)
+        m.energy_data_j.append(data_energy)
         m.energy_cfg_j.append(self._cfg_energy)
-        m.generated.append(self._generated)
-        m.delivered.append(self._delivered)
-        m.lost.append(self._lost)
+        m.generated.append(generated)
+        m.delivered.append(delivered)
+        m.lost.append(lost)
         m.max_latency_ms.append(max_lat)
         m.reconfigurations.append(self._reconfigs)
         m.alive_nodes.append(self._alive_count)
@@ -757,7 +958,8 @@ class Simulation:
         st.alive = False
         self._alive_count -= 1
         self.metrics.death_times[node] = self.cycle
-        self._cr_deaths_pending = True
+        if self.cfg.strategy == "PDD-CR":
+            self._cr_deaths_pending = True
         for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             if piece.source == node:
@@ -776,7 +978,8 @@ class Simulation:
 
 def inject_interference(net: NetworkState, rng: random.Random,
                         params, trigger_threshold: float = 0.5,
-                        link_ids=None) -> list[tuple[tuple[NodeId, NodeId], bool]]:
+                        link_ids=None, drawn: float | None = None,
+                        ) -> list[tuple[tuple[NodeId, NodeId], bool]]:
     """Sample and apply this cycle's interference.
 
     At most one event per cycle (with the configured probability); an event
@@ -784,11 +987,12 @@ def inject_interference(net: NetworkState, rng: random.Random,
     configured factor above their baseline, recording the previous value for
     the trigger ratio. Returns the affected directed edges, each paired with
     whether the jump fired the trigger on an actively used link. Reverting
-    after ``duration_cycles`` is the caller's bookkeeping.
+    after ``duration_cycles`` is the caller's bookkeeping. ``drawn`` is the
+    event draw when the caller has already taken it from ``rng``.
     """
     if params.prob_per_cycle <= 0.0:
         return []
-    if rng.random() >= params.prob_per_cycle:
+    if (rng.random() if drawn is None else drawn) >= params.prob_per_cycle:
         return []
     if link_ids is None:
         link_ids = sorted(net.links)

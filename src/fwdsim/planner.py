@@ -9,7 +9,9 @@ order and fully deterministic under the documented tie-breaking.
 
 Segments come from a Pareto label search (Martins 1984) over the view's
 adjacency index, built once per view. Each search memoizes edge lifetimes for
-its own duration only, because the view's spend changes between searches.
+its own duration only, because the view's spend changes between searches;
+the least round-trip latencies to a consumer depend on latencies alone and
+are kept on the view.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class PlannerView:
     ``out_edges`` is the adjacency index: each node's out-edges sorted by
     neighbor id, built once at construction. Energies and edges stay fixed
     for the view's life; only ``spend`` changes, so nothing derived from it
-    is stored here.
+    is stored here. Round-trip distances (``round_trip_to_go``) depend on
+    latencies only, so they are cached here.
     """
 
     energy: dict[NodeId, float]
@@ -83,6 +86,8 @@ class PlannerView:
     params: LifetimeParams
     out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
         init=False, repr=False, compare=False)
+    _to_go: dict[tuple[NodeId, float], dict[NodeId, float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         out: dict[NodeId, list[OutEdge]] = {u: [] for u in self.energy}
@@ -107,6 +112,15 @@ class PlannerView:
 
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
         return [edge[0] for edge in self.out_edges.get(u, ())]
+
+    def round_trip_to_go(self, dst: NodeId, limit: float) -> dict[NodeId, float]:
+        """Least round-trip latency from each node to dst, for the nodes
+        within ``limit`` of it; computed once per (dst, limit)."""
+        key = (dst, limit)
+        dist = self._to_go.get(key)
+        if dist is None:
+            dist = self._to_go[key] = _round_trip_to_go(self.out_edges, dst, limit)
+        return dist
 
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
@@ -184,7 +198,7 @@ def bottleneck_path(
     # Least round-trip latency from each node on to dst. The slack keeps
     # float rounding from pruning a path that fits the budget exactly.
     limit = budget * (1.0 + 1e-9)
-    to_go = (_round_trip_to_go(out_edges, dst, limit)
+    to_go = (view.round_trip_to_go(dst, limit)
              if round_trip and budget < INFINITY else None)
 
     while heap:

@@ -167,7 +167,9 @@ def node_cycle(ctx, cycle: int) -> None:
     pending splice, no out-link whose cost changed this cycle, and energy
     left. The engine steps only nodes outside that case, so a change here
     that adds per-cycle work under other conditions must extend the engine's
-    wake set (``Simulation._protocol_phase``) to match.
+    wake set (``Simulation._protocol_phase``) to match. It must also end a
+    quiet stretch under the same conditions (``Simulation._run_quiet``),
+    which steps no node at all.
     """
     if not ctx.alive():
         return

@@ -62,11 +62,12 @@ def quiet_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def mini_sim(net, specs, **cfg_overrides) -> Simulation:
+def mini_sim(net, specs, engine=Simulation, **cfg_overrides) -> Simulation:
     """Simulation over a prebuilt network.
 
     ``specs`` is a list of (source, consumer, proxy, rate, chain) tuples; the
-    chain is installed directly, no planner involved.
+    chain is installed directly, no planner involved. ``engine`` is the
+    simulation class to build.
     """
     table = PathTable()
     pieces = []
@@ -76,7 +77,7 @@ def mini_sim(net, specs, **cfg_overrides) -> Simulation:
         pieces.append(piece)
         install_path(net, table, piece, list(chain))
     cfg = quiet_config(**cfg_overrides)
-    return Simulation(cfg, net=net, table=table, pieces=pieces)
+    return engine(cfg, net=net, table=table, pieces=pieces)
 
 
 def spike_link(sim: Simulation, u: int, v: int, factor: float = 2.5) -> None:

@@ -4,7 +4,9 @@ Each brute-force oracle recomputes its answer by explicit enumeration,
 sharing no code path with the implementation it checks (only plain data
 structures). ``reference_bottleneck_path`` is the planner's label search
 before its adjacency index and lifetime memo, kept to check that the fast
-search returns exactly the same path, ties included.
+search returns exactly the same path, ties included. ``SteppedSimulation`` is
+the engine's cycle loop before quiet stretches, kept to check that they
+change no output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import random
 
 from fwdsim import (DataPiece, NodeId, PathTable, PlannerView, PlanningError,
-                    install_path)
+                    Simulation, install_path)
 
 from conftest import make_net
 
@@ -304,3 +306,22 @@ def _insert_label(existing: list[tuple[float, float, int]],
     existing[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in existing
                    if not (lat <= elat and bot >= ebot and hops <= ehops)]
     existing.append((lat, bot, hops))
+
+
+class SteppedSimulation(Simulation):
+    """The engine with every cycle stepped through ``_step()``: ``run()`` as
+    it stood before quiet stretches, verbatim."""
+
+    def run(self, cycles=None):
+        remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
+        nodes = self.net.nodes
+        self._alive_count = sum(1 for st in nodes.values() if st.alive)
+        self._drained = {u for u, st in nodes.items()
+                         if st.alive and st.energy_j <= 0.0}
+        self._dirty_links = {lk for lk, link in self.net.links.items()
+                             if link.eps_j != link.eps_prev_j}
+        self._busy = {u for u, ctx in self._ctx.items()
+                      if ctx.state.has_pending_work()}
+        for _ in range(max(0, remaining)):
+            self._step()
+        return self.metrics

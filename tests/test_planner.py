@@ -128,6 +128,25 @@ class TestMatchesReferenceSearch:
         view.spend[src] = data.draw(st.sampled_from([0.0, 1e-4, 1e-2]))
         check()
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_same_consumer_twice_across_a_commit(self, seed, data):
+        # The second search reuses the view's round-trip distances to dst.
+        rng = random.Random(seed)
+        view, nodes = random_planner_graph(rng, max_nodes=9,
+                                           latencies=(5.0, 10.0, 20.0))
+        first, second, dst = data.draw(st.permutations(nodes))[:3]
+        kwargs = dict(latency_budget_ms=data.draw(st.sampled_from([20.0, 40.0, 80.0])),
+                      rate=data.draw(st.sampled_from([1, 2, 8])), round_trip=True)
+        path = bottleneck_path(view, first, dst, **kwargs)
+        assert path == reference_bottleneck_path(view, first, dst, **kwargs)
+        if path is not None:
+            view.commit(path, kwargs["rate"])
+        for src in (first, second):
+            want = reference_bottleneck_path(view, src, dst, **kwargs)
+            assert bottleneck_path(view, src, dst, **kwargs) == want
+        assert len(view._to_go) == 1
+
     def test_direct_construction_builds_the_index(self):
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
         links[(2, 3)] = (50e-6, 4.0)                 # no way back from 3
