@@ -10,8 +10,17 @@ order and fully deterministic under the documented tie-breaking.
 Segments come from a Pareto label search (Martins 1984) over the view's
 adjacency index, built once per view. Each search memoizes edge lifetimes for
 its own duration only, because the view's spend changes between searches;
-the least round-trip latencies to a consumer depend on latencies alone and
-are kept on the view.
+the least round-trip latencies to a consumer and the hop counts from and to
+a node depend on the topology alone and are kept on the view.
+
+Proxies are searched branch-and-bound. Per piece, one widest-path (max-min,
+Pollack 1960) Dijkstra from the source and one toward the consumer bound
+every proxy's bottleneck from above; BFS hop counts bound its hops from
+below. Proxies are visited best bound first, and a proxy whose bound
+(-bottleneck, hops) is strictly worse than the best candidate found so far is
+skipped: none of its candidates can beat or tie that candidate, and the
+candidate order is total, so the plan is exactly the one that trying every
+proxy gives.
 """
 
 from __future__ import annotations
@@ -76,8 +85,9 @@ class PlannerView:
     ``out_edges`` is the adjacency index: each node's out-edges sorted by
     neighbor id, built once at construction. Energies and edges stay fixed
     for the view's life; only ``spend`` changes, so nothing derived from it
-    is stored here. Round-trip distances (``round_trip_to_go``) depend on
-    latencies only, so they are cached here.
+    is stored here. Round-trip distances (``round_trip_to_go``) and hop
+    counts (``hop_counts``) depend on the topology only, so they are cached
+    here.
     """
 
     energy: dict[NodeId, float]
@@ -87,6 +97,8 @@ class PlannerView:
     out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
         init=False, repr=False, compare=False)
     _to_go: dict[tuple[NodeId, float], dict[NodeId, float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -121,6 +133,17 @@ class PlannerView:
         if dist is None:
             dist = self._to_go[key] = _round_trip_to_go(self.out_edges, dst, limit)
         return dist
+
+    def hop_counts(self, root: NodeId, round_trip: bool = False) -> dict[NodeId, int]:
+        """Fewest hops from root to each node it reaches (BFS); computed once
+        per (root, round_trip). With ``round_trip`` only edges that have a
+        reverse edge count; those come in pairs, so the counts are also the
+        fewest hops toward root."""
+        key = (root, round_trip)
+        hops = self._hops.get(key)
+        if hops is None:
+            hops = self._hops[key] = _hop_counts(self.out_edges, root, round_trip)
+        return hops
 
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
@@ -278,6 +301,56 @@ def _round_trip_to_go(out_edges: dict[NodeId, tuple[OutEdge, ...]],
     return dist
 
 
+def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
+                round_trip: bool) -> dict[NodeId, int]:
+    hops = {root: 0}
+    frontier = [root]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for x in frontier:
+            for v, _, rt, _ in out_edges[x]:
+                if v not in hops and (rt < INFINITY or not round_trip):
+                    hops[v] = depth
+                    reached.append(v)
+        frontier = reached
+    return hops
+
+
+def _widest(view: PlannerView, root: NodeId, rate: float,
+            targets: list[NodeId], toward: bool) -> dict[NodeId, float]:
+    """Widest-path (max-min) lifetime from root to each target, or with
+    ``toward`` from each target to root over edges that have a reverse edge
+    (Dijkstra, stopped once every target is settled; targets left out are
+    unreachable). Edge weights are ``PlannerView.edge_lifetime``'s float
+    expression, so they compare exactly with the bottlenecks of candidates."""
+    energy, spend, params, edges = view.energy, view.spend, view.params, view.edges
+    width = {root: INFINITY}
+    heap = [(-INFINITY, root)]
+    left = set(targets)
+    while heap and left:
+        neg_w, x = heapq.heappop(heap)
+        w = -neg_w
+        if w < width[x]:
+            continue
+        left.discard(x)
+        for v, _, rt, eps in view.out_edges[x]:
+            if not toward:
+                life = lifetime_from_spend(energy[x], spend[x] + eps * rate, params)
+            elif rt < INFINITY:                  # v transmits over (v, x)
+                life = lifetime_from_spend(energy[v],
+                                           spend[v] + edges[(v, x)][0] * rate,
+                                           params)
+            else:
+                continue
+            nw = life if life < w else w
+            if nw > width.get(v, -INFINITY):
+                width[v] = nw
+                heapq.heappush(heap, (-nw, v))
+    return width
+
+
 def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float) -> float:
     """Minimum projected lifetime over a chain's transmitting nodes."""
     return min(view.edge_lifetime(u, v, rate) for u, v in zip(chain, chain[1:]))
@@ -293,17 +366,31 @@ def compute_plan(
     """Assign every piece a proxy and both path segments.
 
     Pieces are planned greedily in descending rate order against the rates
-    accumulated so far. Per piece, every alive proxy is tried; the consumer
-    segment carries the round-trip latency budget, the source segment only
-    needs to exist. Segments may share no node but the proxy. Unplannable
-    pieces are reported in ``Plan.infeasible``; the caller counts their
-    traffic as lost until a later plan covers them.
+    accumulated so far. Per piece, the chosen candidate is the one with the
+    highest bottleneck, then the fewest hops, then the smallest chain, then
+    the smallest proxy, over the candidates of every alive proxy; the
+    consumer segment carries the round-trip latency budget, the source
+    segment only needs to exist. Segments may share no node but the proxy.
+
+    Proxies are visited in order of their bound key (-min(W_s, W_c),
+    hops_s + hops_c): W_s and W_c are the widest-path lifetimes from the
+    source and to the consumer, hops_s and hops_c the BFS hop counts. A
+    candidate's (-bottleneck, hops) is never better than its proxy's bound
+    key, so a proxy whose key is strictly worse than the best candidate's
+    cannot win and is skipped, as is every proxy the source cannot reach or
+    that is not within the budget of the consumer. Unplannable pieces are
+    reported in ``Plan.infeasible``; the caller counts their traffic as lost
+    until a later plan covers them. The budget must be positive and finite:
+    an infinite one would let the consumer segment take one-way links (their
+    round-trip latency is infinite), which the bound does not cover.
     """
-    if latency_budget_ms <= 0:
-        raise PlanningError("latency budget must be positive")
+    if not 0 < latency_budget_ms < INFINITY:
+        raise PlanningError("latency budget must be positive and finite")
     view = PlannerView.from_status(reports, params)
     plan = Plan()
     alive_proxies = sorted(p for p in proxies if p in view.energy)
+    # The same slack and cache key as the consumer searches' own pruning.
+    limit = latency_budget_ms * (1.0 + 1e-9)
 
     for piece in sorted(pieces, key=lambda p: (-p.rate, p.id)):
         if piece.source not in view.energy:
@@ -312,12 +399,23 @@ def compute_plan(
         if piece.consumer not in view.energy:
             plan.infeasible[piece.id] = "consumer not alive"
             continue
-        best = None   # (-bottleneck, hops, chain, proxy, s_seg, c_seg)
-        for proxy in alive_proxies:
-            if proxy in (piece.source, piece.consumer):
-                continue
+        hops_s = view.hop_counts(piece.source)
+        hops_c = view.hop_counts(piece.consumer, round_trip=True)
+        to_go = view.round_trip_to_go(piece.consumer, limit)
+        reachable = [p for p in alive_proxies
+                     if p in hops_s and p in to_go
+                     and p not in (piece.source, piece.consumer)]
+        width_s = _widest(view, piece.source, piece.rate, reachable, toward=False)
+        width_c = _widest(view, piece.consumer, piece.rate, reachable, toward=True)
+        bounds = sorted((-min(width_s[p], width_c[p]), hops_s[p] + hops_c[p], p)
+                        for p in reachable)
+        best = None   # ((-bottleneck, hops, chain, proxy), proxy, s_seg, c_seg)
+        for neg_width, min_hops, proxy in bounds:
+            incumbent = None if best is None else best[0][:2]
+            if incumbent is not None and (neg_width, min_hops) > incumbent:
+                break       # so is every later proxy's bound
             for candidate in _candidate_segments(view, piece, proxy,
-                                                 latency_budget_ms):
+                                                 latency_budget_ms, incumbent):
                 s_seg, c_seg = candidate
                 chain = s_seg + c_seg[1:]
                 bot = path_bottleneck(view, chain, piece.rate)
@@ -335,12 +433,20 @@ def compute_plan(
 
 
 def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
-                        budget_ms: float):
+                        budget_ms: float, incumbent: tuple[float, int] | None):
     """Candidate (source_segment, consumer_segment) pairs for one proxy.
 
     Tries each side first with the other fit around it, both in the
     lifetime-maximizing and the hop-minimizing (low-blocking) variants, so
-    one side's choice cannot starve the other of every feasible route."""
+    one side's choice cannot starve the other of every feasible route.
+    ``incumbent`` is the (-bottleneck, hops) of the best candidate so far; a
+    first segment whose own (-bottleneck, hops) is already worse gets no
+    follow-up search, since the other side only lowers the bottleneck and
+    adds hops."""
+    def loses(seg: list[NodeId]) -> bool:
+        return incumbent is not None and (
+            -path_bottleneck(view, seg, piece.rate), len(seg) - 1) > incumbent
+
     out = []
     firsts_c = []
     for hop_only in (False, True):
@@ -349,6 +455,8 @@ def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
         if c_seg is not None and piece.source not in c_seg and c_seg not in firsts_c:
             firsts_c.append(c_seg)
     for c_seg in firsts_c:
+        if loses(c_seg):
+            continue
         s_seg = bottleneck_path(view, piece.source, proxy, None, piece.rate,
                                 excluded=frozenset(c_seg) - {proxy})
         if s_seg is not None:
@@ -360,6 +468,8 @@ def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
         if s_seg is not None and piece.consumer not in s_seg and s_seg not in firsts_s:
             firsts_s.append(s_seg)
     for s_seg in firsts_s:
+        if loses(s_seg):
+            continue
         c_seg = bottleneck_path(view, proxy, piece.consumer, budget_ms,
                                 piece.rate, round_trip=True,
                                 excluded=frozenset(s_seg) - {proxy})

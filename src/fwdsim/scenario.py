@@ -9,6 +9,7 @@ without running a simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import netmodel, planner
@@ -361,8 +362,8 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
     if not 0.0 <= cfg.request_prob <= 1.0:
         err("data.request_prob", "must lie in [0, 1]")
 
-    if cfg.latency_budget_ms <= 0:
-        err("protocol.latency_budget_ms", "must be positive")
+    if not 0 < cfg.latency_budget_ms < math.inf:
+        err("protocol.latency_budget_ms", "must be positive and finite")
     if not 0.0 < cfg.trigger_threshold < 1.0:
         err("protocol.trigger_threshold", "must lie in (0, 1)")
     if cfg.route_ttl < 1:

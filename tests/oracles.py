@@ -4,9 +4,11 @@ Each brute-force oracle recomputes its answer by explicit enumeration,
 sharing no code path with the implementation it checks (only plain data
 structures). ``reference_bottleneck_path`` is the planner's label search
 before its adjacency index and lifetime memo, kept to check that the fast
-search returns exactly the same path, ties included. ``SteppedSimulation`` is
-the engine's cycle loop before quiet stretches, kept to check that they
-change no output.
+search returns exactly the same path, ties included.
+``reference_compute_plan`` is the planner's proxy loop before branch and
+bound, which tried every proxy, kept to check that skipping proxies changes
+no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
+stretches, kept to check that they change no output.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import heapq
 import math
 import random
 
-from fwdsim import (DataPiece, NodeId, PathTable, PlannerView, PlanningError,
-                    Simulation, install_path)
+from fwdsim import (DataPiece, NodeId, PathTable, PiecePlan, Plan,
+                    PlannerView, PlanningError, Simulation, bottleneck_path,
+                    install_path, path_bottleneck)
 
 from conftest import make_net
 
@@ -306,6 +309,86 @@ def _insert_label(existing: list[tuple[float, float, int]],
     existing[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in existing
                    if not (lat <= elat and bot >= ebot and hops <= ehops)]
     existing.append((lat, bot, hops))
+
+
+def reference_compute_plan(reports, pieces, proxies, latency_budget_ms, params):
+    """``compute_plan`` as it stood before branch and bound over proxies,
+    verbatim: every alive proxy is tried with the unchanged label search.
+
+    Pieces are planned greedily in descending rate order against the rates
+    accumulated so far. Per piece, every alive proxy is tried; the consumer
+    segment carries the round-trip latency budget, the source segment only
+    needs to exist. Segments may share no node but the proxy. Unplannable
+    pieces are reported in ``Plan.infeasible``; the caller counts their
+    traffic as lost until a later plan covers them.
+    """
+    if latency_budget_ms <= 0:
+        raise PlanningError("latency budget must be positive")
+    view = PlannerView.from_status(reports, params)
+    plan = Plan()
+    alive_proxies = sorted(p for p in proxies if p in view.energy)
+
+    for piece in sorted(pieces, key=lambda p: (-p.rate, p.id)):
+        if piece.source not in view.energy:
+            plan.infeasible[piece.id] = "source not alive"
+            continue
+        if piece.consumer not in view.energy:
+            plan.infeasible[piece.id] = "consumer not alive"
+            continue
+        best = None   # (-bottleneck, hops, chain, proxy, s_seg, c_seg)
+        for proxy in alive_proxies:
+            if proxy in (piece.source, piece.consumer):
+                continue
+            for candidate in _reference_candidate_segments(view, piece, proxy,
+                                                           latency_budget_ms):
+                s_seg, c_seg = candidate
+                chain = s_seg + c_seg[1:]
+                bot = path_bottleneck(view, chain, piece.rate)
+                key = (-bot, len(chain) - 1, tuple(chain), proxy)
+                if best is None or key < best[0]:
+                    best = (key, proxy, s_seg, c_seg)
+        if best is None:
+            plan.infeasible[piece.id] = "no latency-feasible path"
+            continue
+        _, proxy, s_seg, c_seg = best
+        plan.pieces[piece.id] = PiecePlan(proxy=proxy, source_segment=s_seg,
+                                          consumer_segment=c_seg)
+        view.commit(s_seg + c_seg[1:], piece.rate)
+    return plan
+
+
+def _reference_candidate_segments(view: PlannerView, piece, proxy: NodeId,
+                                  budget_ms: float):
+    """Candidate (source_segment, consumer_segment) pairs for one proxy.
+
+    Tries each side first with the other fit around it, both in the
+    lifetime-maximizing and the hop-minimizing (low-blocking) variants, so
+    one side's choice cannot starve the other of every feasible route."""
+    out = []
+    firsts_c = []
+    for hop_only in (False, True):
+        c_seg = bottleneck_path(view, proxy, piece.consumer, budget_ms,
+                                piece.rate, round_trip=True, hop_only=hop_only)
+        if c_seg is not None and piece.source not in c_seg and c_seg not in firsts_c:
+            firsts_c.append(c_seg)
+    for c_seg in firsts_c:
+        s_seg = bottleneck_path(view, piece.source, proxy, None, piece.rate,
+                                excluded=frozenset(c_seg) - {proxy})
+        if s_seg is not None:
+            out.append((s_seg, c_seg))
+    firsts_s = []
+    for hop_only in (False, True):
+        s_seg = bottleneck_path(view, piece.source, proxy, None, piece.rate,
+                                hop_only=hop_only)
+        if s_seg is not None and piece.consumer not in s_seg and s_seg not in firsts_s:
+            firsts_s.append(s_seg)
+    for s_seg in firsts_s:
+        c_seg = bottleneck_path(view, proxy, piece.consumer, budget_ms,
+                                piece.rate, round_trip=True,
+                                excluded=frozenset(s_seg) - {proxy})
+        if c_seg is not None:
+            out.append((s_seg, c_seg))
+    return out
 
 
 class SteppedSimulation(Simulation):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwdsim import planner
 from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
                     StatusReport, bottleneck_path, compute_plan, install_path,
                     path_bottleneck, recompute_central, round_trip_latency,
@@ -12,7 +13,9 @@ from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
 
 from conftest import make_net
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
-                     random_planner_graph, reference_bottleneck_path)
+                     random_planner_graph, reference_bottleneck_path,
+                     reference_compute_plan)
+from test_golden import plan_instance
 
 PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
 
@@ -201,6 +204,13 @@ class TestComputePlan:
         assert plan.pieces == {}
         assert "no latency-feasible path" in plan.infeasible[0]
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
+    def test_budget_must_be_positive_and_finite(self, budget):
+        reports, _, _ = five_node_reports()
+        piece = DataPiece(id=0, source=0, consumer=5, rate=4)
+        with pytest.raises(PlanningError):
+            compute_plan(reports, [piece], {1, 2}, budget, PARAMS)
+
     def test_matches_single_piece_enumeration(self):
         rng = random.Random(4242)
         for _ in range(40):
@@ -253,6 +263,73 @@ class TestComputePlan:
                 assert round_trip_latency(pid, pp.consumer_segment, net) <= 100.0
             planned = [p for p in pieces if p.id in plan.pieces]
             assert validate_paths(net, table, planned).ok()
+
+
+@st.composite
+def tie_heavy_plans(draw):
+    """A small planning problem where ties are the rule: latencies of 5, 10
+    or 20 ms, energies at or below the configuration-phase energy (lifetime
+    1.0) or empty, pieces of rate 0, proxies on sources, consumers or
+    cut-off nodes, some one-way links and some nodes missing from the
+    reports."""
+    n = draw(st.integers(4, 10))
+    node = st.integers(0, n - 1)
+    pairs = [(u, draw(st.integers(0, u - 1))) for u in range(1, n)
+             if draw(st.integers(0, 7))]            # a tree, now and then cut
+    pairs += draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    link = st.tuples(st.sampled_from([25e-6, 50e-6]),
+                     st.sampled_from([5.0, 10.0, 20.0]))
+    links = {}
+    for u, v in pairs:
+        if u != v:
+            links[(u, v)] = draw(link)
+            if draw(st.integers(0, 7)):
+                links[(v, u)] = draw(link)
+    energy = st.sampled_from([0.0, 1e-3, PARAMS.config_phase_energy_j,
+                              0.05, 0.2, 0.5, 2.0, 8.0])
+    reported = [u for u in range(n) if draw(st.integers(0, 9))]
+    reports = [StatusReport(node=u, energy_j=draw(energy),
+                            links={v: lk for (a, v), lk in links.items() if a == u})
+               for u in reported]
+    pieces = [DataPiece(id=pid, source=source,
+                        consumer=(source + draw(st.integers(1, n - 1))) % n,
+                        rate=draw(st.sampled_from([0, 1, 2, 4])))
+              for pid, source in enumerate(draw(st.lists(node, min_size=1,
+                                                         max_size=6)))]
+    proxies = draw(st.sets(node, min_size=2, max_size=n))
+    budget = draw(st.sampled_from([20.0, 40.0, 60.0, 100.0, 1000.0]))
+    return reports, pieces, proxies, budget
+
+
+class TestBranchAndBound:
+    """Skipping proxies by their widest-path bound changes no plan, and
+    stays switched on."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(instance=tie_heavy_plans())
+    def test_same_plan_as_trying_every_proxy(self, instance):
+        reports, pieces, proxies, budget = instance
+        want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
+        got = compute_plan(reports, pieces, proxies, budget, PARAMS)
+        assert got.to_text() == want.to_text()
+
+    def test_replan_grid_skips_proxies(self, monkeypatch):
+        # The replan benchmark's 8x8 grid at seed 1, initial plan: 15 pieces,
+        # 4 proxies. Branch and bound makes 133 label searches; trying every
+        # proxy made 411.
+        cfg, net, pieces = plan_instance(8, 8, 1)
+        calls = 0
+        search = planner.bottleneck_path
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "bottleneck_path", counting)
+        compute_plan(status_from_network(net), pieces, net.proxies,
+                     cfg.latency_budget_ms, cfg.lifetime_params())
+        assert calls <= 133
 
 
 class TestRecompute:

@@ -78,6 +78,13 @@ class TestValidation:
         assert is_valid(findings)
         assert any("no feasible plan" in f.message for f in findings)
 
+    @pytest.mark.parametrize("budget", ["0", "inf", "nan"])
+    def test_budget_must_be_positive_and_finite(self, budget):
+        cfg = parse_scenario(f"[protocol]\nlatency_budget_ms = {budget}\n")
+        findings = validate_config(cfg)
+        assert not is_valid(findings)
+        assert any("latency_budget_ms" in f.field for f in findings)
+
     def test_unknown_strategy_rejected(self):
         findings = validate_config(ScenarioConfig(strategy="magic"))
         assert not is_valid(findings)
