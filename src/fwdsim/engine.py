@@ -772,30 +772,21 @@ class Simulation:
         cached = self._chains.get(piece.id)
         if cached is not None and cached[0] == ver:
             return cached[1], cached[2]
-        rows = self.table.rows_for_piece(piece.id)
-        learn_prev = self.cfg.strategy == "DistrDataFwd"
-        prevs = {u: row.prev for u, row in rows.items()} if learn_prev else {}
+        seq = netmodel.walk_chain(self.table, piece.id, piece.source)
+        prevs = ({u: row.prev for u, row in self.table.rows_for_piece(piece.id).items()}
+                 if self.cfg.strategy == "DistrDataFwd" else {})
         hops = []
-        complete = False
-        node = piece.source
-        seen = {node}
-        for _ in range(len(rows) + 1):
-            row = rows.get(node)
-            if row is None or row.next is None:
-                complete = node == piece.consumer
-                break
-            nxt = row.next
+        for node, nxt in zip(seq, seq[1:]):
             link = self.net.links.get((node, nxt))
             if link is None:
+                complete = False
                 break
             learn = nxt in prevs and prevs[nxt] != node
             if learn:
                 prevs[nxt] = node
             hops.append((self.net.nodes[node], link, self.net.nodes[nxt], learn))
-            if nxt in seen:
-                break
-            seen.add(nxt)
-            node = nxt
+        else:
+            complete = seq[-1] == piece.consumer and piece.consumer not in seq[:-1]
         self._chains[piece.id] = (ver, hops, complete)
         return hops, complete
 
@@ -1021,15 +1012,11 @@ def sample_access_latency(piece: DataPiece, table: PathTable,
         return None, "consumer-dead"
     if not net.nodes[piece.proxy].alive:
         return None, "proxy-dead"
+    seq = netmodel.walk_chain(table, piece.id, piece.proxy)
+    if piece.consumer not in seq[1:]:
+        return None, "consumer-segment-broken"
     total = 0.0
-    node = piece.proxy
-    seen = {node}
-    limit = len(table.rows_for_piece(piece.id)) + 1
-    for _ in range(limit):
-        row = table.row(piece.id, node)
-        if row is None or row.next is None:
-            return None, "consumer-segment-broken"
-        nxt = row.next
+    for node, nxt in zip(seq, seq[1:seq.index(piece.consumer, 1) + 1]):
         fwd = net.links.get((node, nxt))
         rev = net.links.get((nxt, node))
         if fwd is None or rev is None or piece.id not in fwd.active_pieces:
@@ -1037,13 +1024,7 @@ def sample_access_latency(piece: DataPiece, table: PathTable,
         if not net.nodes[nxt].alive:
             return None, "consumer-segment-broken"
         total += fwd.latency_ms + rev.latency_ms
-        if nxt == piece.consumer:
-            return total, None
-        if nxt in seen:
-            return None, "consumer-segment-broken"
-        seen.add(nxt)
-        node = nxt
-    return None, "consumer-segment-broken"
+    return total, None
 
 
 def run_simulation(cfg: ScenarioConfig) -> Metrics:

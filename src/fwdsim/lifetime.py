@@ -21,14 +21,11 @@ INFINITE_LIFETIME = math.inf
 @dataclass(frozen=True)
 class LifetimeParams:
     config_phase_energy_j: float = 5e-3   # energy a node needs to finish a configuration phase
-    cycle_seconds: float = 1.0
     trigger_threshold: float = 0.5        # relative cost increase that triggers repair
 
     def __post_init__(self) -> None:
         if self.config_phase_energy_j < 0:
             raise ValueError("config_phase_energy_j must be >= 0")
-        if self.cycle_seconds <= 0:
-            raise ValueError("cycle_seconds must be > 0")
         if not 0.0 < self.trigger_threshold < 1.0:
             raise ValueError("trigger_threshold must lie in (0, 1)")
 

@@ -105,7 +105,6 @@ class DataPiece:
     consumer: NodeId
     rate: int                         # pieces generated per cycle
     proxy: NodeId | None = None       # assigned by the planner
-    size_bytes: int = 9
 
 
 @dataclass
@@ -304,24 +303,24 @@ def clear_piece_paths(net: NetworkState, table: PathTable, piece_id: int) -> Non
     table.clear_piece(piece_id)
 
 
-def walk_chain(table: PathTable, piece_id: int, start: NodeId,
-               limit: int | None = None) -> list[NodeId]:
+def walk_chain(table: PathTable, piece_id: int, start: NodeId) -> list[NodeId]:
     """Follow next pointers from ``start``; stops at a missing row, a None
-    pointer, or a revisit (so it always terminates)."""
+    pointer, or the first revisit, which it returns as the last node (so it
+    always terminates). The only walk along next pointers: callers read why
+    it stopped from the sequence."""
+    rows = table.rows_for_piece(piece_id)
     seq = [start]
     seen = {start}
     node = start
-    cap = limit if limit is not None else len(table.rows_for_piece(piece_id)) + 1
-    while len(seq) <= cap:
-        row = table.row(piece_id, node)
+    while True:
+        row = rows.get(node)
         if row is None or row.next is None:
-            break
+            return seq
         node = row.next
         seq.append(node)
         if node in seen:
-            break
+            return seq
         seen.add(node)
-    return seq
 
 
 @dataclass(frozen=True)
@@ -349,19 +348,12 @@ def validate_paths(net: NetworkState, table: PathTable,
     the report carries the violations."""
     violations: list[PathViolation] = []
     for piece in sorted(pieces, key=lambda p: p.id):
-        seq: list[NodeId] = [piece.source]
-        seen = {piece.source}
-        node = piece.source
-        cap = len(table.rows_for_piece(piece.id)) + 1
-        looped = False
-        for _ in range(cap):
-            row = table.row(piece.id, node)
-            if row is None or row.next is None:
-                break
-            nxt = row.next
+        seq = walk_chain(table, piece.id, piece.source)
+        for k, (node, nxt) in enumerate(zip(seq, seq[1:])):
             if (node, nxt) not in net.links:
                 violations.append(PathViolation(piece.id, "missing-link",
                                                 f"no link {node}->{nxt}"))
+                del seq[k + 1:]
                 break
             if piece.id not in net.links[(node, nxt)].active_pieces:
                 violations.append(PathViolation(piece.id, "inactive-link",
@@ -372,16 +364,11 @@ def validate_paths(net: NetworkState, table: PathTable,
                     piece.id, "pointer-asymmetry",
                     f"next({node})={nxt} but previous({nxt})="
                     f"{back.prev if back else None}"))
-            if nxt in seen:
+        else:
+            if seq[-1] in seq[:-1]:
                 violations.append(PathViolation(piece.id, "loop",
-                                                f"node {nxt} visited twice"))
-                looped = True
-                break
-            seen.add(nxt)
-            seq.append(nxt)
-            node = nxt
-        if looped:
-            continue
+                                                f"node {seq[-1]} visited twice"))
+                continue
         if piece.proxy is None:
             continue
         if seq[-1] != piece.consumer:

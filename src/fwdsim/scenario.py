@@ -55,13 +55,11 @@ class ScenarioConfig:
     consumer_fraction: float = 0.25
     rate_min: int = 1
     rate_max: int = 8
-    piece_size_bytes: int = 9
     request_prob: float = 0.05
     # protocol
     latency_budget_ms: float = 100.0
     trigger_threshold: float = 0.5
     route_ttl: int = 2
-    cycle_seconds: float = 1.0
     # interference
     interference: InterferenceConfig = field(default_factory=InterferenceConfig)
     # run
@@ -95,7 +93,6 @@ class ScenarioConfig:
     def lifetime_params(self) -> LifetimeParams:
         return LifetimeParams(
             config_phase_energy_j=self.config_phase_energy_j,
-            cycle_seconds=self.cycle_seconds,
             trigger_threshold=self.trigger_threshold,
         )
 
@@ -181,14 +178,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "consumer_fraction": ("consumer_fraction", _float),
         "rate_min": ("rate_min", _int),
         "rate_max": ("rate_max", _int),
-        "piece_size_bytes": ("piece_size_bytes", _int),
         "request_prob": ("request_prob", _float),
     },
     "protocol": {
         "latency_budget_ms": ("latency_budget_ms", _float),
         "trigger_threshold": ("trigger_threshold", _float),
         "route_ttl": ("route_ttl", _int),
-        "cycle_seconds": ("cycle_seconds", _float),
     },
     "interference": {
         "prob": ("interference.prob_per_cycle", _float),
@@ -281,14 +276,12 @@ scale = {cfg.energy_scale!r}
 consumer_fraction = {cfg.consumer_fraction!r}
 rate_min = {cfg.rate_min}
 rate_max = {cfg.rate_max}
-piece_size_bytes = {cfg.piece_size_bytes}
 request_prob = {cfg.request_prob!r}
 
 [protocol]
 latency_budget_ms = {cfg.latency_budget_ms!r}
 trigger_threshold = {cfg.trigger_threshold!r}
 route_ttl = {cfg.route_ttl}
-cycle_seconds = {cfg.cycle_seconds!r}
 
 [interference]
 prob = {cfg.interference.prob_per_cycle!r}
@@ -368,8 +361,6 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
         err("protocol.trigger_threshold", "must lie in (0, 1)")
     if cfg.route_ttl < 1:
         err("protocol.route_ttl", "must be >= 1")
-    if cfg.cycle_seconds <= 0:
-        err("protocol.cycle_seconds", "must be positive")
 
     inter = cfg.interference
     if not 0.0 <= inter.prob_per_cycle <= 1.0:
@@ -387,6 +378,8 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
 
     if cfg.horizon < 1:
         err("run.horizon", "must be >= 1")
+    if cfg.metrics_stride < 0:
+        err("run.metrics_stride", "must be >= 0")
     if cfg.strategy not in STRATEGIES:
         err("run.strategy", f"unknown strategy {cfg.strategy!r}; "
                             f"expected one of {', '.join(STRATEGIES)}")
@@ -439,7 +432,7 @@ def sample_pieces(cfg: ScenarioConfig, net: netmodel.NetworkState) -> list[netmo
         source = rng.choice(candidates)
         rate = rng.randint(cfg.rate_min, cfg.rate_max)
         pieces.append(netmodel.DataPiece(id=pid, source=source, consumer=consumer,
-                                         rate=rate, size_bytes=cfg.piece_size_bytes))
+                                         rate=rate))
     return pieces
 
 

@@ -8,7 +8,9 @@ search returns exactly the same path, ties included.
 ``reference_compute_plan`` is the planner's proxy loop before branch and
 bound, which tried every proxy, kept to check that skipping proxies changes
 no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
-stretches, kept to check that they change no output.
+stretches, kept to check that they change no output. The four
+``reference_*`` pointer walkers are the chain walks as they stood before they
+shared ``walk_chain``, kept to check that sharing it changes no result.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import heapq
 import math
 import random
 
-from fwdsim import (DataPiece, NodeId, PathTable, PiecePlan, Plan,
-                    PlannerView, PlanningError, Simulation, bottleneck_path,
-                    install_path, path_bottleneck)
+from fwdsim import (DataPiece, NetworkState, NodeId, PathTable, PiecePlan,
+                    Plan, PlannerView, PlanningError, Simulation,
+                    bottleneck_path, install_path, path_bottleneck)
+from fwdsim.netmodel import PathReport, PathViolation
 
 from conftest import make_net
 
@@ -408,3 +411,142 @@ class SteppedSimulation(Simulation):
         for _ in range(max(0, remaining)):
             self._step()
         return self.metrics
+
+
+def reference_walk_chain(table: PathTable, piece_id: int, start: NodeId,
+                         limit: int | None = None) -> list[NodeId]:
+    """``walk_chain`` with its own step cap, verbatim.
+
+    Follow next pointers from ``start``; stops at a missing row, a None
+    pointer, or a revisit (so it always terminates)."""
+    seq = [start]
+    seen = {start}
+    node = start
+    cap = limit if limit is not None else len(table.rows_for_piece(piece_id)) + 1
+    while len(seq) <= cap:
+        row = table.row(piece_id, node)
+        if row is None or row.next is None:
+            break
+        node = row.next
+        seq.append(node)
+        if node in seen:
+            break
+        seen.add(node)
+    return seq
+
+
+def reference_chain(sim: Simulation, piece: DataPiece):
+    """``Simulation._chain`` with its own walk, verbatim but uncached: the
+    piece's hops as (tx, link, rx, learn) and whether the chain reaches the
+    consumer."""
+    rows = sim.table.rows_for_piece(piece.id)
+    learn_prev = sim.cfg.strategy == "DistrDataFwd"
+    prevs = {u: row.prev for u, row in rows.items()} if learn_prev else {}
+    hops = []
+    complete = False
+    node = piece.source
+    seen = {node}
+    for _ in range(len(rows) + 1):
+        row = rows.get(node)
+        if row is None or row.next is None:
+            complete = node == piece.consumer
+            break
+        nxt = row.next
+        link = sim.net.links.get((node, nxt))
+        if link is None:
+            break
+        learn = nxt in prevs and prevs[nxt] != node
+        if learn:
+            prevs[nxt] = node
+        hops.append((sim.net.nodes[node], link, sim.net.nodes[nxt], learn))
+        if nxt in seen:
+            break
+        seen.add(nxt)
+        node = nxt
+    return hops, complete
+
+
+def reference_sample_access_latency(piece: DataPiece, table: PathTable,
+                                    net: NetworkState):
+    """``sample_access_latency`` with its own walk, verbatim: (latency_ms,
+    None), or (None, miss cause) when the proxy-to-consumer segment cannot
+    serve a request."""
+    if piece.proxy is None:
+        return None, "unplanned"
+    if not net.nodes[piece.consumer].alive:
+        return None, "consumer-dead"
+    if not net.nodes[piece.proxy].alive:
+        return None, "proxy-dead"
+    total = 0.0
+    node = piece.proxy
+    seen = {node}
+    limit = len(table.rows_for_piece(piece.id)) + 1
+    for _ in range(limit):
+        row = table.row(piece.id, node)
+        if row is None or row.next is None:
+            return None, "consumer-segment-broken"
+        nxt = row.next
+        fwd = net.links.get((node, nxt))
+        rev = net.links.get((nxt, node))
+        if fwd is None or rev is None or piece.id not in fwd.active_pieces:
+            return None, "consumer-segment-broken"
+        if not net.nodes[nxt].alive:
+            return None, "consumer-segment-broken"
+        total += fwd.latency_ms + rev.latency_ms
+        if nxt == piece.consumer:
+            return total, None
+        if nxt in seen:
+            return None, "consumer-segment-broken"
+        seen.add(nxt)
+        node = nxt
+    return None, "consumer-segment-broken"
+
+
+def reference_validate_paths(net: NetworkState, table: PathTable,
+                             pieces: list[DataPiece]) -> PathReport:
+    """``validate_paths`` with its own walk, verbatim: simplicity, pointer
+    symmetry, endpoint order and link activation of every piece's chain."""
+    violations: list[PathViolation] = []
+    for piece in sorted(pieces, key=lambda p: p.id):
+        seq: list[NodeId] = [piece.source]
+        seen = {piece.source}
+        node = piece.source
+        cap = len(table.rows_for_piece(piece.id)) + 1
+        looped = False
+        for _ in range(cap):
+            row = table.row(piece.id, node)
+            if row is None or row.next is None:
+                break
+            nxt = row.next
+            if (node, nxt) not in net.links:
+                violations.append(PathViolation(piece.id, "missing-link",
+                                                f"no link {node}->{nxt}"))
+                break
+            if piece.id not in net.links[(node, nxt)].active_pieces:
+                violations.append(PathViolation(piece.id, "inactive-link",
+                                                f"link {node}->{nxt} not active"))
+            back = table.row(piece.id, nxt)
+            if back is None or back.prev != node:
+                violations.append(PathViolation(
+                    piece.id, "pointer-asymmetry",
+                    f"next({node})={nxt} but previous({nxt})="
+                    f"{back.prev if back else None}"))
+            if nxt in seen:
+                violations.append(PathViolation(piece.id, "loop",
+                                                f"node {nxt} visited twice"))
+                looped = True
+                break
+            seen.add(nxt)
+            seq.append(nxt)
+            node = nxt
+        if looped:
+            continue
+        if piece.proxy is None:
+            continue
+        if seq[-1] != piece.consumer:
+            violations.append(PathViolation(piece.id, "endpoint",
+                                            f"chain ends at {seq[-1]}, not consumer"))
+        elif piece.proxy not in seq:
+            violations.append(PathViolation(piece.id, "endpoint",
+                                            f"proxy {piece.proxy} not on chain"))
+    return PathReport(violations)

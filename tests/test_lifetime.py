@@ -10,8 +10,7 @@ from fwdsim import (INFINITE_LIFETIME, LifetimeParams, max_epoch_duration,
 
 from oracles import brute_force_epoch_bound, random_epoch_instance
 
-PARAMS = LifetimeParams(config_phase_energy_j=5e-3, cycle_seconds=1.0,
-                        trigger_threshold=0.5)
+PARAMS = LifetimeParams(config_phase_energy_j=5e-3, trigger_threshold=0.5)
 
 
 class TestNodeLifetime:

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (DataPiece, PathRow, PathTable, PathBrokenError,
+from fwdsim import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
+                    NodeState, PathRow, PathTable, PathBrokenError, Simulation,
                     TopologyError, build_grid_topology, export_topology,
                     install_path, path_latency, round_trip_latency,
-                    validate_paths, walk_chain)
+                    sample_access_latency, validate_paths, walk_chain)
+from fwdsim.netmodel import PathViolation
 
-from conftest import make_net
+from conftest import make_net, quiet_config
+from oracles import (reference_chain, reference_sample_access_latency,
+                     reference_validate_paths, reference_walk_chain)
 
 PROXIES = {4, 7, 10, 13}
 
@@ -153,6 +157,32 @@ class TestValidatePaths:
         report = validate_paths(net, table, [piece])
         assert report.of_kind("inactive-link")
 
+    def test_missing_link_stops_the_walk_where_the_link_is_missing(self):
+        net, table, piece = line_fixture()
+        table.set_row(0, 1, PathRow(prev=0, next=3, order_key=1.0))
+        report = validate_paths(net, table, [piece])
+        assert report.violations == [
+            PathViolation(0, "missing-link", "no link 1->3"),
+            PathViolation(0, "endpoint", "chain ends at 1, not consumer"),
+        ]
+
+    def test_chain_ending_short_of_consumer_is_an_endpoint_violation(self):
+        net, table, piece = line_fixture()
+        table.set_row(0, 2, PathRow(prev=1, next=None, order_key=2.0))
+        report = validate_paths(net, table, [piece])
+        assert report.violations == [
+            PathViolation(0, "endpoint", "chain ends at 2, not consumer")]
+
+    def test_proxy_off_the_chain_is_an_endpoint_violation(self):
+        net = make_net([(0, 1), (1, 2), (2, 3), (1, 3)],
+                       {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
+        piece = DataPiece(id=0, source=0, consumer=3, rate=1, proxy=2)
+        table = PathTable()
+        install_path(net, table, piece, [0, 1, 3])
+        report = validate_paths(net, table, [piece])
+        assert report.violations == [
+            PathViolation(0, "endpoint", "proxy 2 not on chain")]
+
     def test_walk_chain_stops_at_gap(self):
         net, table, piece = line_fixture()
         table.drop_row(0, 2)
@@ -185,3 +215,100 @@ def test_grid_chain_reconstruction_roundtrip(rows, cols, seed):
     install_path(net, table, piece, chain)
     assert walk_chain(table, 0, chain[0]) == chain
     assert validate_paths(net, table, [piece]).ok()
+
+
+LATENCIES = (5.0, 7.5, 10.0, 12.25)
+MUTATIONS = ("next", "gap", "end", "prev", "splice", "off", "toggle", "kill")
+
+
+@st.composite
+def pointer_tables(draw):
+    """A small network with one piece whose pointer rows start as an
+    installed chain, perhaps with its tail pointing back into it, and are
+    then damaged: gaps, None pointers, pointers over links that do not
+    exist, stale previous pointers, symmetric rewrites as a splice makes
+    them, inactive links and dead relays. Links may be one-way."""
+    n = draw(st.integers(2, 6))
+    nodes = range(n)
+    chain = draw(st.permutations(nodes))[:draw(st.integers(1, n))]
+    loop_to = draw(st.one_of(st.none(), st.sampled_from(chain)))
+    likely = set(zip(chain, chain[1:])) | set(zip(chain[1:], chain))
+    likely.add((chain[-1], loop_to))
+    links = {}
+    for lk in ((u, v) for u in nodes for v in nodes if u != v):
+        lat = draw(st.sampled_from(LATENCIES + LATENCIES + (None,)) if lk in likely
+                   else st.sampled_from((None, None) + LATENCIES))
+        if lat is not None:
+            links[lk] = LinkState(eps_j=50e-6, eps_prev_j=50e-6, latency_ms=lat)
+    net = NetworkState(
+        nodes={u: NodeState(node=u, pos=(float(u), 0.0), initial_energy_j=1.0)
+               for u in nodes},
+        links=links,
+        proxies=set(),
+        neighbors={u: tuple(v for v in nodes if (u, v) in links) for u in nodes},
+        link_params=LatencyEnergyConfig(),
+    )
+    consumer = draw(st.one_of(st.just(chain[-1]), st.sampled_from(nodes)))
+    proxy = draw(st.one_of(st.sampled_from(chain), st.sampled_from(nodes), st.none()))
+    piece = DataPiece(id=0, source=chain[0], consumer=consumer, rate=1, proxy=proxy)
+    table = PathTable()
+    install_path(net, table, piece, list(chain))
+    blank = PathRow(prev=None, next=None, order_key=9.0)
+
+    def splice(u, v):
+        row, back = table.row(0, u) or blank, table.row(0, v) or blank
+        table.set_row(0, u, PathRow(row.prev, v, row.order_key))
+        table.set_row(0, v, PathRow(u, back.next, back.order_key))
+        net.activate(0, u, v)
+
+    if loop_to is not None:
+        splice(chain[-1], loop_to)
+    on_or_off = st.one_of(st.sampled_from(chain), st.sampled_from(nodes))
+    for kind, u, v in draw(st.lists(st.tuples(st.sampled_from(MUTATIONS),
+                                              on_or_off, on_or_off),
+                                    max_size=5)):
+        row = table.row(0, u) or blank
+        if kind == "gap":
+            table.drop_row(0, u)
+        elif kind == "end":
+            table.set_row(0, u, PathRow(row.prev, None, row.order_key))
+        elif kind == "next":
+            table.set_row(0, u, PathRow(row.prev, v, row.order_key))
+            net.activate(0, u, v)
+        elif kind == "prev":
+            table.set_row(0, u, PathRow(v, row.next, row.order_key))
+        elif kind == "splice":
+            splice(u, v)
+        elif kind == "off" and row.next is not None:
+            net.deactivate(0, u, row.next)
+        elif kind == "toggle" and (u, v) in links:
+            if 0 in links[(u, v)].active_pieces:
+                net.deactivate(0, u, v)
+            else:
+                net.activate(0, u, v)
+        elif kind == "kill":
+            net.nodes[u].alive = False
+    return net, table, piece
+
+
+def hop_ids(hops):
+    return [(tx.node, id(link), rx.node, learn) for tx, link, rx, learn in hops]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pointer_tables(), strategy=st.sampled_from(["PDD", "DistrDataFwd"]))
+def test_chain_walkers_match_their_own_walks(case, strategy):
+    """Every walk over one shared ``walk_chain`` returns what the same walk
+    did with its own loop and cap, on damaged pointer tables."""
+    net, table, piece = case
+    for start in net.nodes:
+        assert walk_chain(table, 0, start) == reference_walk_chain(table, 0, start)
+    sim = Simulation(quiet_config(strategy=strategy), net=net, table=table,
+                     pieces=[piece])
+    hops, complete = sim._chain(piece)
+    want_hops, want_complete = reference_chain(sim, piece)
+    assert (hop_ids(hops), complete) == (hop_ids(want_hops), want_complete)
+    assert (sample_access_latency(piece, table, net)
+            == reference_sample_access_latency(piece, table, net))
+    assert validate_paths(net, table, [piece]) == reference_validate_paths(
+        net, table, [piece])

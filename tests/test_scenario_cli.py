@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from fwdsim import (InterferenceConfig, ScenarioConfig, ScenarioParseError,
-                    is_valid, parse_scenario, render_scenario, run_simulation,
-                    validate_config)
+from fwdsim import (Finding, InterferenceConfig, ScenarioConfig,
+                    ScenarioParseError, is_valid, parse_scenario,
+                    render_scenario, run_simulation, validate_config)
 from fwdsim.cli import main as cli_main
 
 
@@ -31,6 +31,13 @@ class TestScenarioFiles:
             parse_scenario(text, origin="f.scenario")
         assert "f.scenario:3" in str(err.value)
         assert "wat" in str(err.value)
+
+    @pytest.mark.parametrize("section, key", [("data", "piece_size_bytes"),
+                                              ("protocol", "cycle_seconds")])
+    def test_removed_inert_keys_are_unknown(self, section, key):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(f"[{section}]\n{key} = 1\n")
+        assert f"unknown key {key!r}" in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioParseError) as err:
@@ -88,6 +95,12 @@ class TestValidation:
     def test_unknown_strategy_rejected(self):
         findings = validate_config(ScenarioConfig(strategy="magic"))
         assert not is_valid(findings)
+
+    def test_negative_metrics_stride_rejected(self):
+        cfg = parse_scenario("[run]\nmetrics_stride = -5\n")
+        findings = validate_config(cfg)
+        assert not is_valid(findings)
+        assert Finding("error", "run.metrics_stride", "must be >= 0") in findings
 
     def test_forced_death_outside_horizon_rejected(self):
         findings = validate_config(ScenarioConfig(forced_deaths=((10 ** 9, 0),)))
