@@ -6,8 +6,8 @@ centrally, and run any of the three forwarding strategies deterministically.
 
 from .engine import (EngineError, Metrics, Simulation, inject_interference,
                      run_simulation, sample_access_latency)
-from .lifetime import (INFINITE_LIFETIME, LifetimeParams, aggregate_rates,
-                       lifetime_from_spend, max_epoch_duration, node_lifetime,
+from .lifetime import (INFINITE_LIFETIME, LifetimeParams, lifetime_from_spend,
+                       max_epoch_duration, node_lifetime, node_spend,
                        trigger_check)
 from .netmodel import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
                        NodeId, NodeState, PathBrokenError, PathRow, PathTable,
@@ -34,12 +34,12 @@ __all__ = [
     "PiecePlan", "PlannerView", "PlanningError", "ProtocolState",
     "RouteReply", "RouteRequest", "STRATEGIES", "ScenarioConfig",
     "ScenarioParseError", "Simulation", "StatusMsg", "StatusReport",
-    "TopologyError", "aggregate_rates", "bottleneck_path",
+    "TopologyError", "bottleneck_path",
     "build_grid_topology", "compute_plan", "disconnect", "export_topology",
     "handle_alert", "inject_interference", "install_path", "is_valid", "join_path",
     "lifetime_from_spend", "local_aodv_plus", "local_path_config",
     "max_epoch_duration", "modify_path", "node_cycle", "node_lifetime",
-    "parse_scenario", "path_bottleneck", "path_latency", "protocol",
+    "node_spend", "parse_scenario", "path_bottleneck", "path_latency", "protocol",
     "recompute_central", "render_scenario", "round_trip_latency",
     "run_simulation", "sample_access_latency", "sample_pieces",
     "status_from_network", "trigger_check", "validate_config",

@@ -56,7 +56,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import netmodel, planner, protocol
-from .lifetime import lifetime_from_spend, max_epoch_duration, trigger_check
+from .lifetime import (lifetime_from_spend, max_epoch_duration, node_spend,
+                       trigger_check)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
 from .scenario import ScenarioConfig, sample_pieces
 
@@ -227,7 +228,14 @@ class NodeCtx:
 
     def projected_lifetime_of(self, node: NodeId, next_node: NodeId,
                               rate: float) -> float:
-        return self._sim.projected_lifetime(node, next_node, rate)
+        """Lifetime of ``node`` if it also forwarded ``rate`` pieces per cycle
+        over (node, next_node), on top of its current activated load."""
+        sim = self._sim
+        extra_link = sim.net.links.get((node, next_node))
+        if extra_link is None:
+            return 0.0
+        spend = node_spend(sim.net, node, sim.pieces_by_id) + extra_link.eps_j * rate
+        return lifetime_from_spend(sim.net.nodes[node].energy_j, spend, sim.params)
 
     # --- pointer rows ---------------------------------------------------------
     def row(self, piece: int) -> PathRow | None:
@@ -386,7 +394,7 @@ class Simulation:
             for p in self.pieces:
                 self.piece_status[p.id].planned = True
         self.metrics.initial_epoch_bound = max_epoch_duration(
-            self.net, self.table, self.pieces, self.params)
+            self.net, self.pieces, self.params)
 
     # ------------------------------------------------------------------ setup
 
@@ -881,24 +889,6 @@ class Simulation:
         if node.spent_j >= node.initial_energy_j and node.alive:   # energy_j <= 0
             self._drained.add(node.node)
         return got
-
-    def projected_lifetime(self, node: NodeId, next_node: NodeId,
-                           rate: float) -> float:
-        """Lifetime of ``node`` if it also forwarded ``rate`` pieces per cycle
-        over (node, next_node), on top of its current activated load."""
-        state = self.net.nodes[node]
-        spend = 0.0
-        for v in self.net.neighbors[node]:
-            link = self.net.links[(node, v)]
-            if not link.active_pieces:
-                continue
-            for pid in sorted(link.active_pieces):
-                spend += link.eps_j * self.pieces_by_id[pid].rate
-        extra_link = self.net.links.get((node, next_node))
-        if extra_link is None:
-            return 0.0
-        spend += extra_link.eps_j * rate
-        return lifetime_from_spend(state.energy_j, spend, self.params)
 
     def send_message(self, src: NodeId, dst: NodeId, msg) -> None:
         link = self.net.links.get((src, dst))

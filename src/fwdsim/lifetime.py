@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .netmodel import DataPiece, NetworkState, NodeId, PathTable
+from .netmodel import DataPiece, NetworkState, NodeId
 
 INFINITE_LIFETIME = math.inf
 
@@ -21,13 +21,10 @@ INFINITE_LIFETIME = math.inf
 @dataclass(frozen=True)
 class LifetimeParams:
     config_phase_energy_j: float = 5e-3   # energy a node needs to finish a configuration phase
-    trigger_threshold: float = 0.5        # relative cost increase that triggers repair
 
     def __post_init__(self) -> None:
         if self.config_phase_energy_j < 0:
             raise ValueError("config_phase_energy_j must be >= 0")
-        if not 0.0 < self.trigger_threshold < 1.0:
-            raise ValueError("trigger_threshold must lie in (0, 1)")
 
 
 def lifetime_from_spend(energy_j: float, spend_j_per_cycle: float,
@@ -60,37 +57,30 @@ def node_lifetime(energy_j: float, rates: dict[NodeId, float],
     return lifetime_from_spend(energy_j, spend, params)
 
 
-def aggregate_rates(net: NetworkState, table: PathTable,
-                    pieces: list[DataPiece]) -> dict[NodeId, dict[NodeId, float]]:
-    """Per-node, per-neighbor aggregate data rate over activated links."""
-    rates: dict[NodeId, dict[NodeId, float]] = {}
-    for piece in sorted(pieces, key=lambda p: p.id):
-        for node, row in sorted(table.rows_for_piece(piece.id).items()):
-            v = row.next
-            if v is None:
-                continue
-            link = net.links.get((node, v))
-            if link is None or piece.id not in link.active_pieces:
-                continue
-            rates.setdefault(node, {}).setdefault(v, 0.0)
-            rates[node][v] += piece.rate
-    return rates
+def node_spend(net: NetworkState, u: NodeId,
+               pieces_by_id: dict[int, DataPiece]) -> float:
+    """Per-cycle transmit spend of ``u``: over its out-links in neighbor
+    order, the link's cost times the summed rate of the pieces active on it.
+    The only sum of a node's activated load."""
+    spend = 0.0
+    for v in net.neighbors[u]:
+        link = net.links[(u, v)]
+        if link.active_pieces:
+            spend += link.eps_j * sum(pieces_by_id[p].rate for p in link.active_pieces)
+    return spend
 
 
-def max_epoch_duration(net: NetworkState, table: PathTable,
-                       pieces: list[DataPiece], params: LifetimeParams) -> float:
+def max_epoch_duration(net: NetworkState, pieces: list[DataPiece],
+                       params: LifetimeParams) -> float:
     """Upper bound on the epoch length: the shortest lifetime among nodes with
     at least one activated outgoing link. Infinite when nothing transmits."""
-    rates = aggregate_rates(net, table, pieces)
+    by_id = {p.id: p for p in pieces}
     best = INFINITE_LIFETIME
     for u in sorted(net.nodes):
-        active = {v for v in net.neighbors[u]
-                  if net.links[(u, v)].active_pieces}
-        if not active:
+        if not any(net.links[(u, v)].active_pieces for v in net.neighbors[u]):
             continue
-        per_link = {v: rates.get(u, {}).get(v, 0.0) for v in sorted(active)}
-        eps = {v: net.links[(u, v)].eps_j for v in sorted(active)}
-        life = node_lifetime(net.nodes[u].energy_j, per_link, eps, params)
+        life = lifetime_from_spend(net.nodes[u].energy_j,
+                                   node_spend(net, u, by_id), params)
         if life < best:
             best = life
     return best

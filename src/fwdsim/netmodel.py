@@ -160,7 +160,6 @@ class NetworkState:
     proxies: set[NodeId]
     neighbors: dict[NodeId, tuple[NodeId, ...]]         # static, sorted
     link_params: LatencyEnergyConfig
-    piece_edges: dict[int, set[tuple[NodeId, NodeId]]] = field(default_factory=dict)
 
     def alive_neighbors(self, u: NodeId) -> list[NodeId]:
         return [v for v in self.neighbors[u] if self.nodes[v].alive]
@@ -170,20 +169,11 @@ class NetworkState:
         if link is None:
             return
         link.active_pieces.add(piece_id)
-        self.piece_edges.setdefault(piece_id, set()).add((u, v))
 
     def deactivate(self, piece_id: int, u: NodeId, v: NodeId) -> None:
         link = self.links.get((u, v))
         if link is not None:
             link.active_pieces.discard(piece_id)
-        edges = self.piece_edges.get(piece_id)
-        if edges is not None:
-            edges.discard((u, v))
-
-    def deactivate_piece(self, piece_id: int) -> None:
-        for (u, v) in sorted(self.piece_edges.get(piece_id, ())):
-            self.links[(u, v)].active_pieces.discard(piece_id)
-        self.piece_edges[piece_id] = set()
 
 
 def build_grid_topology(
@@ -299,7 +289,12 @@ def install_path(net: NetworkState, table: PathTable, piece: DataPiece,
 
 
 def clear_piece_paths(net: NetworkState, table: PathTable, piece_id: int) -> None:
-    net.deactivate_piece(piece_id)
+    """Drop the piece's rows and deactivate the link under each. A link is
+    only activated under a row whose next pointer names it, and rewriting or
+    dropping that row deactivates it first, so this leaves none active."""
+    for node, row in table.rows_for_piece(piece_id).items():
+        if row.next is not None:
+            net.deactivate(piece_id, node, row.next)
     table.clear_piece(piece_id)
 
 

@@ -520,14 +520,8 @@ def _handle_route_reply(ctx, msg: RouteReply) -> None:
 # ---------------------------------------------------------------------------
 
 def join_path(ctx, msg: Join) -> None:
-    """Enter the path between msg.upstream and msg.downstream."""
-    _install_join(ctx, msg.piece, msg.upstream, msg.downstream,
-                  msg.upstream_key, msg.upstream_key + JOIN_KEY_STEP)
-
-
-def _install_join(ctx, piece: int, upstream: NodeId, downstream: NodeId,
-                  upstream_key: float, assigned_key: float) -> None:
-    """Three-way join: fresh node, already-downstream, already-upstream.
+    """Enter the path between msg.upstream and msg.downstream, in one of
+    three ways: as a fresh node, already downstream, or already upstream.
 
     A fresh node adopts both pointers; no part of the path is superseded, so
     there is nothing to delete. A node that already sits downstream of the
@@ -538,15 +532,17 @@ def _install_join(ctx, piece: int, upstream: NodeId, downstream: NodeId,
     backward from the join sender. Either wave stops when it reaches me, so
     the surviving chain is simple.
     """
+    piece, upstream, downstream = msg.piece, msg.upstream, msg.downstream
     if not ctx.piece_known(piece):
         ctx.diagnostic(f"join refused: unknown piece {piece}")
         return
     row = ctx.row(piece)
     if row is None:
-        ctx.set_row(piece, prev=upstream, next=downstream, order_key=assigned_key)
+        ctx.set_row(piece, prev=upstream, next=downstream,
+                    order_key=msg.upstream_key + JOIN_KEY_STEP)
         ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
                                         delete=False, direction=FWD))
-    elif row.order_key > upstream_key:
+    elif row.order_key > msg.upstream_key:
         ctx.set_prev(piece, upstream)
         ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
                                         delete=True, direction=FWD))

@@ -91,10 +91,7 @@ class ScenarioConfig:
         )
 
     def lifetime_params(self) -> LifetimeParams:
-        return LifetimeParams(
-            config_phase_energy_j=self.config_phase_energy_j,
-            trigger_threshold=self.trigger_threshold,
-        )
+        return LifetimeParams(config_phase_energy_j=self.config_phase_energy_j)
 
     def full_horizon(self) -> "ScenarioConfig":
         return replace(self, horizon=FULL_HORIZON_CYCLES, energy_scale=1.0)
@@ -247,58 +244,29 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> ScenarioConfig:
     return cfg
 
 
+_FORMAT = {
+    _float: repr,
+    _int: str,
+    str: str,
+    _bool: lambda b: str(b).lower(),
+    _id_list: lambda ids: ", ".join(map(str, ids)),
+    _death_list: lambda deaths: ", ".join(f"{c}:{n}" for c, n in deaths),
+}
+
+
 def render_scenario(cfg: ScenarioConfig) -> str:
-    """Inverse of parse_scenario for the shipped defaults and test fixtures.
-    Floats render via repr, so a round trip reproduces the config exactly."""
-    deaths = ", ".join(f"{c}:{n}" for c, n in cfg.forced_deaths)
-    return f"""[topology]
-rows = {cfg.rows}
-cols = {cfg.cols}
-spacing_m = {cfg.spacing_m!r}
-range_m = {cfg.range_m!r}
-proxies = {", ".join(map(str, cfg.proxies))}
-
-[links]
-latency_ms_min = {cfg.latency_ms_min!r}
-latency_ms_max = {cfg.latency_ms_max!r}
-tx_energy_j = {cfg.tx_energy_j!r}
-controller_energy_j = {cfg.controller_energy_j!r}
-config_phase_energy_j = {cfg.config_phase_energy_j!r}
-
-[energy]
-node_wh_min = {cfg.node_energy_wh_min!r}
-node_wh_max = {cfg.node_energy_wh_max!r}
-proxy_wh = {cfg.proxy_energy_wh!r}
-battery_cap_wh = {cfg.battery_cap_wh!r}
-scale = {cfg.energy_scale!r}
-
-[data]
-consumer_fraction = {cfg.consumer_fraction!r}
-rate_min = {cfg.rate_min}
-rate_max = {cfg.rate_max}
-request_prob = {cfg.request_prob!r}
-
-[protocol]
-latency_budget_ms = {cfg.latency_budget_ms!r}
-trigger_threshold = {cfg.trigger_threshold!r}
-route_ttl = {cfg.route_ttl}
-
-[interference]
-prob = {cfg.interference.prob_per_cycle!r}
-multiplier = {cfg.interference.multiplier!r}
-affected_links = {cfg.interference.affected_links}
-duration_cycles = {cfg.interference.duration_cycles}
-
-[run]
-horizon = {cfg.horizon}
-strategy = {cfg.strategy}
-seed = {cfg.seed}
-trace = {str(cfg.trace).lower()}
-metrics_stride = {cfg.metrics_stride}
-
-[events]
-forced_deaths = {deaths}
-"""
+    """Inverse of parse_scenario, written from the same schema. Floats render
+    via repr, so a round trip reproduces the config exactly."""
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, (attr, conv) in keys.items():
+            owner = cfg
+            if attr.startswith("interference."):
+                owner, attr = cfg.interference, attr.split(".", 1)[1]
+            lines.append(f"{key} = {_FORMAT[conv](getattr(owner, attr))}")
+        sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
 
 
 def validate_config(cfg: ScenarioConfig) -> list[Finding]:

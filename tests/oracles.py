@@ -11,6 +11,13 @@ no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
 stretches, kept to check that they change no output. The four
 ``reference_*`` pointer walkers are the chain walks as they stood before they
 shared ``walk_chain``, kept to check that sharing it changes no result.
+``reference_projected_lifetime``, ``reference_max_epoch_duration`` and
+``reference_clear_piece_paths`` (over ``EdgeIndexedNetwork``, the network
+with its second, per-piece index of activated links) are the spend sums and
+the piece clear as they stood before ``node_spend``, and
+``reference_render_scenario`` is the hand-written scenario template, kept to
+check that the single spend model and the schema-driven rendering change no
+result.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import dataclass, field, fields
 
-from fwdsim import (DataPiece, NetworkState, NodeId, PathTable, PiecePlan,
-                    Plan, PlannerView, PlanningError, Simulation,
-                    bottleneck_path, install_path, path_bottleneck)
+from fwdsim import (INFINITE_LIFETIME, DataPiece, NetworkState, NodeId,
+                    PathTable, PiecePlan, Plan, PlannerView, PlanningError,
+                    ScenarioConfig, Simulation, bottleneck_path, install_path,
+                    lifetime_from_spend, node_lifetime, path_bottleneck)
 from fwdsim.netmodel import PathReport, PathViolation
 
 from conftest import make_net
@@ -550,3 +559,152 @@ def reference_validate_paths(net: NetworkState, table: PathTable,
             violations.append(PathViolation(piece.id, "endpoint",
                                             f"proxy {piece.proxy} not on chain"))
     return PathReport(violations)
+
+
+def reference_projected_lifetime(sim: Simulation, node: NodeId,
+                                 next_node: NodeId, rate: float) -> float:
+    """``Simulation.projected_lifetime``, verbatim: lifetime of ``node`` if it
+    also forwarded ``rate`` pieces per cycle over (node, next_node), on top of
+    its current activated load, summed one piece at a time."""
+    state = sim.net.nodes[node]
+    spend = 0.0
+    for v in sim.net.neighbors[node]:
+        link = sim.net.links[(node, v)]
+        if not link.active_pieces:
+            continue
+        for pid in sorted(link.active_pieces):
+            spend += link.eps_j * sim.pieces_by_id[pid].rate
+    extra_link = sim.net.links.get((node, next_node))
+    if extra_link is None:
+        return 0.0
+    spend += extra_link.eps_j * rate
+    return lifetime_from_spend(state.energy_j, spend, sim.params)
+
+
+def reference_aggregate_rates(net: NetworkState, table: PathTable,
+                              pieces: list[DataPiece]) -> dict[NodeId, dict[NodeId, float]]:
+    """``aggregate_rates``, verbatim: per-node, per-neighbor aggregate data
+    rate over activated links, read from the pointer rows."""
+    rates: dict[NodeId, dict[NodeId, float]] = {}
+    for piece in sorted(pieces, key=lambda p: p.id):
+        for node, row in sorted(table.rows_for_piece(piece.id).items()):
+            v = row.next
+            if v is None:
+                continue
+            link = net.links.get((node, v))
+            if link is None or piece.id not in link.active_pieces:
+                continue
+            rates.setdefault(node, {}).setdefault(v, 0.0)
+            rates[node][v] += piece.rate
+    return rates
+
+
+def reference_max_epoch_duration(net: NetworkState, table: PathTable,
+                                 pieces: list[DataPiece], params) -> float:
+    """``max_epoch_duration`` over ``aggregate_rates``, verbatim."""
+    rates = reference_aggregate_rates(net, table, pieces)
+    best = INFINITE_LIFETIME
+    for u in sorted(net.nodes):
+        active = {v for v in net.neighbors[u]
+                  if net.links[(u, v)].active_pieces}
+        if not active:
+            continue
+        per_link = {v: rates.get(u, {}).get(v, 0.0) for v in sorted(active)}
+        eps = {v: net.links[(u, v)].eps_j for v in sorted(active)}
+        life = node_lifetime(net.nodes[u].energy_j, per_link, eps, params)
+        if life < best:
+            best = life
+    return best
+
+
+@dataclass
+class EdgeIndexedNetwork(NetworkState):
+    """``NetworkState`` with its per-piece index of activated links, as it
+    stood before the piece clear walked the piece's own rows: activation and
+    deactivation keep the index, and ``deactivate_piece`` clears by it."""
+
+    piece_edges: dict[int, set[tuple[NodeId, NodeId]]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, net: NetworkState) -> "EdgeIndexedNetwork":
+        return cls(**{f.name: getattr(net, f.name) for f in fields(NetworkState)})
+
+    def activate(self, piece_id: int, u: NodeId, v: NodeId) -> None:
+        link = self.links.get((u, v))
+        if link is None:
+            return
+        link.active_pieces.add(piece_id)
+        self.piece_edges.setdefault(piece_id, set()).add((u, v))
+
+    def deactivate(self, piece_id: int, u: NodeId, v: NodeId) -> None:
+        link = self.links.get((u, v))
+        if link is not None:
+            link.active_pieces.discard(piece_id)
+        edges = self.piece_edges.get(piece_id)
+        if edges is not None:
+            edges.discard((u, v))
+
+    def deactivate_piece(self, piece_id: int) -> None:
+        for (u, v) in sorted(self.piece_edges.get(piece_id, ())):
+            self.links[(u, v)].active_pieces.discard(piece_id)
+        self.piece_edges[piece_id] = set()
+
+
+def reference_clear_piece_paths(net: EdgeIndexedNetwork, table: PathTable,
+                                piece_id: int) -> None:
+    """``clear_piece_paths`` by the per-piece link index, verbatim."""
+    net.deactivate_piece(piece_id)
+    table.clear_piece(piece_id)
+
+
+def reference_render_scenario(cfg: ScenarioConfig) -> str:
+    """``render_scenario``'s hand-written template, verbatim."""
+    deaths = ", ".join(f"{c}:{n}" for c, n in cfg.forced_deaths)
+    return f"""[topology]
+rows = {cfg.rows}
+cols = {cfg.cols}
+spacing_m = {cfg.spacing_m!r}
+range_m = {cfg.range_m!r}
+proxies = {", ".join(map(str, cfg.proxies))}
+
+[links]
+latency_ms_min = {cfg.latency_ms_min!r}
+latency_ms_max = {cfg.latency_ms_max!r}
+tx_energy_j = {cfg.tx_energy_j!r}
+controller_energy_j = {cfg.controller_energy_j!r}
+config_phase_energy_j = {cfg.config_phase_energy_j!r}
+
+[energy]
+node_wh_min = {cfg.node_energy_wh_min!r}
+node_wh_max = {cfg.node_energy_wh_max!r}
+proxy_wh = {cfg.proxy_energy_wh!r}
+battery_cap_wh = {cfg.battery_cap_wh!r}
+scale = {cfg.energy_scale!r}
+
+[data]
+consumer_fraction = {cfg.consumer_fraction!r}
+rate_min = {cfg.rate_min}
+rate_max = {cfg.rate_max}
+request_prob = {cfg.request_prob!r}
+
+[protocol]
+latency_budget_ms = {cfg.latency_budget_ms!r}
+trigger_threshold = {cfg.trigger_threshold!r}
+route_ttl = {cfg.route_ttl}
+
+[interference]
+prob = {cfg.interference.prob_per_cycle!r}
+multiplier = {cfg.interference.multiplier!r}
+affected_links = {cfg.interference.affected_links}
+duration_cycles = {cfg.interference.duration_cycles}
+
+[run]
+horizon = {cfg.horizon}
+strategy = {cfg.strategy}
+seed = {cfg.seed}
+trace = {str(cfg.trace).lower()}
+metrics_stride = {cfg.metrics_stride}
+
+[events]
+forced_deaths = {deaths}
+"""

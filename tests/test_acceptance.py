@@ -134,7 +134,7 @@ def test_criterion_02_epoch_bound_matches_enumeration(report):
     rng = random.Random(202)
     for _ in range(200):
         net, table, pieces = random_epoch_instance(rng)
-        got = max_epoch_duration(net, table, pieces, params)
+        got = max_epoch_duration(net, pieces, params)
         want = brute_force_epoch_bound(net, table, pieces, params)
         assert got == want or (math.isinf(got) and math.isinf(want))
     elapsed = time.monotonic() - started

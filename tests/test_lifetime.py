@@ -10,7 +10,7 @@ from fwdsim import (INFINITE_LIFETIME, LifetimeParams, max_epoch_duration,
 
 from oracles import brute_force_epoch_bound, random_epoch_instance
 
-PARAMS = LifetimeParams(config_phase_energy_j=5e-3, trigger_threshold=0.5)
+PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
 
 
 class TestNodeLifetime:
@@ -102,7 +102,7 @@ class TestEpochBound:
     def test_minimum_of_active_lifetimes(self):
         # lifetimes 50 and 30 cycles -> 30
         net, table, pieces = self.two_node_fixture({0: 10.0, 1: 6.0})
-        assert max_epoch_duration(net, table, pieces, PARAMS) == 30.0
+        assert max_epoch_duration(net, pieces, PARAMS) == 30.0
 
     def test_single_active_node_is_its_own_bound(self):
         from fwdsim import DataPiece, PathTable, install_path
@@ -112,24 +112,23 @@ class TestEpochBound:
         table = PathTable()
         piece = DataPiece(id=0, source=0, consumer=1, rate=2, proxy=1)
         install_path(net, table, piece, [0, 1])
-        assert max_epoch_duration(net, table, [piece], PARAMS) == 50.0
+        assert max_epoch_duration(net, [piece], PARAMS) == 50.0
 
     def test_idle_rich_node_excluded_from_minimum(self):
         net, table, pieces = self.two_node_fixture({0: 10.0, 1: 6.0})
         net.nodes[3].initial_energy_j = 1e9      # consumer transmits nothing
-        assert max_epoch_duration(net, table, pieces, PARAMS) == 30.0
+        assert max_epoch_duration(net, pieces, PARAMS) == 30.0
 
     def test_nothing_active_gives_infinite_bound(self):
-        from fwdsim import PathTable
         from conftest import make_net
 
         net = make_net([(0, 1)], {0: 5.0, 1: 5.0})
-        assert max_epoch_duration(net, PathTable(), [], PARAMS) == INFINITE_LIFETIME
+        assert max_epoch_duration(net, [], PARAMS) == INFINITE_LIFETIME
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(1234)
         for _ in range(60):
             net, table, pieces = random_epoch_instance(rng)
-            got = max_epoch_duration(net, table, pieces, PARAMS)
+            got = max_epoch_duration(net, pieces, PARAMS)
             want = brute_force_epoch_bound(net, table, pieces, PARAMS)
             assert got == want or (math.isinf(got) and math.isinf(want))
