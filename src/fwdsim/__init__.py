@@ -7,16 +7,14 @@ centrally, and run any of the three forwarding strategies deterministically.
 from .engine import (EngineError, Metrics, Simulation, inject_interference,
                      run_simulation, sample_access_latency)
 from .lifetime import (INFINITE_LIFETIME, LifetimeParams, lifetime_from_spend,
-                       max_epoch_duration, node_lifetime, node_spend,
-                       trigger_check)
+                       max_epoch_duration, node_spend, trigger_check)
 from .netmodel import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
-                       NodeId, NodeState, PathBrokenError, PathRow, PathTable,
-                       TopologyError, build_grid_topology, export_topology,
-                       install_path, path_latency, round_trip_latency,
-                       validate_paths, walk_chain)
+                       NodeId, NodeState, PathRow, PathTable, TopologyError,
+                       build_grid_topology, install_path, validate_paths,
+                       walk_chain)
 from .planner import (Plan, PiecePlan, PlannerView, PlanningError, StatusReport,
                       bottleneck_path, compute_plan, path_bottleneck,
-                      recompute_central, status_from_network)
+                      status_from_network)
 from .protocol import (Alert, Join, ModifyPath, PlanMsg, ProtocolState,
                        RouteReply, RouteRequest, StatusMsg, disconnect,
                        handle_alert, join_path, local_aodv_plus,
@@ -30,19 +28,18 @@ __all__ = [
     "Alert", "DataPiece", "EngineError", "Finding", "INFINITE_LIFETIME",
     "InterferenceConfig", "Join", "LatencyEnergyConfig", "LifetimeParams",
     "LinkState", "Metrics", "ModifyPath", "NetworkState", "NodeId",
-    "NodeState", "PathBrokenError", "PathRow", "PathTable", "Plan", "PlanMsg",
+    "NodeState", "PathRow", "PathTable", "Plan", "PlanMsg",
     "PiecePlan", "PlannerView", "PlanningError", "ProtocolState",
     "RouteReply", "RouteRequest", "STRATEGIES", "ScenarioConfig",
     "ScenarioParseError", "Simulation", "StatusMsg", "StatusReport",
     "TopologyError", "bottleneck_path",
-    "build_grid_topology", "compute_plan", "disconnect", "export_topology",
+    "build_grid_topology", "compute_plan", "disconnect",
     "handle_alert", "inject_interference", "install_path", "is_valid", "join_path",
     "lifetime_from_spend", "local_aodv_plus", "local_path_config",
-    "max_epoch_duration", "modify_path", "node_cycle", "node_lifetime",
-    "node_spend", "parse_scenario", "path_bottleneck", "path_latency", "protocol",
-    "recompute_central", "render_scenario", "round_trip_latency",
-    "run_simulation", "sample_access_latency", "sample_pieces",
-    "status_from_network", "trigger_check", "validate_config",
+    "max_epoch_duration", "modify_path", "node_cycle",
+    "node_spend", "parse_scenario", "path_bottleneck", "protocol",
+    "render_scenario", "run_simulation", "sample_access_latency",
+    "sample_pieces", "status_from_network", "trigger_check", "validate_config",
     "validate_paths", "walk_chain",
 ]
 

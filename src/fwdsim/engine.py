@@ -11,7 +11,8 @@ Per cycle, in fixed order:
 6. per-node protocol steps (local-repair strategy only), in node-id order,
    for the nodes with protocol work only (see ``Simulation._protocol_phase``);
 7. consumer request sampling;
-8. the strategy hook (central recomputation);
+8. the PDD-CR hook: after a trigger or a death, one controller round
+   (``Simulation._controller_round``), the same exchange as at start-up;
 9. the death sweep over the nodes whose energy reached zero;
 10. metrics;
 11. link-cost baselines settle: every link whose cost changed this cycle
@@ -42,8 +43,8 @@ bit-identical to stepping every cycle.
 Three strategies share the same initial centrally computed plan:
 
 * ``PDD``           static plan, never reconfigured;
-* ``PDD-CR``        full central recomputation on every trigger event, every
-                    alive node paying one controller exchange;
+* ``PDD-CR``        a controller round on every trigger event, every alive
+                    node paying one controller exchange;
 * ``DistrDataFwd``  per-node local repair (splice or TTL-bounded route
                     discovery) with no controller involvement after start-up.
 """
@@ -71,7 +72,6 @@ class EngineError(RuntimeError):
 
 @dataclass
 class PieceStatus:
-    planned: bool = False
     broken: bool = False
     cause: str | None = None
     stuck_cycles: int = 0   # consecutive delivery failures with no repair underway
@@ -389,23 +389,23 @@ class Simulation:
         self._cr_deaths_pending = False
 
         if not prebuilt:
-            self._initial_configuration()
-        else:
-            for p in self.pieces:
-                self.piece_status[p.id].planned = True
+            self._controller_round()
         self.metrics.initial_epoch_bound = max_epoch_duration(
             self.net, self.pieces, self.params)
 
-    # ------------------------------------------------------------------ setup
+    # ------------------------------------------------------------- controller
 
-    def _initial_configuration(self) -> None:
-        """Status upload and plan download at start-up: every node with any
-        energy pays one controller exchange, then the plan is computed over
-        the survivors and installed."""
+    def _controller_round(self) -> None:
+        """One controller round, at start-up and at every PDD-CR replan:
+        every alive node with energy left pays one exchange
+        (``controller_energy_j``) for its status upload, every alive node now
+        empty dies, and the plan computed over the survivors is installed.
+        The trace shows each upload and each plan download, with -1 standing
+        for the controller."""
         cost = self.net.link_params.controller_energy_j
         for u in self._node_ids:
             node = self.net.nodes[u]
-            if node.energy_j > 0.0:
+            if node.alive and node.energy_j > 0.0:
                 self._charge(node, cost, CFG)
                 if self.cfg.trace:
                     self._trace(u, -1, protocol.StatusMsg(u, node.energy_j))
@@ -430,13 +430,11 @@ class Simulation:
                 pp = plan.pieces[pid]
                 piece.proxy = pp.proxy
                 netmodel.install_path(self.net, self.table, piece, pp.chain)
-                status.planned = True
                 status.broken = False
                 status.cause = None
             else:
                 netmodel.clear_piece_paths(self.net, self.table, pid)
                 piece.proxy = None
-                status.planned = False
                 status.broken = True
                 status.cause = "unplanned"
 
@@ -849,10 +847,7 @@ class Simulation:
         if not (self._cr_trigger or self._cr_deaths_pending):
             return
         self._cr_deaths_pending = False
-        plan, _ = planner.recompute_central(
-            self.net, self.pieces, self.cfg.latency_budget_ms, self.params,
-            charge=lambda node, amount: self._charge(node, amount, CFG))
-        self._install_plan(plan)
+        self._controller_round()
         self.note_reconfiguration()
 
     def _death_sweep(self) -> None:

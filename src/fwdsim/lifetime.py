@@ -45,18 +45,6 @@ def lifetime_from_spend(energy_j: float, spend_j_per_cycle: float,
     return energy_j / spend_j_per_cycle
 
 
-def node_lifetime(energy_j: float, rates: dict[NodeId, float],
-                  eps_per_link: dict[NodeId, float],
-                  params: LifetimeParams) -> float:
-    """Lifetime of one node from its per-neighbor aggregate rates and link costs."""
-    if set(rates) != set(eps_per_link):
-        raise ValueError("rates and eps_per_link must cover the same link set")
-    spend = 0.0
-    for v in sorted(rates):
-        spend += eps_per_link[v] * rates[v]
-    return lifetime_from_spend(energy_j, spend, params)
-
-
 def node_spend(net: NetworkState, u: NodeId,
                pieces_by_id: dict[int, DataPiece]) -> float:
     """Per-cycle transmit spend of ``u``: over its out-links in neighbor

@@ -25,16 +25,6 @@ class TopologyError(ValueError):
     """Raised when a requested topology cannot operate (e.g. disconnected)."""
 
 
-class PathBrokenError(RuntimeError):
-    """Raised when a pointer chain or link is missing along a path segment."""
-
-    def __init__(self, piece_id: int | None, at_node: NodeId, detail: str):
-        self.piece_id = piece_id
-        self.at_node = at_node
-        self.detail = detail
-        super().__init__(f"piece {piece_id}: path broken at node {at_node}: {detail}")
-
-
 @dataclass
 class LatencyEnergyConfig:
     """Sampling parameters for link construction plus node energy endowments.
@@ -252,28 +242,6 @@ def _connected(net: NetworkState) -> bool:
     return len(seen) == len(ids)
 
 
-def path_latency(piece_id: int | None, segment: list[NodeId], net: NetworkState) -> float:
-    """Sum of per-hop latencies along a node sequence, in milliseconds."""
-    total = 0.0
-    for u, v in zip(segment, segment[1:]):
-        link = net.links.get((u, v))
-        if link is None:
-            raise PathBrokenError(piece_id, u, f"no link {u}->{v}")
-        total += link.latency_ms
-    return total
-
-
-def round_trip_latency(piece_id: int | None, segment: list[NodeId], net: NetworkState) -> float:
-    """Request-plus-response latency over a proxy->consumer segment.
-
-    The request travels the reversed segment, so both directions' per-link
-    latencies contribute.
-    """
-    forward = path_latency(piece_id, segment, net)
-    backward = path_latency(piece_id, list(reversed(segment)), net)
-    return forward + backward
-
-
 def install_path(net: NetworkState, table: PathTable, piece: DataPiece,
                  chain: list[NodeId]) -> None:
     """Write pointer rows for a full source->proxy->consumer chain and
@@ -374,19 +342,3 @@ def validate_paths(net: NetworkState, table: PathTable,
                                             f"proxy {piece.proxy} not on chain"))
     return PathReport(violations)
 
-
-def export_topology(net: NetworkState) -> str:
-    """Render the topology as a stable text document for fixtures/debugging."""
-    out = ["nodes"]
-    for u in sorted(net.nodes):
-        n = net.nodes[u]
-        out.append(
-            f"{u} x={n.pos[0]:.10g} y={n.pos[1]:.10g} "
-            f"energy={n.energy_j:.10g} initial={n.initial_energy_j:.10g} "
-            f"proxy={int(n.is_proxy)} alive={int(n.alive)}"
-        )
-    out.append("links")
-    for (u, v) in sorted(net.links):
-        link = net.links[(u, v)]
-        out.append(f"{u} {v} eps={link.eps_j:.10g} latency={link.latency_ms:.10g}")
-    return "\n".join(out) + "\n"

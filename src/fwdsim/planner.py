@@ -1,4 +1,4 @@
-"""Centralized controller: initial forwarding plans and full recomputation.
+"""Centralized controller: forwarding plans from node status reports.
 
 The controller assembles node status reports into a view of the alive
 network, then assigns each piece a caching proxy plus a source segment and a
@@ -477,33 +477,3 @@ def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
             out.append((s_seg, c_seg))
     return out
 
-
-def recompute_central(
-    net: NetworkState,
-    pieces,
-    latency_budget_ms: float,
-    params: LifetimeParams,
-    charge=None,
-) -> tuple[Plan, float]:
-    """Full central reconfiguration after a trigger event.
-
-    Every alive node is charged one controller exchange for the status upload
-    and plan download; the fresh plan is computed over the post-charge state.
-    Returns the plan and the configuration energy actually spent. A network
-    with no alive nodes is a no-op. ``charge(node_state, amount) -> float``
-    lets the engine route the spend through its accounting; it defaults to
-    charging the node directly.
-    """
-    if charge is None:
-        charge = lambda node, amount: node.charge(amount)
-    charged = 0.0
-    cost = net.link_params.controller_energy_j
-    for u in sorted(net.nodes):
-        node = net.nodes[u]
-        if node.alive and node.energy_j > 0.0:
-            charged += charge(node, cost)
-    reports = status_from_network(net)
-    if not reports:
-        return Plan(), charged
-    plan = compute_plan(reports, pieces, net.proxies, latency_budget_ms, params)
-    return plan, charged

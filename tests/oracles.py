@@ -11,7 +11,8 @@ no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
 stretches, kept to check that they change no output. The four
 ``reference_*`` pointer walkers are the chain walks as they stood before they
 shared ``walk_chain``, kept to check that sharing it changes no result.
-``reference_projected_lifetime``, ``reference_max_epoch_duration`` and
+``reference_projected_lifetime``, ``reference_max_epoch_duration`` (over
+``_node_lifetime``, the removed per-link lifetime sum) and
 ``reference_clear_piece_paths`` (over ``EdgeIndexedNetwork``, the network
 with its second, per-piece index of activated links) are the spend sums and
 the piece clear as they stood before ``node_spend``, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from fwdsim import (INFINITE_LIFETIME, DataPiece, NetworkState, NodeId,
                     PathTable, PiecePlan, Plan, PlannerView, PlanningError,
                     ScenarioConfig, Simulation, bottleneck_path, install_path,
-                    lifetime_from_spend, node_lifetime, path_bottleneck)
+                    lifetime_from_spend, path_bottleneck)
 from fwdsim.netmodel import PathReport, PathViolation
 
 from conftest import make_net
@@ -599,6 +600,19 @@ def reference_aggregate_rates(net: NetworkState, table: PathTable,
     return rates
 
 
+def _node_lifetime(energy_j: float, rates: dict[NodeId, float],
+                   eps_per_link: dict[NodeId, float], params) -> float:
+    """``lifetime.node_lifetime`` as it stood before it was removed,
+    verbatim: the lifetime of one node from its per-neighbor aggregate rates
+    and link costs."""
+    if set(rates) != set(eps_per_link):
+        raise ValueError("rates and eps_per_link must cover the same link set")
+    spend = 0.0
+    for v in sorted(rates):
+        spend += eps_per_link[v] * rates[v]
+    return lifetime_from_spend(energy_j, spend, params)
+
+
 def reference_max_epoch_duration(net: NetworkState, table: PathTable,
                                  pieces: list[DataPiece], params) -> float:
     """``max_epoch_duration`` over ``aggregate_rates``, verbatim."""
@@ -611,7 +625,7 @@ def reference_max_epoch_duration(net: NetworkState, table: PathTable,
             continue
         per_link = {v: rates.get(u, {}).get(v, 0.0) for v in sorted(active)}
         eps = {v: net.links[(u, v)].eps_j for v in sorted(active)}
-        life = node_lifetime(net.nodes[u].energy_j, per_link, eps, params)
+        life = _node_lifetime(net.nodes[u].energy_j, per_link, eps, params)
         if life < best:
             best = life
     return best

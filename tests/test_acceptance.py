@@ -15,7 +15,7 @@ import pytest
 
 from fwdsim import (DataPiece, InterferenceConfig, LifetimeParams,
                     PlannerView, ScenarioConfig, Simulation, StatusReport,
-                    bottleneck_path, max_epoch_duration, node_lifetime,
+                    bottleneck_path, lifetime_from_spend, max_epoch_duration,
                     path_bottleneck, run_simulation, walk_chain)
 from fwdsim.cli import run_grid
 
@@ -105,22 +105,23 @@ def rate_sweep():
 def test_criterion_01_lifetime_cases_and_monotonicity(report):
     started = time.monotonic()
     params = LifetimeParams(config_phase_energy_j=5e-3)
-    assert node_lifetime(0.0, {1: 2.0}, {1: 0.1}, params) == 0.0
-    assert node_lifetime(params.config_phase_energy_j / 2,
-                         {1: 2.0}, {1: 0.1}, params) == 1.0
-    assert node_lifetime(10.0, {1: 2.0}, {1: 0.1}, params) == 50.0
+    # One active link: the node's spend is eps * rate.
+    assert lifetime_from_spend(0.0, 0.1 * 2.0, params) == 0.0
+    assert lifetime_from_spend(params.config_phase_energy_j / 2,
+                               0.1 * 2.0, params) == 1.0
+    assert lifetime_from_spend(10.0, 0.1 * 2.0, params) == 50.0
     rng = random.Random(101)
     for _ in range(2000):
         energy = rng.uniform(0.01, 50.0)
         rate = rng.uniform(0.0, 8.0)
         eps = rng.uniform(1e-6, 1e-3)
-        more_energy = node_lifetime(energy + rng.uniform(0, 10),
-                                    {1: rate}, {1: eps}, params)
-        base = node_lifetime(energy, {1: rate}, {1: eps}, params)
+        more_energy = lifetime_from_spend(energy + rng.uniform(0, 10),
+                                          eps * rate, params)
+        base = lifetime_from_spend(energy, eps * rate, params)
         assert more_energy >= base
         if energy > params.config_phase_energy_j:
-            loaded = node_lifetime(energy, {1: rate + rng.uniform(0, 4)},
-                                   {1: eps}, params)
+            loaded = lifetime_from_spend(energy,
+                                         eps * (rate + rng.uniform(0, 4)), params)
             assert loaded <= base
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (INFINITE_LIFETIME, LifetimeParams, max_epoch_duration,
-                    node_lifetime, trigger_check)
+from fwdsim import (INFINITE_LIFETIME, LifetimeParams, lifetime_from_spend,
+                    max_epoch_duration, trigger_check)
 
 from oracles import brute_force_epoch_bound, random_epoch_instance
 
@@ -14,27 +14,25 @@ PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
 
 
 class TestNodeLifetime:
+    """One node with one active link: its spend is eps * rate."""
+
     def test_empty_node_has_no_lifetime(self):
-        assert node_lifetime(0.0, {1: 2.0}, {1: 0.1}, PARAMS) == 0.0
+        assert lifetime_from_spend(0.0, 0.1 * 2.0, PARAMS) == 0.0
 
     def test_configuration_phase_only_survives_one_cycle(self):
         energy = PARAMS.config_phase_energy_j / 2
-        assert node_lifetime(energy, {1: 2.0}, {1: 0.1}, PARAMS) == 1.0
+        assert lifetime_from_spend(energy, 0.1 * 2.0, PARAMS) == 1.0
 
     def test_energy_over_spend(self):
         # 10 J, one link at 0.1 J/piece carrying 2 pieces/cycle -> 50 cycles
-        assert node_lifetime(10.0, {1: 2.0}, {1: 0.1}, PARAMS) == 50.0
+        assert lifetime_from_spend(10.0, 0.1 * 2.0, PARAMS) == 50.0
 
     def test_boundary_exactly_at_config_energy_is_one_cycle(self):
         energy = PARAMS.config_phase_energy_j
-        assert node_lifetime(energy, {1: 2.0}, {1: 0.1}, PARAMS) == 1.0
+        assert lifetime_from_spend(energy, 0.1 * 2.0, PARAMS) == 1.0
 
     def test_idle_node_gets_infinite_sentinel(self):
-        assert node_lifetime(10.0, {1: 0.0}, {1: 0.1}, PARAMS) == INFINITE_LIFETIME
-
-    def test_mismatched_link_sets_rejected(self):
-        with pytest.raises(ValueError):
-            node_lifetime(1.0, {1: 2.0}, {2: 0.1}, PARAMS)
+        assert lifetime_from_spend(10.0, 0.1 * 0.0, PARAMS) == INFINITE_LIFETIME
 
     @settings(max_examples=200, deadline=None)
     @given(energy=st.floats(0.01, 100.0),
@@ -42,8 +40,8 @@ class TestNodeLifetime:
            rate=st.floats(0.0, 8.0),
            eps=st.floats(1e-6, 1e-3))
     def test_monotone_in_energy(self, energy, bump, rate, eps):
-        low = node_lifetime(energy, {1: rate}, {1: eps}, PARAMS)
-        high = node_lifetime(energy + bump, {1: rate}, {1: eps}, PARAMS)
+        low = lifetime_from_spend(energy, eps * rate, PARAMS)
+        high = lifetime_from_spend(energy + bump, eps * rate, PARAMS)
         assert high >= low
 
     @settings(max_examples=200, deadline=None)
@@ -53,8 +51,8 @@ class TestNodeLifetime:
            eps=st.floats(1e-6, 1e-3))
     def test_rates_never_extend_lifetime(self, energy, rate, bump, eps):
         assume(energy > PARAMS.config_phase_energy_j)
-        base = node_lifetime(energy, {1: rate}, {1: eps}, PARAMS)
-        loaded = node_lifetime(energy, {1: rate + bump}, {1: eps}, PARAMS)
+        base = lifetime_from_spend(energy, eps * rate, PARAMS)
+        loaded = lifetime_from_spend(energy, eps * (rate + bump), PARAMS)
         assert loaded <= base
 
 

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
-                    NodeState, PathRow, PathTable, PathBrokenError, Simulation,
-                    TopologyError, build_grid_topology, export_topology,
-                    install_path, path_latency, round_trip_latency,
-                    sample_access_latency, validate_paths, walk_chain)
+                    NodeState, PathRow, PathTable, Simulation, TopologyError,
+                    build_grid_topology, install_path, sample_access_latency,
+                    validate_paths, walk_chain)
 from fwdsim.netmodel import PathViolation
 
 from conftest import make_net, quiet_config
@@ -62,9 +61,9 @@ class TestGridConstruction:
     def test_construction_is_deterministic(self):
         a = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=42)
         b = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=42)
-        assert export_topology(a) == export_topology(b)
+        assert a.nodes == b.nodes and a.links == b.links
         c = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=43)
-        assert export_topology(a) != export_topology(c)
+        assert a.nodes != c.nodes and a.links != c.links
 
     @pytest.mark.parametrize("seed", [0, 7, 99])
     def test_link_existence_symmetric_and_range_consistent(self, seed):
@@ -88,32 +87,38 @@ class TestGridConstruction:
 
 
 class TestPathLatency:
+    """Round-trip latency of an installed segment, as a consumer request
+    measures it (``sample_access_latency``)."""
+
     def net3(self):
         return make_net({(0, 1): (50e-6, 10.0), (1, 0): (50e-6, 10.0),
                          (1, 2): (50e-6, 12.0), (2, 1): (50e-6, 12.0),
                          (2, 3): (50e-6, 8.0), (3, 2): (50e-6, 8.0)},
                         {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
 
+    def round_trip(self, net, segment):
+        piece = DataPiece(id=0, source=segment[0], consumer=segment[-1],
+                          rate=1, proxy=segment[0])
+        table = PathTable()
+        install_path(net, table, piece, segment)
+        latency, miss = sample_access_latency(piece, table, net)
+        assert miss is None
+        return latency
+
     def test_single_hop(self):
-        assert path_latency(0, [0, 1], self.net3()) == 10.0
+        assert self.round_trip(self.net3(), [0, 1]) == 20.0
 
     def test_three_hop_sum(self):
-        assert path_latency(0, [0, 1, 2, 3], self.net3()) == 30.0
+        assert self.round_trip(self.net3(), [0, 1, 2, 3]) == 60.0
 
     def test_round_trip_symmetric_two_hops(self):
         net = make_net([(0, 1), (1, 2)], {0: 1.0, 1: 1.0, 2: 1.0}, latency=10.0)
-        assert round_trip_latency(0, [0, 1, 2], net) == 40.0
-
-    def test_broken_chain_raises_naming_gap(self):
-        with pytest.raises(PathBrokenError) as err:
-            path_latency(5, [0, 2], self.net3())
-        assert err.value.piece_id == 5
-        assert err.value.at_node == 0
+        assert self.round_trip(net, [0, 1, 2]) == 40.0
 
     def test_latency_is_additive_over_concatenation(self):
-        net = self.net3()
-        whole = path_latency(None, [0, 1, 2, 3], net)
-        assert whole == path_latency(None, [0, 1], net) + path_latency(None, [1, 2, 3], net)
+        whole = self.round_trip(self.net3(), [0, 1, 2, 3])
+        assert whole == (self.round_trip(self.net3(), [0, 1])
+                         + self.round_trip(self.net3(), [1, 2, 3]))
 
 
 def line_fixture():
@@ -187,15 +192,6 @@ class TestValidatePaths:
         net, table, piece = line_fixture()
         table.drop_row(0, 2)
         assert walk_chain(table, 0, 0) == [0, 1, 2]
-
-
-class TestExport:
-    def test_topology_snapshot_lists_nodes_and_links(self):
-        net = build_grid_topology(1, 2, 2.5, 3.0, {0}, seed=3)
-        text = export_topology(net)
-        assert text.splitlines()[0] == "nodes"
-        assert "links" in text
-        assert any(line.startswith("0 1 eps=") for line in text.splitlines())
 
 
 @settings(max_examples=50, deadline=None)

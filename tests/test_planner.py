@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from fwdsim import planner
 from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
-                    StatusReport, bottleneck_path, compute_plan, install_path,
-                    path_bottleneck, recompute_central, round_trip_latency,
-                    status_from_network, validate_paths, PathTable)
+                    ScenarioConfig, Simulation, StatusReport, bottleneck_path,
+                    build_grid_topology, compute_plan, install_path,
+                    path_bottleneck, sample_access_latency,
+                    status_from_network, validate_paths, walk_chain, PathTable)
 
-from conftest import make_net
+from conftest import make_net, quiet_config
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
                      random_planner_graph, reference_bottleneck_path,
                      reference_compute_plan)
@@ -260,7 +262,8 @@ class TestComputePlan:
                 piece = pieces[pid]
                 piece.proxy = pp.proxy
                 install_path(net, table, piece, pp.chain)
-                assert round_trip_latency(pid, pp.consumer_segment, net) <= 100.0
+                latency, miss = sample_access_latency(piece, table, net)
+                assert miss is None and latency <= 100.0
             planned = [p for p in pieces if p.id in plan.pieces]
             assert validate_paths(net, table, planned).ok()
 
@@ -333,39 +336,110 @@ class TestBranchAndBound:
 
 
 class TestRecompute:
-    def make_net_with_pieces(self):
+    """The controller round (``Simulation._controller_round``): the status
+    upload and plan download that feed the planner at start-up and at every
+    PDD-CR replan."""
+
+    def make_sim(self, **overrides):
         net = make_net([(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4)],
                        {0: 5.0, 1: 50.0, 2: 5.0, 3: 5.0, 4: 50.0},
                        proxies={1, 4})
         pieces = [DataPiece(id=0, source=0, consumer=3, rate=2)]
-        return net, pieces
+        cfg = quiet_config(strategy="PDD-CR", **overrides)
+        return Simulation(cfg, net=net, table=PathTable(), pieces=pieces)
+
+    def chain_nodes(self, sim):
+        """Every node holding a pointer row of some piece."""
+        return {u for p in sim.pieces for u in sim.table.rows_for_piece(p.id)}
 
     def test_charges_every_alive_node_one_exchange(self):
-        net, pieces = self.make_net_with_pieces()
-        cost = net.link_params.controller_energy_j
-        before = {u: net.nodes[u].energy_j for u in net.nodes}
-        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
-        assert charged == pytest.approx(len(net.nodes) * cost)
-        for u in net.nodes:
-            assert net.nodes[u].energy_j == pytest.approx(before[u] - cost)
-        assert 0 in plan.pieces
+        sim = self.make_sim()
+        cost = sim.net.link_params.controller_energy_j
+        before = {u: sim.net.nodes[u].energy_j for u in sim.net.nodes}
+        sim._controller_round()
+        assert sim._cfg_energy == pytest.approx(len(sim.net.nodes) * cost)
+        for u in sim.net.nodes:
+            assert sim.net.nodes[u].energy_j == pytest.approx(before[u] - cost)
+        assert not sim.piece_status[0].broken and sim.pieces[0].proxy in (1, 4)
+        assert validate_paths(sim.net, sim.table, sim.pieces).ok()
 
     def test_dead_nodes_neither_pay_nor_appear_in_paths(self):
-        net, pieces = self.make_net_with_pieces()
-        net.nodes[2].alive = False
-        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
-        assert charged == pytest.approx(4 * net.link_params.controller_energy_j)
-        chain = plan.pieces[0].chain
-        assert 2 not in chain
-        table = PathTable()
-        pieces[0].proxy = plan.pieces[0].proxy
-        install_path(net, table, pieces[0], chain)
-        assert validate_paths(net, table, pieces).ok()
+        sim = self.make_sim()
+        sim.net.nodes[2].alive = False
+        before = sim.net.nodes[2].energy_j
+        sim._controller_round()
+        assert sim._cfg_energy == pytest.approx(
+            4 * sim.net.link_params.controller_energy_j)
+        assert sim.net.nodes[2].energy_j == before
+        assert 2 not in self.chain_nodes(sim)
+        assert not sim.piece_status[0].broken
+        assert validate_paths(sim.net, sim.table, sim.pieces).ok()
 
     def test_everyone_dead_is_a_noop(self):
-        net, pieces = self.make_net_with_pieces()
-        for node in net.nodes.values():
+        """Nothing is charged and no chain is installed: every piece is
+        unplanned."""
+        sim = self.make_sim()
+        for node in sim.net.nodes.values():
             node.alive = False
-        plan, charged = recompute_central(net, pieces, 100.0, PARAMS)
-        assert charged == 0.0
-        assert plan.pieces == {} and plan.infeasible == {}
+        sim._controller_round()
+        assert sim._cfg_energy == 0.0
+        assert all(n.spent_j == 0.0 for n in sim.net.nodes.values())
+        assert sim.table.rows_for_piece(0) == {}
+        assert sim.pieces[0].proxy is None
+        assert sim.piece_status[0].broken and sim.piece_status[0].cause == "unplanned"
+
+    def test_node_emptied_at_start_up_dies_off_every_chain(self):
+        cfg = ScenarioConfig(seed=1, strategy="PDD", horizon=10)
+        net = build_grid_topology(cfg.rows, cfg.cols, cfg.spacing_m, cfg.range_m,
+                                  set(cfg.proxies), cfg.link_params(), cfg.seed)
+        cost = sorted(n.initial_energy_j for n in net.nodes.values())[3]
+        sim = Simulation(replace(cfg, controller_energy_j=cost))
+        emptied = {u for u, n in net.nodes.items() if n.initial_energy_j <= cost}
+        assert len(emptied) >= 4
+        assert sim.metrics.death_times == {u: 0 for u in sorted(emptied)}
+        assert not emptied & self.chain_nodes(sim)
+        assert any(not st.broken for st in sim.piece_status.values())
+
+    def test_node_emptied_at_a_replan_dies_that_cycle_off_every_chain(self):
+        # Relay 2 carries the piece and can pay for the data but not for the
+        # exchange; killing the proxy 1 at cycle 1 forces a replan at cycle 2.
+        sim = self.make_sim(forced_deaths=((1, 1),))
+        sim.net.nodes[2].initial_energy_j = 3e-3
+        install_path(sim.net, sim.table, sim.pieces[0], [0, 1, 2, 3])
+        sim.pieces[0].proxy = 1
+        sim.run(4)
+        assert sim.metrics.death_times == {1: 1, 2: 2}
+        # Relay 2's death prompts one more replan, at cycle 3.
+        assert sim.metrics.reconfigurations == [0, 0, 1, 2]
+        assert walk_chain(sim.table, 0, 0) == [0, 4, 3]
+        assert not sim.piece_status[0].broken
+        assert sim.metrics.delivered == [2, 2, 2, 4]   # restored at cycle 3
+
+    def test_traced_rounds_match_charges_and_survivors(self):
+        """One ``StatusMsg`` per charged node and one ``PlanMsg`` per
+        survivor at every round's cycle, and 1 + reconfigurations rounds."""
+        cfg = ScenarioConfig(seed=1, strategy="PDD-CR", horizon=3100,
+                             forced_deaths=((3000, 2), (3000, 15)),
+                             trace=True, audit_energy=True)
+        sim = Simulation(cfg)
+        seen, logged, rounds = 0, {}, 0
+        while True:
+            rows = [line.split(",") for line in sim.trace_lines[seen:]]
+            seen = len(sim.trace_lines)
+            charged = []
+            for u, log in sorted(sim.energy_log.items()):
+                charged += [u for _, kind, _ in log[logged.get(u, 0):] if kind == "cfg"]
+                logged[u] = len(log)
+            if rows:
+                rounds += 1
+                assert {row[0] for row in rows} == {str(sim.cycle - (sim.cycle > 0))}
+                assert [int(r[2]) for r in rows if r[1] == "StatusMsg"] == charged
+                assert [int(r[3]) for r in rows if r[1] == "PlanMsg"] == [
+                    u for u in sorted(sim.net.nodes) if sim.net.nodes[u].alive]
+            else:
+                assert charged == []
+            if sim.cycle == cfg.horizon:
+                break
+            sim.run(1)
+        assert rounds == 1 + sim.metrics.reconfigurations[-1]
+        assert rounds >= 3
