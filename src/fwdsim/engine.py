@@ -387,6 +387,8 @@ class Simulation:
         self._epochs: list[int] = []
         self._cr_trigger = False
         self._cr_deaths_pending = False
+        # The last plan's topology, for the next controller round to reuse.
+        self._topology: planner.Topology | None = None
 
         if not prebuilt:
             self._controller_round()
@@ -400,8 +402,10 @@ class Simulation:
         every alive node with energy left pays one exchange
         (``controller_energy_j``) for its status upload, every alive node now
         empty dies, and the plan computed over the survivors is installed.
-        The trace shows each upload and each plan download, with -1 standing
-        for the controller."""
+        The planner gets the previous round's topology back and reuses it
+        when the reported nodes and link latencies are the same. The trace
+        shows each upload and each plan download, with -1 standing for the
+        controller."""
         cost = self.net.link_params.controller_energy_j
         for u in self._node_ids:
             node = self.net.nodes[u]
@@ -415,7 +419,9 @@ class Simulation:
                 self.mark_dead(u)
         reports = planner.status_from_network(self.net)
         plan = planner.compute_plan(reports, self.pieces, self.net.proxies,
-                                    self.cfg.latency_budget_ms, self.params)
+                                    self.cfg.latency_budget_ms, self.params,
+                                    self._topology)
+        self._topology = plan.topology
         self._install_plan(plan)
         if self.cfg.trace:
             for u in self._node_ids:

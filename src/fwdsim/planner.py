@@ -8,10 +8,21 @@ latency budget on the consumer side. Planning is greedy in descending rate
 order and fully deterministic under the documented tie-breaking.
 
 Segments come from a Pareto label search (Martins 1984) over the view's
-adjacency index, built once per view. Each search memoizes edge lifetimes for
-its own duration only, because the view's spend changes between searches;
-the least round-trip latencies to a consumer and the hop counts from and to
-a node depend on the topology alone and are kept on the view.
+adjacency index, built once per view. Three kinds of work are reused, each
+exact by construction, so no plan depends on the reuse:
+
+* Edge lifetimes. A view's spend changes only at ``PlannerView.commit``,
+  between two pieces, so ``compute_plan`` keeps one lifetime table per piece,
+  shared by both widest-path runs, every label search and every candidate's
+  bottleneck. A search called without a table fills its own.
+* Incumbents. A label search may start from a floor, the (bottleneck, hops)
+  a segment must reach for its candidate to tie the best one found so far;
+  the labels the floor drops could only have led to candidates that lose.
+* Topology. Round-trip distances to a consumer, BFS hop counts and the
+  hop-only searches without exclusions read only the node set and the link
+  latencies. They live on a ``Topology``, which ``compute_plan`` hands back
+  with its plan; the next plan reuses it when its reports have the same
+  node set and latencies, and builds a new one otherwise.
 
 Proxies are searched branch-and-bound. Per piece, one widest-path (max-min,
 Pollack 1960) Dijkstra from the source and one toward the consumer bound
@@ -60,6 +71,8 @@ class PiecePlan:
 class Plan:
     pieces: dict[int, PiecePlan] = field(default_factory=dict)
     infeasible: dict[int, str] = field(default_factory=dict)
+    # The topology the plan was made on, for the next plan to reuse.
+    topology: Topology | None = field(default=None, repr=False, compare=False)
 
     def to_text(self) -> str:
         out = []
@@ -73,57 +86,37 @@ class Plan:
         return "\n".join(out) + "\n"
 
 
-# One adjacency index entry: (v, one-way latency, round-trip latency, eps_j).
-# The round-trip latency is infinite when (v, u) is missing.
+# One latency index entry: (v, one-way latency, round-trip latency). The
+# round-trip latency is infinite when (v, u) is missing.
+LatencyEdge = tuple[NodeId, float, float]
+# One adjacency index entry: a latency index entry plus eps_j.
 OutEdge = tuple[NodeId, float, float, float]
 
 
-@dataclass
-class PlannerView:
-    """Controller-side picture of the alive network built from status reports.
+class Topology:
+    """The node set and the link latencies of a view, and what is computed
+    from them alone: the latency index (each node's out-edges sorted by
+    neighbor id), least round-trip latencies to a node, BFS hop counts and
+    hop-only label searches without exclusions. Energies, costs and spend
+    are no part of it, so one Topology serves every view with the same node
+    set and latencies."""
 
-    ``out_edges`` is the adjacency index: each node's out-edges sorted by
-    neighbor id, built once at construction. Energies and edges stay fixed
-    for the view's life; only ``spend`` changes, so nothing derived from it
-    is stored here. Round-trip distances (``round_trip_to_go``) and hop
-    counts (``hop_counts``) depend on the topology only, so they are cached
-    here.
-    """
-
-    energy: dict[NodeId, float]
-    edges: dict[tuple[NodeId, NodeId], tuple[float, float]]  # (eps_j, latency_ms)
-    spend: dict[NodeId, float]                               # accumulated J/cycle
-    params: LifetimeParams
-    out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
-        init=False, repr=False, compare=False)
-    _to_go: dict[tuple[NodeId, float], dict[NodeId, float]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        out: dict[NodeId, list[OutEdge]] = {u: [] for u in self.energy}
-        for (u, v), (eps, lat) in self.edges.items():
-            back = self.edges.get((v, u))
-            round_trip = INFINITY if back is None else lat + back[1]
-            out.setdefault(u, []).append((v, lat, round_trip, eps))
+    def __init__(self, nodes, latencies: dict[tuple[NodeId, NodeId], float]):
+        self.nodes = frozenset(nodes)
+        self.latencies = latencies
+        out: dict[NodeId, list[LatencyEdge]] = {u: [] for u in nodes}
+        for (u, v), lat in latencies.items():
+            back = latencies.get((v, u))
+            round_trip = INFINITY if back is None else lat + back
+            out.setdefault(u, []).append((v, lat, round_trip))
         self.out_edges = {u: tuple(sorted(es)) for u, es in out.items()}
+        self._to_go: dict[tuple[NodeId, float], dict[NodeId, float]] = {}
+        self._hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = {}
+        self._hop_paths: dict[tuple, tuple[NodeId, ...] | None] = {}
 
-    @classmethod
-    def from_status(cls, reports: list[StatusReport],
-                    params: LifetimeParams) -> "PlannerView":
-        ordered = sorted(reports, key=lambda r: r.node)
-        energy = {rep.node: rep.energy_j for rep in ordered}
-        edges = {}
-        for rep in ordered:
-            for v, (eps, lat) in sorted(rep.links.items()):
-                if v in energy:                      # both endpoints reported alive
-                    edges[(rep.node, v)] = (eps, lat)
-        return cls(energy=energy, edges=edges,
-                   spend={u: 0.0 for u in energy}, params=params)
-
-    def out_neighbors(self, u: NodeId) -> list[NodeId]:
-        return [edge[0] for edge in self.out_edges.get(u, ())]
+    def fits(self, nodes, latencies: dict[tuple[NodeId, NodeId], float]) -> bool:
+        """Whether a view with these nodes and latencies may reuse this."""
+        return self.nodes == frozenset(nodes) and self.latencies == latencies
 
     def round_trip_to_go(self, dst: NodeId, limit: float) -> dict[NodeId, float]:
         """Least round-trip latency from each node to dst, for the nodes
@@ -145,6 +138,67 @@ class PlannerView:
             hops = self._hops[key] = _hop_counts(self.out_edges, root, round_trip)
         return hops
 
+    def hop_path(self, view: PlannerView, src: NodeId, dst: NodeId,
+                 latency_budget_ms: float | None,
+                 round_trip: bool = False) -> list[NodeId] | None:
+        """``bottleneck_path(..., hop_only=True)`` without exclusions, on a
+        view of this topology; searched once per (src, dst, budget,
+        round_trip)."""
+        key = (src, dst, latency_budget_ms, round_trip)
+        if key not in self._hop_paths:
+            path = bottleneck_path(view, src, dst, latency_budget_ms, 0,
+                                   round_trip=round_trip, hop_only=True)
+            self._hop_paths[key] = None if path is None else tuple(path)
+        path = self._hop_paths[key]
+        return None if path is None else list(path)
+
+
+@dataclass
+class PlannerView:
+    """Controller-side picture of the alive network built from status reports.
+
+    ``out_edges`` is the adjacency index: each node's out-edges sorted by
+    neighbor id, built once at construction from the topology's latency
+    index. Energies and edges stay fixed for the view's life; only ``spend``
+    changes, so nothing derived from it is stored here. ``topology`` holds
+    what depends on the node set and latencies only; a given one is reused
+    when it fits the view, and a new one is built otherwise.
+    """
+
+    energy: dict[NodeId, float]
+    edges: dict[tuple[NodeId, NodeId], tuple[float, float]]  # (eps_j, latency_ms)
+    spend: dict[NodeId, float]                               # accumulated J/cycle
+    params: LifetimeParams
+    topology: Topology | None = field(default=None, repr=False, compare=False)
+    out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        latencies = {key: lat for key, (_, lat) in self.edges.items()}
+        if self.topology is None or not self.topology.fits(self.energy, latencies):
+            self.topology = Topology(self.energy, latencies)
+        edges = self.edges
+        self.out_edges = {
+            u: tuple((v, lat, rt, edges[(u, v)][0]) for v, lat, rt in es)
+            for u, es in self.topology.out_edges.items()}
+
+    @classmethod
+    def from_status(cls, reports: list[StatusReport], params: LifetimeParams,
+                    topology: Topology | None = None) -> "PlannerView":
+        ordered = sorted(reports, key=lambda r: r.node)
+        energy = {rep.node: rep.energy_j for rep in ordered}
+        edges = {}
+        for rep in ordered:
+            for v, (eps, lat) in sorted(rep.links.items()):
+                if v in energy:                      # both endpoints reported alive
+                    edges[(rep.node, v)] = (eps, lat)
+        return cls(energy=energy, edges=edges,
+                   spend={u: 0.0 for u in energy}, params=params,
+                   topology=topology)
+
+    def out_neighbors(self, u: NodeId) -> list[NodeId]:
+        return [edge[0] for edge in self.out_edges.get(u, ())]
+
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
         eps, _ = self.edges[(u, v)]
@@ -155,6 +209,12 @@ class PlannerView:
         for u, v in zip(chain, chain[1:]):
             eps, _ = self.edges[(u, v)]
             self.spend[u] += eps * rate
+
+
+# (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate, filled on
+# first use. Valid until the view's spend next changes: ``compute_plan`` keeps
+# one per piece, since it only commits between pieces.
+Lifetimes = dict[tuple[NodeId, NodeId], float]
 
 
 def status_from_network(net: NetworkState) -> list[StatusReport]:
@@ -179,6 +239,8 @@ def bottleneck_path(
     round_trip: bool = False,
     excluded: frozenset[NodeId] | set[NodeId] = frozenset(),
     hop_only: bool = False,
+    floor: tuple[float, int] | None = None,
+    lifetimes: Lifetimes | None = None,
 ) -> list[NodeId] | None:
     """Path from src to dst maximizing the minimum projected lifetime of its
     transmitting nodes, among paths whose total latency fits the budget.
@@ -192,13 +254,16 @@ def bottleneck_path(
     budget (used to generate low-blocking candidate segments).
 
     Expansion reads ``view.out_edges``, taking the one-way or the round-trip
-    latency by position. Each edge's lifetime is computed at most once per
-    call and never cached on the view, whose spend may change between calls.
-    Two bounds drop labels that cannot win: a label whose best possible
-    terminal already loses to a terminal label pushed so far, and, under a
-    round-trip budget, a label that cannot reach dst within the budget. The
-    labels such a label would dominate cannot win either, so dropping it
-    changes no result, tied paths included.
+    latency by position. Edge lifetimes come from ``lifetimes``, a table for
+    this rate under the view's current spend; without one the search fills
+    a table of its own. Two bounds drop labels that cannot win: a label
+    whose best possible terminal already loses to the incumbent, and, under
+    a round-trip budget, a label that cannot reach dst within the budget.
+    The labels such a label would dominate cannot win either, so dropping it
+    changes no result, tied paths included. The incumbent is the best
+    terminal label pushed so far, or from the start ``floor`` when given, a
+    (bottleneck, hops) pair: then the result is the unfloored one if that
+    is not strictly worse than the floor, and None otherwise.
     """
     if src == dst:
         raise PlanningError("source and target must differ")
@@ -210,18 +275,19 @@ def bottleneck_path(
     weight = 2 if round_trip else 1              # latency position in an OutEdge
     out_edges, energy, spend, params = (view.out_edges, view.energy,
                                         view.spend, view.params)
-    lifetimes: dict[tuple[NodeId, NodeId], float] = {}
+    if lifetimes is None:
+        lifetimes = {}
 
     labels: dict[NodeId, list[tuple[float, float, int]]] = {src: [(0.0, INFINITY, 0)]}
     best_terminal: tuple[float, int, tuple[NodeId, ...]] | None = None  # (-bot, hops, path)
     heap: list[tuple[float, float, int, tuple[NodeId, ...]]] = [(-INFINITY, 0.0, 0, (src,))]
-    # (bottleneck, hops) of the best terminal label pushed so far; the final
-    # answer is at least this good.
-    inc_bot, inc_hops = -INFINITY, 0
+    # (bottleneck, hops) of the best terminal label pushed so far, or the
+    # floor; the final answer is at least this good.
+    inc_bot, inc_hops = (-INFINITY, 0) if floor is None else floor
     # Least round-trip latency from each node on to dst. The slack keeps
     # float rounding from pruning a path that fits the budget exactly.
     limit = budget * (1.0 + 1e-9)
-    to_go = (view.round_trip_to_go(dst, limit)
+    to_go = (view.topology.round_trip_to_go(dst, limit)
              if round_trip and budget < INFINITY else None)
 
     while heap:
@@ -282,7 +348,7 @@ def bottleneck_path(
     return list(best_terminal[2])
 
 
-def _round_trip_to_go(out_edges: dict[NodeId, tuple[OutEdge, ...]],
+def _round_trip_to_go(out_edges: dict[NodeId, tuple[LatencyEdge, ...]],
                       dst: NodeId, limit: float) -> dict[NodeId, float]:
     """Least round-trip latency from each node to dst, for the nodes within
     ``limit`` of it (Dijkstra). Round-trip weights are symmetric, so searching
@@ -301,7 +367,7 @@ def _round_trip_to_go(out_edges: dict[NodeId, tuple[OutEdge, ...]],
     return dist
 
 
-def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
+def _hop_counts(out_edges: dict[NodeId, tuple[LatencyEdge, ...]], root: NodeId,
                 round_trip: bool) -> dict[NodeId, int]:
     hops = {root: 0}
     frontier = [root]
@@ -310,7 +376,7 @@ def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
         depth += 1
         reached = []
         for x in frontier:
-            for v, _, rt, _ in out_edges[x]:
+            for v, _, rt in out_edges[x]:
                 if v not in hops and (rt < INFINITY or not round_trip):
                     hops[v] = depth
                     reached.append(v)
@@ -318,13 +384,14 @@ def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
     return hops
 
 
-def _widest(view: PlannerView, root: NodeId, rate: float,
+def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
             targets: list[NodeId], toward: bool) -> dict[NodeId, float]:
     """Widest-path (max-min) lifetime from root to each target, or with
     ``toward`` from each target to root over edges that have a reverse edge
     (Dijkstra, stopped once every target is settled; targets left out are
-    unreachable). Edge weights are ``PlannerView.edge_lifetime``'s float
-    expression, so they compare exactly with the bottlenecks of candidates."""
+    unreachable). Edge weights are read from and filled into the piece's
+    lifetime table, the one its label searches read, so they compare exactly
+    with the bottlenecks of candidates."""
     energy, spend, params, edges = view.energy, view.spend, view.params, view.edges
     width = {root: INFINITY}
     heap = [(-INFINITY, root)]
@@ -337,13 +404,16 @@ def _widest(view: PlannerView, root: NodeId, rate: float,
         left.discard(x)
         for v, _, rt, eps in view.out_edges[x]:
             if not toward:
-                life = lifetime_from_spend(energy[x], spend[x] + eps * rate, params)
+                u, edge = x, (x, v)
             elif rt < INFINITY:                  # v transmits over (v, x)
-                life = lifetime_from_spend(energy[v],
-                                           spend[v] + edges[(v, x)][0] * rate,
-                                           params)
+                u, edge = v, (v, x)
+                eps = edges[edge][0]
             else:
                 continue
+            life = lifetimes.get(edge)
+            if life is None:
+                life = lifetimes[edge] = lifetime_from_spend(
+                    energy[u], spend[u] + eps * rate, params)
             nw = life if life < w else w
             if nw > width.get(v, -INFINITY):
                 width[v] = nw
@@ -351,9 +421,20 @@ def _widest(view: PlannerView, root: NodeId, rate: float,
     return width
 
 
-def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float) -> float:
-    """Minimum projected lifetime over a chain's transmitting nodes."""
-    return min(view.edge_lifetime(u, v, rate) for u, v in zip(chain, chain[1:]))
+def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float,
+                    lifetimes: Lifetimes | None = None) -> float:
+    """Minimum projected lifetime over a chain's transmitting nodes, read
+    from and filled into ``lifetimes`` when given."""
+    if lifetimes is None:
+        lifetimes = {}
+    bot = INFINITY
+    for edge in zip(chain, chain[1:]):
+        life = lifetimes.get(edge)
+        if life is None:
+            life = lifetimes[edge] = view.edge_lifetime(*edge, rate)
+        if life < bot:
+            bot = life
+    return bot
 
 
 def compute_plan(
@@ -362,6 +443,7 @@ def compute_plan(
     proxies: set[NodeId],
     latency_budget_ms: float,
     params: LifetimeParams,
+    topology: Topology | None = None,
 ) -> Plan:
     """Assign every piece a proxy and both path segments.
 
@@ -383,11 +465,16 @@ def compute_plan(
     until a later plan covers them. The budget must be positive and finite:
     an infinite one would let the consumer segment take one-way links (their
     round-trip latency is infinite), which the bound does not cover.
+
+    ``topology`` is the previous plan's ``Plan.topology``; it is reused when
+    the reports have its node set and latencies. The plan carries the
+    topology it was made on.
     """
     if not 0 < latency_budget_ms < INFINITY:
         raise PlanningError("latency budget must be positive and finite")
-    view = PlannerView.from_status(reports, params)
-    plan = Plan()
+    view = PlannerView.from_status(reports, params, topology)
+    topology = view.topology
+    plan = Plan(topology=topology)
     alive_proxies = sorted(p for p in proxies if p in view.energy)
     # The same slack and cache key as the consumer searches' own pruning.
     limit = latency_budget_ms * (1.0 + 1e-9)
@@ -399,29 +486,25 @@ def compute_plan(
         if piece.consumer not in view.energy:
             plan.infeasible[piece.id] = "consumer not alive"
             continue
-        hops_s = view.hop_counts(piece.source)
-        hops_c = view.hop_counts(piece.consumer, round_trip=True)
-        to_go = view.round_trip_to_go(piece.consumer, limit)
+        hops_s = topology.hop_counts(piece.source)
+        hops_c = topology.hop_counts(piece.consumer, round_trip=True)
+        to_go = topology.round_trip_to_go(piece.consumer, limit)
         reachable = [p for p in alive_proxies
                      if p in hops_s and p in to_go
                      and p not in (piece.source, piece.consumer)]
-        width_s = _widest(view, piece.source, piece.rate, reachable, toward=False)
-        width_c = _widest(view, piece.consumer, piece.rate, reachable, toward=True)
+        lifetimes: Lifetimes = {}
+        width_s = _widest(view, piece.source, piece.rate, lifetimes, reachable,
+                          toward=False)
+        width_c = _widest(view, piece.consumer, piece.rate, lifetimes, reachable,
+                          toward=True)
         bounds = sorted((-min(width_s[p], width_c[p]), hops_s[p] + hops_c[p], p)
                         for p in reachable)
         best = None   # ((-bottleneck, hops, chain, proxy), proxy, s_seg, c_seg)
         for neg_width, min_hops, proxy in bounds:
-            incumbent = None if best is None else best[0][:2]
-            if incumbent is not None and (neg_width, min_hops) > incumbent:
+            if best is not None and (neg_width, min_hops) > best[0][:2]:
                 break       # so is every later proxy's bound
-            for candidate in _candidate_segments(view, piece, proxy,
-                                                 latency_budget_ms, incumbent):
-                s_seg, c_seg = candidate
-                chain = s_seg + c_seg[1:]
-                bot = path_bottleneck(view, chain, piece.rate)
-                key = (-bot, len(chain) - 1, tuple(chain), proxy)
-                if best is None or key < best[0]:
-                    best = (key, proxy, s_seg, c_seg)
+            best = _best_candidate(view, piece, proxy, latency_budget_ms, best,
+                                   lifetimes, hops_s[proxy], hops_c[proxy])
         if best is None:
             plan.infeasible[piece.id] = "no latency-feasible path"
             continue
@@ -432,48 +515,76 @@ def compute_plan(
     return plan
 
 
-def _candidate_segments(view: PlannerView, piece, proxy: NodeId,
-                        budget_ms: float, incumbent: tuple[float, int] | None):
-    """Candidate (source_segment, consumer_segment) pairs for one proxy.
+def _best_candidate(view: PlannerView, piece, proxy: NodeId, budget_ms: float,
+                    best, lifetimes: Lifetimes, min_hops_s: int, min_hops_c: int):
+    """``best`` or the best of one proxy's candidates, whichever wins.
 
-    Tries each side first with the other fit around it, both in the
+    Candidates are (source_segment, consumer_segment) pairs. Each side is
+    tried first with the other fit around it, both in the
     lifetime-maximizing and the hop-minimizing (low-blocking) variants, so
     one side's choice cannot starve the other of every feasible route.
-    ``incumbent`` is the (-bottleneck, hops) of the best candidate so far; a
-    first segment whose own (-bottleneck, hops) is already worse gets no
-    follow-up search, since the other side only lowers the bottleneck and
-    adds hops."""
-    def loses(seg: list[NodeId]) -> bool:
-        return incumbent is not None and (
-            -path_bottleneck(view, seg, piece.rate), len(seg) - 1) > incumbent
 
-    out = []
-    firsts_c = []
-    for hop_only in (False, True):
-        c_seg = bottleneck_path(view, proxy, piece.consumer, budget_ms,
-                                piece.rate, round_trip=True, hop_only=hop_only)
-        if c_seg is not None and piece.source not in c_seg and c_seg not in firsts_c:
-            firsts_c.append(c_seg)
-    for c_seg in firsts_c:
-        if loses(c_seg):
-            continue
-        s_seg = bottleneck_path(view, piece.source, proxy, None, piece.rate,
-                                excluded=frozenset(c_seg) - {proxy})
-        if s_seg is not None:
-            out.append((s_seg, c_seg))
-    firsts_s = []
-    for hop_only in (False, True):
-        s_seg = bottleneck_path(view, piece.source, proxy, None, piece.rate,
-                                hop_only=hop_only)
-        if s_seg is not None and piece.consumer not in s_seg and s_seg not in firsts_s:
-            firsts_s.append(s_seg)
-    for s_seg in firsts_s:
-        if loses(s_seg):
-            continue
-        c_seg = bottleneck_path(view, proxy, piece.consumer, budget_ms,
-                                piece.rate, round_trip=True,
-                                excluded=frozenset(s_seg) - {proxy})
-        if c_seg is not None:
-            out.append((s_seg, c_seg))
-    return out
+    ``best`` is ``((-bottleneck, hops, chain, proxy), proxy, s_seg, c_seg)``
+    of the best candidate so far, or None, and is updated as candidates are
+    found. A candidate's bottleneck is the lower of its segments' and its
+    hops their sum, so a segment can only be part of a candidate that ties
+    or beats ``best`` if it reaches the floor (bottleneck, hops minus the
+    other side's hops), with the other side's hops known or bounded from
+    below by ``min_hops_s`` or ``min_hops_c`` (BFS). Every lifetime search
+    starts from that floor, and a first segment that misses it gets no
+    follow-up search. What is left out could only give candidates that
+    lose, and the candidate order is total, so the result does not depend
+    on the order in which candidates are found."""
+    rate = piece.rate
 
+    def floor(other_hops: int) -> tuple[float, int] | None:
+        if best is None:
+            return None
+        return -best[0][0], best[0][1] - other_hops
+
+    def misses(seg: list[NodeId], other_hops: int) -> bool:
+        return best is not None and (
+            -path_bottleneck(view, seg, rate, lifetimes), len(seg) - 1 + other_hops
+        ) > best[0][:2]
+
+    def offer(s_seg: list[NodeId] | None, c_seg: list[NodeId] | None) -> None:
+        nonlocal best
+        if s_seg is None or c_seg is None:
+            return
+        chain = s_seg + c_seg[1:]
+        key = (-path_bottleneck(view, chain, rate, lifetimes), len(chain) - 1,
+               tuple(chain), proxy)
+        if best is None or key < best[0]:
+            best = (key, proxy, s_seg, c_seg)
+
+    topology = view.topology
+    tried = []
+    for hop_only in (False, True):
+        c_seg = (topology.hop_path(view, proxy, piece.consumer, budget_ms,
+                                   round_trip=True) if hop_only else
+                 bottleneck_path(view, proxy, piece.consumer, budget_ms, rate,
+                                 round_trip=True, floor=floor(min_hops_s),
+                                 lifetimes=lifetimes))
+        if (c_seg is None or piece.source in c_seg or c_seg in tried
+                or misses(c_seg, min_hops_s)):
+            continue
+        tried.append(c_seg)
+        offer(bottleneck_path(view, piece.source, proxy, None, rate,
+                              excluded=frozenset(c_seg) - {proxy},
+                              floor=floor(len(c_seg) - 1), lifetimes=lifetimes),
+              c_seg)
+    tried = []
+    for hop_only in (False, True):
+        s_seg = (topology.hop_path(view, piece.source, proxy, None) if hop_only else
+                 bottleneck_path(view, piece.source, proxy, None, rate,
+                                 floor=floor(min_hops_c), lifetimes=lifetimes))
+        if (s_seg is None or piece.consumer in s_seg or s_seg in tried
+                or misses(s_seg, min_hops_c)):
+            continue
+        tried.append(s_seg)
+        offer(s_seg, bottleneck_path(view, proxy, piece.consumer, budget_ms, rate,
+                                     round_trip=True,
+                                     excluded=frozenset(s_seg) - {proxy},
+                                     floor=floor(len(s_seg) - 1),
+                                     lifetimes=lifetimes))
+    return best

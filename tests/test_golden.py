@@ -5,8 +5,9 @@ seeds 1-3, full horizon: the SHA-256 of ``csv_text() + summary_text()`` must
 match the value recorded here, and so must the local-repair message trace of
 both scenarios at seed 1. The central planner's ``Plan.to_text()`` is pinned
 the same way on grids from 3x6 to 14x14, both for the initial status reports
-and for a perturbed, replan-like set of reports. A change that moves a digest
-on purpose updates it here and says why in CHANGES.md.
+and for a perturbed, replan-like set of reports, and so is every plan of a
+PDD-CR run's chain of controller rounds. A change that moves a digest on
+purpose updates it here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -14,9 +15,9 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
-from fwdsim import (Simulation, StatusReport, build_grid_topology,
-                    compute_plan, parse_scenario, sample_pieces,
-                    status_from_network)
+from fwdsim import (InterferenceConfig, Simulation, StatusReport,
+                    build_grid_topology, compute_plan, parse_scenario, planner,
+                    sample_pieces, status_from_network)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -185,4 +186,52 @@ def test_plan_texts_match_golden_digests():
                                 cfg.latency_budget_ms, cfg.lifetime_params())
             got[(rows, cols, seed, view)] = sha256(plan.to_text())
     moved = {k: v for k, v in got.items() if GOLDEN_PLANS[k] != v}
+    assert not moved, moved
+
+
+# (scenario, seed) -> SHA-256 of the concatenated Plan.to_text() of every plan
+# a PDD-CR run makes, start-up included: the ``replan`` benchmark layout (8x8,
+# 5% interference, 200 cycles) and ``forced_death`` under 10% interference
+# (its own horizon).
+GOLDEN_REPLANS = {
+    ("replan", 1):
+        "f512e4d981dff2baf0100da080674bb8592c32d48d563c2346861ccfc794e760",
+    ("replan", 2):
+        "989116c9307000537f28c2a949bfad2d6e4d6a961492e2d00ea24f7f6af23dbb",
+    ("replan", 3):
+        "86a18babb74033ea1e7fe78fc73701d925ab940adb90e96c7a39b5ca6d0af3ce",
+    ("forced_death", 1):
+        "9658dff96a40cb7e93bbecf9403db865ca9539ae6a81f9d03f12813999b5b7cf",
+}
+
+
+def replan_config(scenario: str, seed: int):
+    if scenario == "replan":
+        cfg = parse_scenario((SCENARIOS / "default.scenario").read_text())
+        cfg = replace(cfg, rows=8, cols=8, proxies=(18, 21, 42, 45),
+                      interference=InterferenceConfig(0.05, 3.0, 2, 1),
+                      horizon=200)
+    else:
+        cfg = parse_scenario((SCENARIOS / f"{scenario}.scenario").read_text())
+        cfg = replace(cfg, interference=InterferenceConfig(0.1, 3.0, 2, 1))
+    return replace(cfg, strategy="PDD-CR", seed=seed)
+
+
+def test_replan_chains_match_golden_digests(monkeypatch):
+    plan_texts = []
+    plan = planner.compute_plan
+
+    def recording(*args, **kwargs):
+        result = plan(*args, **kwargs)
+        plan_texts.append(result.to_text())
+        return result
+
+    monkeypatch.setattr(planner, "compute_plan", recording)
+    got = {}
+    for scenario, seed in GOLDEN_REPLANS:
+        plan_texts.clear()
+        Simulation(replan_config(scenario, seed)).run()
+        assert len(plan_texts) >= 3
+        got[(scenario, seed)] = sha256("".join(plan_texts))
+    moved = {k: v for k, v in got.items() if GOLDEN_REPLANS[k] != v}
     assert not moved, moved

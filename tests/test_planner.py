@@ -150,7 +150,7 @@ class TestMatchesReferenceSearch:
         for src in (first, second):
             want = reference_bottleneck_path(view, src, dst, **kwargs)
             assert bottleneck_path(view, src, dst, **kwargs) == want
-        assert len(view._to_go) == 1
+        assert len(view.topology._to_go) == 1
 
     def test_direct_construction_builds_the_index(self):
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
@@ -161,6 +161,46 @@ class TestMatchesReferenceSearch:
         assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6),
                                      (3, 4.0, float("inf"), 50e-6))
         assert view.out_edges[3] == ()
+
+
+class TestFloor:
+    """A search started from a floor returns the unfloored path whenever
+    that path is not strictly worse than the floor, and otherwise None or a
+    path strictly worse than the floor; a lifetime table shared with an
+    earlier search changes nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_floor_keeps_every_path_that_reaches_it(self, seed, data):
+        rng = random.Random(seed)
+        view, nodes = random_planner_graph(rng, max_nodes=9,
+                                           latencies=(5.0, 10.0, 20.0))
+        src, dst = data.draw(st.permutations(nodes))[:2]
+        rate = data.draw(st.sampled_from([0, 1, 2, 8]))
+        kwargs = dict(
+            latency_budget_ms=data.draw(st.sampled_from([None, 10.0, 20.0, 40.0, 80.0])),
+            rate=rate,
+            round_trip=data.draw(st.booleans()),
+            excluded=frozenset(data.draw(st.sets(st.sampled_from(nodes), max_size=3))),
+        )
+        want = reference_bottleneck_path(view, src, dst, **kwargs)
+        # Every bottleneck is some edge's lifetime, so floors drawn from
+        # them tie the answer now and then.
+        lives = sorted({view.edge_lifetime(u, v, rate) for u, v in view.edges})
+        floor = (data.draw(st.sampled_from(lives + [0.0, math.inf])),
+                 data.draw(st.integers(-1, len(nodes))))
+        table = {}
+        assert bottleneck_path(view, src, dst, lifetimes=table, **kwargs) == want
+        got = bottleneck_path(view, src, dst, floor=floor, lifetimes=table, **kwargs)
+
+        def key(path):
+            return -path_bottleneck(view, path, rate), len(path) - 1
+
+        target = (-floor[0], floor[1])
+        if want is not None and key(want) <= target:
+            assert got == want
+        else:
+            assert got is None or key(got) > target
 
 
 def five_node_reports(dying=1):
@@ -304,6 +344,30 @@ def tie_heavy_plans(draw):
     return reports, pieces, proxies, budget
 
 
+@st.composite
+def next_round(draw, reports):
+    """The reports of a later controller round: every energy and link cost
+    drawn again, and now and then one node gone or one latency changed."""
+    energy = st.sampled_from([0.0, 1e-3, PARAMS.config_phase_energy_j,
+                              0.05, 0.2, 0.5, 2.0, 8.0])
+    eps = st.sampled_from([25e-6, 50e-6, 150e-6])
+    out = [StatusReport(node=rep.node, energy_j=draw(energy),
+                        links={v: (draw(eps), lat)
+                               for v, (_, lat) in rep.links.items()})
+           for rep in reports]
+    change = draw(st.sampled_from(["none", "drop", "latency"]))
+    if change == "drop" and out:
+        del out[draw(st.integers(0, len(out) - 1))]
+    linked = [i for i, rep in enumerate(out) if rep.links]
+    if change == "latency" and linked:
+        i = draw(st.sampled_from(linked))
+        links = dict(out[i].links)
+        v = draw(st.sampled_from(sorted(links)))
+        links[v] = (links[v][0], links[v][1] + draw(st.sampled_from([-2.5, 5.0])))
+        out[i] = replace(out[i], links=links)
+    return out
+
+
 class TestBranchAndBound:
     """Skipping proxies by their widest-path bound changes no plan, and
     stays switched on."""
@@ -315,6 +379,35 @@ class TestBranchAndBound:
         want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
         got = compute_plan(reports, pieces, proxies, budget, PARAMS)
         assert got.to_text() == want.to_text()
+
+    @pytest.mark.parametrize("case", ["source first", "consumer first"])
+    def test_segment_exactly_at_its_floor_is_kept(self, case):
+        # Source 0, consumer 8 or 9; node 2 or 3 is a weak relay. Each case
+        # has a first candidate and a tied, smaller chain that only one
+        # lifetime search can find, with (bottleneck, hops) exactly on its
+        # floor: the hop-only search returns a path through the weak relay.
+        # "source first": proxy 1 alone; the tie needs the source segment
+        # 0-4-1. "consumer first": proxy 1 gives 0-6-1-7-9, and proxy 2's
+        # tie needs the consumer segment 2-4-9.
+        if case == "source first":
+            pairs = ((0, 2), (0, 4), (0, 6), (1, 2), (1, 4), (1, 6), (4, 8), (6, 8))
+            energies = {0: 0.05, 1: 0.05, 2: 0.02, 4: 0.05, 6: 0.05, 8: 0.02}
+            consumer, proxies, chain = 8, {1, 2}, [0, 4, 1, 6, 8]
+        else:
+            pairs = ((0, 6), (6, 1), (1, 7), (7, 9), (0, 5), (5, 2), (0, 4),
+                     (4, 2), (4, 9), (2, 3), (3, 9))
+            energies = {u: 0.05 for u in range(10) if u != 8}
+            energies[3] = 0.02
+            consumer, proxies, chain = 9, {1, 2}, [0, 5, 2, 4, 9]
+        links = sym({pair: (50e-6, 10.0) for pair in pairs})
+        reports = [StatusReport(node=u, energy_j=e,
+                                links={v: lk for (a, v), lk in links.items() if a == u})
+                   for u, e in energies.items()]
+        piece = DataPiece(id=0, source=0, consumer=consumer, rate=1)
+        plan = compute_plan(reports, [piece], proxies, 40.0, PARAMS)
+        assert plan.pieces[0].chain == chain
+        assert plan.to_text() == reference_compute_plan(
+            reports, [piece], proxies, 40.0, PARAMS).to_text()
 
     def test_replan_grid_skips_proxies(self, monkeypatch):
         # The replan benchmark's 8x8 grid at seed 1, initial plan: 15 pieces,
@@ -333,6 +426,62 @@ class TestBranchAndBound:
         compute_plan(status_from_network(net), pieces, net.proxies,
                      cfg.latency_budget_ms, cfg.lifetime_params())
         assert calls <= 133
+
+    def test_replan_grid_shares_edge_lifetimes(self, monkeypatch):
+        # The same plan as above. One lifetime table per piece, shared by
+        # the widest-path bounds and every label search, makes 5,740
+        # lifetime evaluations; one table per search made 13,940.
+        cfg, net, pieces = plan_instance(8, 8, 1)
+        calls = 0
+        lifetime = planner.lifetime_from_spend
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return lifetime(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "lifetime_from_spend", counting)
+        compute_plan(status_from_network(net), pieces, net.proxies,
+                     cfg.latency_budget_ms, cfg.lifetime_params())
+        assert calls == 5740
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=tie_heavy_plans(), data=st.data())
+    def test_plan_sequence_sharing_a_topology(self, instance, data):
+        # Each plan hands its topology to the next, as controller rounds do.
+        reports, pieces, proxies, budget = instance
+        topology = None
+        for round_ in range(data.draw(st.integers(2, 4))):
+            if round_:
+                reports = data.draw(next_round(reports))
+            want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
+            got = compute_plan(reports, pieces, proxies, budget, PARAMS, topology)
+            assert got.to_text() == want.to_text()
+            topology = got.topology
+
+    def test_topology_reused_only_for_same_nodes_and_latencies(self):
+        cfg, net, pieces = plan_instance(6, 6, 1)
+        reports = status_from_network(net)
+
+        def plan(reps, topology):
+            return compute_plan(reps, pieces, net.proxies,
+                                cfg.latency_budget_ms, cfg.lifetime_params(),
+                                topology)
+
+        topology = plan(reports, None).topology
+        drained = [replace(rep, energy_j=rep.energy_j / 2,
+                           links={v: (eps * 3.0, lat)
+                                  for v, (eps, lat) in rep.links.items()})
+                   for rep in reports]
+        again = plan(drained, topology)
+        assert again.topology is topology
+        assert again.to_text() == plan(drained, None).to_text()
+        assert plan(drained[1:], topology).topology is not topology
+        first = drained[0]
+        v = min(first.links)
+        slower = replace(first, links={**first.links,
+                                       v: (first.links[v][0], first.links[v][1] + 1.0)})
+        assert plan([slower] + drained[1:], topology).topology is not topology
 
 
 class TestRecompute:
