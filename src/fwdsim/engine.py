@@ -38,7 +38,12 @@ still draws the interference event and one request per piece, so both
 random streams are consumed in the same order as by ``_step()``; a hit is
 handed to that cycle's ``_step()`` as its drawn value. Charges are applied
 in the same order and with the same float operations, so outputs are
-bit-identical to stepping every cycle.
+bit-identical to stepping every cycle. A quiet cycle records its metrics
+row by calling the nine series' ``append`` methods directly, bound once
+when the simulation is built, with no method call of its own. Every
+quiet cycle adds the same generated, delivered and lost counts, so piece
+conservation is checked once, before the stretch runs: when each cycle's
+counts balance and the first cycle's totals do, every cycle's totals do.
 
 Three strategies share the same initial centrally computed plan:
 
@@ -108,6 +113,17 @@ class Metrics:
 
     CSV_HEADER = ("cycle,energy_data_J,energy_cfg_J,generated,delivered,"
                   "lost,max_latency_ms,reconfigs,alive_nodes")
+    # The per-cycle series in CSV column order, and one CSV row of them
+    # (``%.10g`` gives the same text as ``format(x, ".10g")``, ``%s`` as
+    # ``{x}``).
+    SERIES = ("cycles", "energy_data_j", "energy_cfg_j", "generated",
+              "delivered", "lost", "max_latency_ms", "reconfigurations",
+              "alive_nodes")
+    CSV_ROW = "%s,%.10g,%.10g,%s,%s,%s,%.10g,%s,%s\n"
+
+    def series(self) -> list[list]:
+        """The per-cycle series, in CSV column order."""
+        return [getattr(self, name) for name in self.SERIES]
 
     def totals(self) -> dict[str, float]:
         last = -1
@@ -121,16 +137,8 @@ class Metrics:
         }
 
     def csv_text(self) -> str:
-        out = [self.CSV_HEADER]
-        for k in range(len(self.cycles)):
-            out.append(
-                f"{self.cycles[k]},{self.energy_data_j[k]:.10g},"
-                f"{self.energy_cfg_j[k]:.10g},{self.generated[k]},"
-                f"{self.delivered[k]},{self.lost[k]},"
-                f"{self.max_latency_ms[k]:.10g},{self.reconfigurations[k]},"
-                f"{self.alive_nodes[k]}"
-            )
-        return "\n".join(out) + "\n"
+        rows = map(self.CSV_ROW.__mod__, zip(*self.series()))
+        return self.CSV_HEADER + "\n" + "".join(rows)
 
     def summary_text(self) -> str:
         t = self.totals()
@@ -226,15 +234,22 @@ class NodeCtx:
     def node_alive(self, x: NodeId) -> bool:
         return self._sim.net.nodes[x].alive
 
+    def load_of(self, node: NodeId) -> float:
+        """Per-cycle spend of ``node``'s current activated load."""
+        return node_spend(self._sim.net, node, self._sim.pieces_by_id)
+
     def projected_lifetime_of(self, node: NodeId, next_node: NodeId,
-                              rate: float) -> float:
-        """Lifetime of ``node`` if it also forwarded ``rate`` pieces per cycle
-        over (node, next_node), on top of its current activated load."""
+                              rate: float, load: float) -> float:
+        """Lifetime of ``node`` at its current energy if it also forwarded
+        ``rate`` pieces per cycle over (node, next_node), on top of its
+        activated ``load`` (``load_of(node)``). Sends change a node's energy
+        but not its load, so a fan-out takes the load once and this per
+        copy."""
         sim = self._sim
         extra_link = sim.net.links.get((node, next_node))
         if extra_link is None:
             return 0.0
-        spend = node_spend(sim.net, node, sim.pieces_by_id) + extra_link.eps_j * rate
+        spend = load + extra_link.eps_j * rate
         return lifetime_from_spend(sim.net.nodes[node].energy_j, spend, sim.params)
 
     # --- pointer rows ---------------------------------------------------------
@@ -353,6 +368,8 @@ class Simulation:
 
         self.params = cfg.lifetime_params()
         self.metrics = Metrics(strategy=cfg.strategy, seed=cfg.seed)
+        # The appends of the per-cycle series, in CSV column order.
+        self._appends = tuple(s.append for s in self.metrics.series())
 
         self._rng_interference = random.Random(f"{cfg.seed}:interference")
         self._rng_requests = random.Random(f"{cfg.seed}:requests")
@@ -495,8 +512,17 @@ class Simulation:
         if self._generated != self._delivered + self._lost + self.metrics.in_transit:
             raise EngineError("piece conservation violated cumulatively")
         if cyc % self._stride == 0 or cyc == self.cfg.horizon - 1:
-            self._append_metrics(cyc, self._data_energy, self._generated,
-                                 self._delivered, self._lost, max_lat)
+            (add_cycle, add_data, add_cfg, add_generated, add_delivered,
+             add_lost, add_latency, add_reconfigs, add_alive) = self._appends
+            add_cycle(cyc)
+            add_data(self._data_energy)
+            add_cfg(self._cfg_energy)
+            add_generated(self._generated)
+            add_delivered(self._delivered)
+            add_lost(self._lost)
+            add_latency(max_lat)
+            add_reconfigs(self._reconfigs)
+            add_alive(self._alive_count)
         self._settle_links()
         self.cycle += 1
 
@@ -533,6 +559,12 @@ class Simulation:
             return
 
         cfg, m = self.cfg, self.metrics
+        generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
+        # Every quiet cycle adds the same counts: when they balance and the
+        # totals balance after the first cycle, they do after every cycle.
+        if (gen != dlv + lost
+                or generated + gen != dlv_total + dlv + lost_total + lost + m.in_transit):
+            raise EngineError("piece conservation violated cumulatively")
         draw_interference = self._rng_interference.random
         p_hit = cfg.interference.prob_per_cycle
         draw_request = self._rng_requests.random
@@ -541,11 +573,14 @@ class Simulation:
         audit = cfg.audit_energy
         stride, last = self._stride, cfg.horizon - 1
         pieces = [self.pieces_by_id[pid] for pid in self._piece_ids]
+        piece_range = range(len(pieces))
         access: list = [None] * len(pieces)   # sample_access_latency, lazily
         table, net, log = self.table, self.net, self.energy_log
-        miss_causes, in_transit = m.miss_causes, m.in_transit
+        miss_causes = m.miss_causes
+        (add_cycle, add_data, add_cfg, add_generated, add_delivered, add_lost,
+         add_latency, add_reconfigs, add_alive) = self._appends
+        cfg_energy, reconfigs, alive = self._cfg_energy, self._reconfigs, self._alive_count
         data = self._data_energy
-        generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
         requests = ok = violations = misses = 0
         max_access = m.max_access_latency_ms
         cyc = start
@@ -565,12 +600,12 @@ class Simulation:
             dlv_total += dlv
             lost_total += lost
             max_lat = 0.0
-            for i, piece in enumerate(pieces):
+            for i in piece_range:
                 if draw_request() < p_req:
                     requests += 1
                     sample = access[i]
                     if sample is None:
-                        sample = access[i] = sample_access_latency(piece, table, net)
+                        sample = access[i] = sample_access_latency(pieces[i], table, net)
                     latency, miss = sample
                     if miss is not None:
                         misses += 1
@@ -582,11 +617,16 @@ class Simulation:
                         violations += 1
                     else:
                         ok += 1
-            if generated != dlv_total + lost_total + in_transit:
-                raise EngineError("piece conservation violated cumulatively")
             if cyc % stride == 0 or cyc == last:
-                self._append_metrics(cyc, data, generated, dlv_total,
-                                     lost_total, max_lat)
+                add_cycle(cyc)
+                add_data(data)
+                add_cfg(cfg_energy)
+                add_generated(generated)
+                add_delivered(dlv_total)
+                add_lost(lost_total)
+                add_latency(max_lat)
+                add_reconfigs(reconfigs)
+                add_alive(alive)
             cyc += 1
 
         ran = cyc - start
@@ -863,19 +903,6 @@ class Simulation:
             node = self.net.nodes[u]
             if node.alive and node.energy_j <= 0.0:
                 self.mark_dead(u)
-
-    def _append_metrics(self, cyc: int, data_energy: float, generated: int,
-                        delivered: int, lost: int, max_lat: float) -> None:
-        m = self.metrics
-        m.cycles.append(cyc)
-        m.energy_data_j.append(data_energy)
-        m.energy_cfg_j.append(self._cfg_energy)
-        m.generated.append(generated)
-        m.delivered.append(delivered)
-        m.lost.append(lost)
-        m.max_latency_ms.append(max_lat)
-        m.reconfigurations.append(self._reconfigs)
-        m.alive_nodes.append(self._alive_count)
 
     # ------------------------------------------------------------- primitives
 

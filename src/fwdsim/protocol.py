@@ -313,7 +313,7 @@ def local_path_config(ctx, piece: int, target: NodeId,
         gate = ctx.link_latency(nb) + ctx.two_hop_latency(nb, target)
         if gate > old_cost:
             continue
-        life = ctx.projected_lifetime_of(nb, target, rate)
+        life = ctx.projected_lifetime_of(nb, target, rate, ctx.load_of(nb))
         cand = (-life, nb)
         if best is None or cand < best:
             best = cand
@@ -352,8 +352,9 @@ def local_aodv_plus(ctx, piece: int, target: NodeId, ttl: int) -> None:
     state.pending_route[piece] = PendingRoute(req_id=req_id, target=target,
                                               deadline=deadline)
     rate = ctx.piece_rate(piece)
+    load = ctx.load_of(ctx.node)
     for nb in ctx.alive_neighbor_ids():
-        life = ctx.projected_lifetime_of(ctx.node, nb, rate)
+        life = ctx.projected_lifetime_of(ctx.node, nb, rate, load)
         ctx.send(nb, RouteRequest(piece=piece, origin=ctx.node, target=target,
                                   req_id=req_id, ttl=ttl, min_lifetime=life,
                                   hops=(ctx.node,), origin_key=row.order_key))
@@ -384,10 +385,11 @@ def _handle_route_request(ctx, msg: RouteRequest) -> None:
         return
     ctx.state.relayed[(msg.origin, msg.req_id)] = ctx.cycle()
     rate = ctx.piece_rate(msg.piece)
+    load = ctx.load_of(me)
     for nb in ctx.alive_neighbor_ids():
         if nb in msg.hops:
             continue
-        life = ctx.projected_lifetime_of(me, nb, rate)
+        life = ctx.projected_lifetime_of(me, nb, rate, load)
         ctx.send(nb, RouteRequest(piece=msg.piece, origin=msg.origin,
                                   target=msg.target, req_id=msg.req_id,
                                   ttl=msg.ttl - 1,

@@ -18,7 +18,8 @@ with its second, per-piece index of activated links) are the spend sums and
 the piece clear as they stood before ``node_spend``, and
 ``reference_render_scenario`` is the hand-written scenario template, kept to
 check that the single spend model and the schema-driven rendering change no
-result.
+result. ``reference_csv_text`` is the per-row f-string CSV renderer, kept to
+check that the one-format renderer writes the same bytes.
 """
 
 from __future__ import annotations
@@ -722,3 +723,18 @@ metrics_stride = {cfg.metrics_stride}
 [events]
 forced_deaths = {deaths}
 """
+
+
+def reference_csv_text(m) -> str:
+    """``Metrics.csv_text``, verbatim: one f-string per row, indexing the
+    nine series."""
+    out = [m.CSV_HEADER]
+    for k in range(len(m.cycles)):
+        out.append(
+            f"{m.cycles[k]},{m.energy_data_j[k]:.10g},"
+            f"{m.energy_cfg_j[k]:.10g},{m.generated[k]},"
+            f"{m.delivered[k]},{m.lost[k]},"
+            f"{m.max_latency_ms[k]:.10g},{m.reconfigurations[k]},"
+            f"{m.alive_nodes[k]}"
+        )
+    return "\n".join(out) + "\n"

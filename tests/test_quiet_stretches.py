@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (STRATEGIES, InterferenceConfig, PathRow, ScenarioConfig,
-                    Simulation)
+from fwdsim import (STRATEGIES, EngineError, InterferenceConfig, PathRow,
+                    ScenarioConfig, Simulation)
 
 from conftest import make_net, mini_sim, spike_link
 from oracles import SteppedSimulation
@@ -172,3 +172,33 @@ def test_looped_chain_learns_each_hop_in_turn():
     assert sim.table.row(0, 1).prev == 2
     assert sim.table.version[0] == version + 2
     assert sim.metrics.loss_causes == {"path-broken": 1}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("extra_generated, extra_delivered, offset",
+                         [(1, 0, 0), (0, 1, 1)])
+def test_unbalanced_quiet_counts_raise_from_the_stretch(
+        monkeypatch, strategy, extra_generated, extra_delivered, offset):
+    # In the first case each quiet cycle generates one piece more than it
+    # accounts for. In the second each accounts for one piece too many, and
+    # the totals are one generated piece ahead when the stretch starts, so
+    # the first quiet cycle balances and only the second does not.
+    real = Simulation._compile_quiet
+    offsets = [offset]
+
+    def unbalanced(self):
+        stretch = real(self)
+        if stretch is None:
+            return None
+        self._generated += offsets.pop() if offsets else 0
+        charges, spend, gen, dlv, lost, causes, delivered = stretch
+        return (charges, spend, gen + extra_generated, dlv + extra_delivered,
+                lost, causes, delivered)
+
+    monkeypatch.setattr(Simulation, "_compile_quiet", unbalanced)
+    sim = Simulation(replace(ScenarioConfig(), horizon=50, strategy=strategy,
+                             interference=InterferenceConfig(prob_per_cycle=0.0)))
+    with pytest.raises(EngineError, match="piece conservation violated cumulatively"
+                       ) as raised:
+        sim.run()
+    assert raised.traceback[-1].name == "_run_quiet"

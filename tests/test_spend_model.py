@@ -9,7 +9,8 @@ carries two pieces (to 1e-12 relative elsewhere, since the rate sum is now
 multiplied once per link), and the active sets after a piece clear exactly.
 The schema-driven ``render_scenario`` must match the old template byte for
 byte. Full runs of every strategy must keep each activated link under a row
-that points along it.
+that points along it. A route-request fan-out sums its sender's load once,
+but reads the sender's energy for every copy, since each send charges it.
 """
 
 import copy
@@ -22,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import (STRATEGIES, DataPiece, InterferenceConfig, PathTable,
-                    ScenarioConfig, Simulation, install_path,
-                    max_epoch_duration, parse_scenario, render_scenario)
+                    RouteRequest, ScenarioConfig, Simulation, engine,
+                    install_path, max_epoch_duration, parse_scenario,
+                    protocol, render_scenario)
 from fwdsim.netmodel import clear_piece_paths
 from fwdsim.scenario import _SCHEMA
 
-from conftest import make_net, quiet_config
+from conftest import make_net, mini_sim, quiet_config
 from oracles import (EdgeIndexedNetwork, reference_clear_piece_paths,
                      reference_max_epoch_duration,
                      reference_projected_lifetime, reference_render_scenario)
@@ -133,7 +135,8 @@ def test_spend_model_matches_the_replaced_sums(sim, rate):
         shared = any(len(net.links[(u, v)].active_pieces) > 1
                      for v in net.neighbors[u])
         for v in net.neighbors[u] + (u,):          # (u, u) is no link
-            got = sim._ctx[u].projected_lifetime_of(u, v, rate)
+            ctx = sim._ctx[u]
+            got = ctx.projected_lifetime_of(u, v, rate, ctx.load_of(u))
             want = reference_projected_lifetime(sim, u, v, rate)
             if not shared or math.isinf(want):
                 assert got == want
@@ -209,3 +212,47 @@ def test_active_links_stay_under_their_rows(strategy, seed, cuts):
         sim.run(end - sim.cycle)
         assert unwired_rows(sim) == []
     assert sim.metrics.death_times
+
+
+def fan_out_copies(monkeypatch, fan_out):
+    """Run ``fan_out(sim)`` from relay 1 of the chain 0-1-2-3, which also
+    neighbors 4 and 5; return the senders whose load ``node_spend`` summed,
+    and per copy sent its lifetime next to the reference lifetime at the
+    moment it was sent."""
+    net = make_net([(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (4, 3), (5, 3)],
+                   {u: 0.5 for u in range(6)}, proxies={2})
+    sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])])
+    summed, copies = [], []
+    real_spend, real_send = engine.node_spend, Simulation.send_message
+
+    def counted_spend(net, u, pieces_by_id):
+        summed.append(u)
+        return real_spend(net, u, pieces_by_id)
+
+    def send(self, src, dst, msg):
+        copies.append((msg.min_lifetime,
+                       reference_projected_lifetime(self, src, dst, 1)))
+        real_send(self, src, dst, msg)
+
+    monkeypatch.setattr(engine, "node_spend", counted_spend)
+    monkeypatch.setattr(Simulation, "send_message", send)
+    fan_out(sim)
+    return summed, copies
+
+
+def test_route_request_flood_sums_the_load_once(monkeypatch):
+    summed, copies = fan_out_copies(
+        monkeypatch, lambda sim: protocol.local_aodv_plus(sim._ctx[1], 0, 3, 2))
+    assert summed == [1]
+    assert len(copies) == 4 and len({got for got, _ in copies}) == 4
+    assert all(got == want for got, want in copies)
+
+
+def test_route_request_relay_sums_the_load_once(monkeypatch):
+    msg = RouteRequest(piece=0, origin=0, target=3, req_id=7, ttl=2,
+                       min_lifetime=float("inf"), hops=(0,), origin_key=0.0)
+    summed, copies = fan_out_copies(
+        monkeypatch, lambda sim: protocol._handle_route_request(sim._ctx[1], msg))
+    assert summed == [1]
+    assert len(copies) == 3 and len({got for got, _ in copies}) == 3
+    assert all(got == want for got, want in copies)
