@@ -24,16 +24,18 @@ Quiet stretches (next-event time advance). Most cycles repeat the previous
 one exactly: the same charges on the same nodes, the same delivered and lost
 pieces. ``run()`` steps every cycle that has an event through ``_step()`` and
 advances the cycles between events in one loop (``Simulation._run_quiet``)
-over a list of (node, amount) charges compiled from the current state. A
-cycle is quiet when no message is pending or sitting in an inbox, no revert
-or forced death is due, no link changed, no node is drained or busy with a
-repair, no PDD-CR replan is pending, and, under DistrDataFwd, every piece
-that fails to deliver is already broken (no transmission feedback is
-running) and no data-plane learning write is due. A stretch ends at the
-first interference hit, the next due revert or forced death, the end of the
-``run()`` call, or one cycle of spend before any charged node could run out.
-The list is compiled afresh at every ``run()`` entry and after every
-``_step()``, so state edited between calls takes effect. Each quiet cycle
+over the (node, amount) charges of one forwarding walk of the current state
+(``Simulation._walk``), the walk ``_step()`` charges from too. A cycle is
+quiet when no message is pending or sitting in an inbox, no revert or forced
+death is due, no link changed, no node is drained or busy with a repair, no
+PDD-CR replan is pending, and, under DistrDataFwd, every piece that fails to
+deliver is already broken (no transmission feedback is running) and no
+data-plane learning write is due. A stretch ends at the first interference
+hit, the next due revert or forced death, the end of the ``run()`` call, or
+one cycle of spend before any charged node could run out. The walk is made
+afresh at every ``run()`` entry and after every ``_step()``, so state edited
+between calls takes effect; the ``_step()`` that ends a stretch forwards
+from the stretch's walk, so an event cycle is walked once. Each quiet cycle
 still draws the interference event and one request per piece, so both
 random streams are consumed in the same order as by ``_step()``; a hit is
 handed to that cycle's ``_step()`` as its drawn value. Charges are applied
@@ -474,7 +476,7 @@ class Simulation:
         the nodes with pending protocol work.
 
         Cycles with an event go through ``_step()``; the quiet cycles between
-        them through ``_run_quiet()``, compiled afresh before each stretch.
+        them through ``_run_quiet()``, which hands its forwarding walk on.
         """
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
         nodes = self.net.nodes
@@ -487,12 +489,12 @@ class Simulation:
                       if ctx.state.has_pending_work()}
         end = self.cycle + max(0, remaining)
         while self.cycle < end:
-            self._run_quiet(end)
+            walk = self._run_quiet(end)
             if self.cycle < end:
-                self._step()
+                self._step(walk)
         return self.metrics
 
-    def _step(self) -> None:
+    def _step(self, walk=None) -> None:
         cyc = self.cycle
         receivers = self._deliver_messages()
         self._revert_interference(cyc)
@@ -502,7 +504,7 @@ class Simulation:
             if st.alive:
                 st.spent_j = st.initial_energy_j   # forced exhaustion
                 self._drained.add(node)
-        self._generate_and_forward()
+        self._generate_and_forward(walk)
         if self.cfg.strategy == "DistrDataFwd":
             self._protocol_phase(cyc, receivers)
         max_lat = self._sample_requests()
@@ -526,14 +528,16 @@ class Simulation:
         self._settle_links()
         self.cycle += 1
 
-    def _run_quiet(self, end: int) -> None:
+    def _run_quiet(self, end: int):
         """Advance the quiet cycles from ``self.cycle`` on, stopping before
         the next cycle with an event or at ``end`` (see the module
-        docstring). Each quiet cycle does exactly what ``_step()`` would."""
+        docstring). Each quiet cycle does exactly what ``_step()`` would.
+        Returns the forwarding walk (``_walk()``) when it made one; the
+        ``_step()`` that follows forwards from it."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._cr_deaths_pending):
-            return
+            return None
         stop = end
         for due in self._reverts:
             if start <= due < stop:
@@ -542,12 +546,21 @@ class Simulation:
         if k < len(self._forced_cycles) and self._forced_cycles[k] < stop:
             stop = self._forced_cycles[k]
         if stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
-            return
-        stretch = self._compile_quiet()
-        if stretch is None:
-            return
-        charges, spend, gen, dlv, lost, causes, delivered = stretch
-        for node, per_cycle, count in spend:
+            return None
+        walk = self._walk()
+        entries, gen, dlv, lost, quiet = walk
+        if not quiet:
+            return walk
+        charges = []   # (node, amount) in piece and hop order
+        spend = {}   # node id -> (node, per-cycle spend, charge count)
+        for piece, _, sent, _, _ in entries:
+            for tx, link, _, _ in sent:
+                amount = link.eps_j * piece.rate
+                if amount > 0.0:
+                    charges.append((tx, amount))
+                    _, per_cycle, count = spend.get(tx.node, (tx, 0.0, 0))
+                    spend[tx.node] = (tx, per_cycle + amount, count + 1)
+        for node, per_cycle, count in spend.values():
             # Stop one cycle of spend short of the clamp, allowing for the
             # rounding of every addition to spent_j on the way.
             room = node.initial_energy_j - node.spent_j - per_cycle
@@ -556,7 +569,7 @@ class Simulation:
             if cycles < stop - start:
                 stop = start + max(0, int(cycles))
         if stop <= start:
-            return
+            return walk
 
         cfg, m = self.cfg, self.metrics
         generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
@@ -631,72 +644,77 @@ class Simulation:
 
         ran = cyc - start
         if ran == 0:
-            return
+            return walk
         self.cycle = cyc
         self._data_energy = data
         self._generated, self._delivered, self._lost = generated, dlv_total, lost_total
-        for cause, rate in causes:
-            m.loss_causes[cause] += rate * ran
-        for status in delivered:
-            status.stuck_cycles = 0
+        for piece, status, _, cause, _ in entries:
+            if cause is None:
+                status.stuck_cycles = 0
+            else:
+                m.loss_causes[status.cause or cause] += piece.rate * ran
         m.requests_total += requests
         m.requests_ok += ok
         m.latency_violations += violations
         m.request_misses += misses
         m.max_access_latency_ms = max_access
+        return walk
 
-    def _compile_quiet(self):
-        """One quiet cycle of ``_generate_and_forward``, compiled: the
-        charges in the order it makes them, each charged node's total spend
-        and charge count per cycle, the generated, delivered and lost
-        counts, the (loss cause, rate) pairs and the statuses of the
-        delivered pieces. None when the cycle would not be quiet."""
+    def _walk(self):
+        """This cycle's forwarding, walked without charging: for each
+        generating piece in id order (piece, status, the hops it transmits
+        over, its loss cause or None, the node it stops at); the generated,
+        delivered and lost counts, each tallied on its own; and whether the
+        cycle can be quiet (no learning write due and, under DistrDataFwd,
+        every failing piece already broken, so no transmission feedback).
+
+        It reads liveness, chains and activations, which no phase of
+        ``_step()`` before forwarding changes, so a stretch's walk holds for
+        the step that ends it; amounts are read when charged. A learning
+        write rewrites the receiver's row and so activates its next link:
+        the hop after a learning hop is active even if it was not.
+        """
         local_repair = self.cfg.strategy == "DistrDataFwd"
-        charges: list[tuple[netmodel.NodeState, float]] = []
+        nodes = self.net.nodes
+        entries = []
         gen = dlv = lost = 0
-        causes: list[tuple[str, int]] = []
-        delivered: list[PieceStatus] = []
+        quiet = True
         for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
-            if not self.net.nodes[piece.source].alive or piece.rate == 0:
+            if not nodes[piece.source].alive or piece.rate == 0:
                 continue
             gen += piece.rate
             hops, complete = self._chain(piece)
+            status = self.piece_status[pid]
             cause = None
+            blocked_at = piece.source
+            sent = 0
+            learned = False
+            # Each transmitter is the source or the last receiver, both alive.
             for tx, link, rx, learn in hops:
-                if not tx.alive:
-                    cause = "node-dead"
-                    break
-                if pid not in link.active_pieces:
+                if not (learned or pid in link.active_pieces):
                     cause = "link-down"
                     break
-                need = link.eps_j * piece.rate
-                if need > 0.0:
-                    charges.append((tx, need))
+                sent += 1
                 if not rx.alive:
                     cause = "node-dead"
                     break
                 if learn:
-                    return None
+                    quiet = False
+                learned = learn
+                blocked_at = rx.node
             else:
                 if not complete:
                     cause = "path-broken"
-            status = self.piece_status[pid]
             if cause is None:
                 dlv += piece.rate
-                delivered.append(status)
-            elif local_repair and not status.broken:
-                return None   # transmission feedback is counting
             else:
                 lost += piece.rate
-                causes.append((status.cause or cause, piece.rate))
-        spend: dict[NodeId, tuple[float, int]] = {}
-        for node, amount in charges:
-            per_cycle, count = spend.get(node.node, (0.0, 0))
-            spend[node.node] = (per_cycle + amount, count + 1)
-        nodes = self.net.nodes
-        return (charges, [(nodes[u], *v) for u, v in spend.items()], gen, dlv,
-                lost, causes, delivered)
+                hops = hops[:sent]
+                if local_repair and not status.broken:
+                    quiet = False   # transmission feedback is counting
+            entries.append((piece, status, hops, cause, blocked_at))
+        return entries, gen, dlv, lost, quiet
 
     # ------------------------------------------------------------- sub-steps
 
@@ -738,53 +756,32 @@ class Simulation:
             if fired:
                 self._cr_trigger = True
 
-    def _generate_and_forward(self) -> None:
+    def _generate_and_forward(self, walk=None) -> None:
+        """Charge this cycle's forwarding in piece and hop order, from
+        ``walk`` or, when none is handed in, from a fresh ``_walk()``. A
+        charge that clamps stops the piece at its transmitter (node-dead);
+        otherwise a learning hop's write follows its charge."""
+        if walk is None:
+            walk = self._walk()
         gen = dlv = lost = 0
-        for pid in self._piece_ids:
-            piece = self.pieces_by_id[pid]
-            src = self.net.nodes[piece.source]
-            if not src.alive or piece.rate == 0:
-                continue
+        charge = self._charge
+        for piece, status, sent, cause, blocked_at in walk[0]:
             gen += piece.rate
-            hops, complete = self._chain(piece)
-            cause = None
-            delivered = False
-            blocked_at = piece.source
-            for tx, link, rx, learn in hops:
-                blocked_at = tx.node
-                if not tx.alive:
-                    cause = "node-dead"
-                    break
-                if pid not in link.active_pieces:
-                    cause = "link-down"
-                    break
+            for tx, link, rx, learn in sent:
                 need = link.eps_j * piece.rate
-                got = self._charge(tx, need, DATA)
-                if got < need:
-                    cause = "node-dead"
+                if charge(tx, need, DATA) < need:
+                    cause, blocked_at = "node-dead", tx.node
                     break
-                if not rx.alive:
-                    cause = "node-dead"
-                    break
-                if learn:
-                    rx_row = self.table.row(pid, rx.node)
-                    self.write_row(pid, rx.node, tx.node, rx_row.next,
+                if learn and rx.alive:
+                    rx_row = self.table.row(piece.id, rx.node)
+                    self.write_row(piece.id, rx.node, tx.node, rx_row.next,
                                    rx_row.order_key)
-                blocked_at = rx.node
-            else:
-                if complete:
-                    delivered = True
-                else:
-                    cause = "path-broken"
-            status = self.piece_status[pid]
-            if delivered:
+            if cause is None:
                 dlv += piece.rate
                 status.stuck_cycles = 0
             else:
-                if status.cause:
-                    cause = status.cause
                 lost += piece.rate
-                self.metrics.loss_causes[cause] += piece.rate
+                self.metrics.loss_causes[status.cause or cause] += piece.rate
                 self._note_delivery_failure(piece, status, blocked_at)
         self._generated += gen
         self._delivered += dlv

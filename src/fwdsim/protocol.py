@@ -168,7 +168,8 @@ def node_cycle(ctx, cycle: int) -> None:
     left. The engine steps only nodes outside that case, so a change here
     that adds per-cycle work under other conditions must extend the engine's
     wake set (``Simulation._protocol_phase``) to match. It must also end a
-    quiet stretch under the same conditions (``Simulation._run_quiet``),
+    quiet stretch under the same conditions (the early returns of
+    ``Simulation._run_quiet`` and the quiet flag of ``Simulation._walk``),
     which steps no node at all.
     """
     if not ctx.alive():

@@ -8,9 +8,10 @@ search returns exactly the same path, ties included.
 ``reference_compute_plan`` is the planner's proxy loop before branch and
 bound, which tried every proxy, kept to check that skipping proxies changes
 no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
-stretches, kept to check that they change no output. The four
-``reference_*`` pointer walkers are the chain walks as they stood before they
-shared ``walk_chain``, kept to check that sharing it changes no result.
+stretches and its forwarding before the shared walk, kept to check that they
+change no output. The four ``reference_*`` pointer walkers are the chain
+walks as they stood before they shared ``walk_chain``, kept to check that
+sharing it changes no result.
 ``reference_projected_lifetime``, ``reference_max_epoch_duration`` (over
 ``_node_lifetime``, the removed per-link lifetime sum) and
 ``reference_clear_piece_paths`` (over ``EdgeIndexedNetwork``, the network
@@ -29,10 +30,11 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 
-from fwdsim import (INFINITE_LIFETIME, DataPiece, NetworkState, NodeId,
-                    PathTable, PiecePlan, Plan, PlannerView, PlanningError,
+from fwdsim import (INFINITE_LIFETIME, DataPiece, EngineError, NetworkState,
+                    NodeId, PathTable, PiecePlan, Plan, PlannerView, PlanningError,
                     ScenarioConfig, Simulation, bottleneck_path, install_path,
                     lifetime_from_spend, path_bottleneck)
+from fwdsim.engine import DATA
 from fwdsim.netmodel import PathReport, PathViolation
 
 from conftest import make_net
@@ -407,7 +409,9 @@ def _reference_candidate_segments(view: PlannerView, piece, proxy: NodeId,
 
 class SteppedSimulation(Simulation):
     """The engine with every cycle stepped through ``_step()``: ``run()`` as
-    it stood before quiet stretches, verbatim."""
+    it stood before quiet stretches, and ``_generate_and_forward`` as it
+    stood before it shared one forwarding walk with them (checking, charging
+    and learning hop by hop), both verbatim but for the ignored ``walk``."""
 
     def run(self, cycles=None):
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
@@ -422,6 +426,60 @@ class SteppedSimulation(Simulation):
         for _ in range(max(0, remaining)):
             self._step()
         return self.metrics
+
+    def _generate_and_forward(self, walk=None) -> None:
+        gen = dlv = lost = 0
+        for pid in self._piece_ids:
+            piece = self.pieces_by_id[pid]
+            src = self.net.nodes[piece.source]
+            if not src.alive or piece.rate == 0:
+                continue
+            gen += piece.rate
+            hops, complete = self._chain(piece)
+            cause = None
+            delivered = False
+            blocked_at = piece.source
+            for tx, link, rx, learn in hops:
+                blocked_at = tx.node
+                if not tx.alive:
+                    cause = "node-dead"
+                    break
+                if pid not in link.active_pieces:
+                    cause = "link-down"
+                    break
+                need = link.eps_j * piece.rate
+                got = self._charge(tx, need, DATA)
+                if got < need:
+                    cause = "node-dead"
+                    break
+                if not rx.alive:
+                    cause = "node-dead"
+                    break
+                if learn:
+                    rx_row = self.table.row(pid, rx.node)
+                    self.write_row(pid, rx.node, tx.node, rx_row.next,
+                                   rx_row.order_key)
+                blocked_at = rx.node
+            else:
+                if complete:
+                    delivered = True
+                else:
+                    cause = "path-broken"
+            status = self.piece_status[pid]
+            if delivered:
+                dlv += piece.rate
+                status.stuck_cycles = 0
+            else:
+                if status.cause:
+                    cause = status.cause
+                lost += piece.rate
+                self.metrics.loss_causes[cause] += piece.rate
+                self._note_delivery_failure(piece, status, blocked_at)
+        self._generated += gen
+        self._delivered += dlv
+        self._lost += lost
+        if gen != dlv + lost:
+            raise EngineError("piece conservation violated within a cycle")
 
 
 def reference_walk_chain(table: PathTable, piece_id: int, start: NodeId,

@@ -1,11 +1,11 @@
 """Quiet stretches against stepping every cycle, and data-plane learning.
 
-``SteppedSimulation`` (``oracles.py``) runs every cycle through ``_step()``,
-as the engine did before quiet stretches. On small random scenarios, split
-into random ``run(n)`` calls with state edits between them, both must give
-identical CSV, summary, death times, energy log, trace and diagnostics, and
-leave identical node, pointer-row, piece and protocol state, after every
-call.
+``SteppedSimulation`` (``oracles.py``) runs every cycle through ``_step()``
+and forwards hop by hop, as the engine did before quiet stretches. On small
+random scenarios, split into random ``run(n)`` calls with state edits
+between them, both must give identical CSV, summary, death times, energy
+log, trace and diagnostics, and leave identical node, pointer-row, piece and
+protocol state, after every call.
 
 Link costs and the controller cost are powers of two, so every energy sum is
 exact; a drain edit leaves a node an exact number of hops of energy, which
@@ -13,6 +13,7 @@ puts its clamp on a cycle boundary, where a stretch that runs one cycle too
 long would miss it.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -174,6 +175,26 @@ def test_looped_chain_learns_each_hop_in_turn():
     assert sim.metrics.loss_causes == {"path-broken": 1}
 
 
+def test_learning_write_reactivates_the_next_hop_before_it_is_checked():
+    # Row 1 has lost its previous pointer and link 1-2 no longer carries
+    # piece 0. Hop 0-1's learning write sets prev(1) = 0 and, rewriting row
+    # 1, activates 1-2 again before hop 1-2 is checked, so the piece
+    # arrives. A walk made ahead of the writes must model that.
+    net = make_net([(0, 1), (1, 2), (2, 3)], {u: 50.0 for u in range(4)},
+                   proxies={2})
+    sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], horizon=5,
+                   strategy="DistrDataFwd")
+    row = sim.table.row(0, 1)
+    sim.table.set_row(0, 1, PathRow(prev=None, next=row.next,
+                                    order_key=row.order_key))
+    sim.net.deactivate(0, 1, 2)
+    sim.run(1)
+    assert sim.table.row(0, 1).prev == 0
+    assert 0 in sim.net.links[(1, 2)].active_pieces
+    assert sim.metrics.delivered == [1] and sim.metrics.lost == [0]
+    assert not sim.metrics.loss_causes
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("extra_generated, extra_delivered, offset",
                          [(1, 0, 0), (0, 1, 1)])
@@ -183,19 +204,20 @@ def test_unbalanced_quiet_counts_raise_from_the_stretch(
     # accounts for. In the second each accounts for one piece too many, and
     # the totals are one generated piece ahead when the stretch starts, so
     # the first quiet cycle balances and only the second does not.
-    real = Simulation._compile_quiet
+    # A stretch takes its counts from the quiet walk it makes. A step keeps
+    # its own counts, so the walks a step makes for itself and the walks
+    # that end a stretch before it runs are left as they are.
+    real = Simulation._walk
     offsets = [offset]
 
     def unbalanced(self):
-        stretch = real(self)
-        if stretch is None:
-            return None
+        entries, gen, dlv, lost, quiet = real(self)
+        if not quiet or sys._getframe(1).f_code.co_name != "_run_quiet":
+            return entries, gen, dlv, lost, quiet
         self._generated += offsets.pop() if offsets else 0
-        charges, spend, gen, dlv, lost, causes, delivered = stretch
-        return (charges, spend, gen + extra_generated, dlv + extra_delivered,
-                lost, causes, delivered)
+        return entries, gen + extra_generated, dlv + extra_delivered, lost, quiet
 
-    monkeypatch.setattr(Simulation, "_compile_quiet", unbalanced)
+    monkeypatch.setattr(Simulation, "_walk", unbalanced)
     sim = Simulation(replace(ScenarioConfig(), horizon=50, strategy=strategy,
                              interference=InterferenceConfig(prob_per_cycle=0.0)))
     with pytest.raises(EngineError, match="piece conservation violated cumulatively"
