@@ -6,12 +6,11 @@ centrally, and run any of the three forwarding strategies deterministically.
 
 from .engine import (EngineError, Metrics, Simulation, inject_interference,
                      run_simulation, sample_access_latency)
-from .lifetime import (INFINITE_LIFETIME, LifetimeParams, lifetime_from_spend,
-                       max_epoch_duration, node_spend, trigger_check)
-from .netmodel import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
-                       NodeId, NodeState, PathRow, PathTable, TopologyError,
-                       build_grid_topology, install_path, validate_paths,
-                       walk_chain)
+from .lifetime import (INFINITE_LIFETIME, lifetime_from_spend, max_epoch_duration,
+                       node_spend, trigger_check)
+from .netmodel import (DataPiece, LinkState, NetworkState, NodeId, NodeState,
+                       PathRow, PathTable, TopologyError, build_grid_topology,
+                       install_path, validate_paths, walk_chain)
 from .planner import (Plan, PiecePlan, PlannerView, PlanningError, StatusReport,
                       bottleneck_path, compute_plan, path_bottleneck,
                       status_from_network)
@@ -26,10 +25,9 @@ from .scenario import (STRATEGIES, Finding, InterferenceConfig, ScenarioConfig,
 
 __all__ = [
     "Alert", "DataPiece", "EngineError", "Finding", "INFINITE_LIFETIME",
-    "InterferenceConfig", "Join", "LatencyEnergyConfig", "LifetimeParams",
-    "LinkState", "Metrics", "ModifyPath", "NetworkState", "NodeId",
-    "NodeState", "PathRow", "PathTable", "Plan", "PlanMsg",
-    "PiecePlan", "PlannerView", "PlanningError", "ProtocolState",
+    "InterferenceConfig", "Join", "LinkState", "Metrics", "ModifyPath",
+    "NetworkState", "NodeId", "NodeState", "PathRow", "PathTable", "Plan",
+    "PlanMsg", "PiecePlan", "PlannerView", "PlanningError", "ProtocolState",
     "RouteReply", "RouteRequest", "STRATEGIES", "ScenarioConfig",
     "ScenarioParseError", "Simulation", "StatusMsg", "StatusReport",
     "TopologyError", "bottleneck_path",

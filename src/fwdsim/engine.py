@@ -252,7 +252,8 @@ class NodeCtx:
         if extra_link is None:
             return 0.0
         spend = load + extra_link.eps_j * rate
-        return lifetime_from_spend(sim.net.nodes[node].energy_j, spend, sim.params)
+        return lifetime_from_spend(sim.net.nodes[node].energy_j, spend,
+                                   sim.cfg.config_phase_energy_j)
 
     # --- pointer rows ---------------------------------------------------------
     def row(self, piece: int) -> PathRow | None:
@@ -358,9 +359,7 @@ class Simulation:
             self.table = table if table is not None else PathTable()
             self.pieces = pieces if pieces is not None else []
         else:
-            self.net = netmodel.build_grid_topology(
-                cfg.rows, cfg.cols, cfg.spacing_m, cfg.range_m,
-                set(cfg.proxies), cfg.link_params(), cfg.seed)
+            self.net = cfg.network()
             self.table = PathTable()
             self.pieces = sample_pieces(cfg, self.net)
         self.pieces_by_id = {p.id: p for p in self.pieces}
@@ -368,7 +367,6 @@ class Simulation:
         self._node_ids = sorted(self.net.nodes)
         self._piece_ids = sorted(self.pieces_by_id)
 
-        self.params = cfg.lifetime_params()
         self.metrics = Metrics(strategy=cfg.strategy, seed=cfg.seed)
         # The appends of the per-cycle series, in CSV column order.
         self._appends = tuple(s.append for s in self.metrics.series())
@@ -403,7 +401,6 @@ class Simulation:
         self._delivered = 0
         self._lost = 0
         self._reconfigs = 0
-        self._epochs: list[int] = []
         self._cr_trigger = False
         self._cr_deaths_pending = False
         # The last plan's topology, for the next controller round to reuse.
@@ -412,7 +409,7 @@ class Simulation:
         if not prebuilt:
             self._controller_round()
         self.metrics.initial_epoch_bound = max_epoch_duration(
-            self.net, self.pieces, self.params)
+            self.net, self.pieces, cfg.config_phase_energy_j)
 
     # ------------------------------------------------------------- controller
 
@@ -425,7 +422,7 @@ class Simulation:
         when the reported nodes and link latencies are the same. The trace
         shows each upload and each plan download, with -1 standing for the
         controller."""
-        cost = self.net.link_params.controller_energy_j
+        cost = self.cfg.controller_energy_j
         for u in self._node_ids:
             node = self.net.nodes[u]
             if node.alive and node.energy_j > 0.0:
@@ -438,7 +435,8 @@ class Simulation:
                 self.mark_dead(u)
         reports = planner.status_from_network(self.net)
         plan = planner.compute_plan(reports, self.pieces, self.net.proxies,
-                                    self.cfg.latency_budget_ms, self.params,
+                                    self.cfg.latency_budget_ms,
+                                    self.cfg.config_phase_energy_j,
                                     self._topology)
         self._topology = plan.topology
         self._install_plan(plan)
@@ -977,13 +975,13 @@ class Simulation:
 
     def note_reconfiguration(self) -> None:
         self._reconfigs += 1
-        if not self._epochs or self._epochs[-1] != self.cycle:
-            self._epochs.append(self.cycle)
-        self.metrics.epoch_boundaries = self._epochs
+        epochs = self.metrics.epoch_boundaries
+        if not epochs or epochs[-1] != self.cycle:
+            epochs.append(self.cycle)
 
 
 def inject_interference(net: NetworkState, rng: random.Random,
-                        params, trigger_threshold: float = 0.5,
+                        params, trigger_threshold: float,
                         link_ids=None, drawn: float | None = None,
                         ) -> list[tuple[tuple[NodeId, NodeId], bool]]:
     """Sample and apply this cycle's interference.

@@ -6,39 +6,34 @@ rates on its activated outgoing links. The epoch bound is the minimum of
 those lifetimes over nodes that actually transmit. The trigger test decides
 whether a link's per-piece energy cost jumped enough between two consecutive
 cycles to warrant reconfiguration.
+
+Nothing here holds a run parameter: the energy a node needs to finish a
+configuration phase is passed in as a plain float, the scenario's
+``config_phase_energy_j``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .netmodel import DataPiece, NetworkState, NodeId
 
 INFINITE_LIFETIME = math.inf
 
 
-@dataclass(frozen=True)
-class LifetimeParams:
-    config_phase_energy_j: float = 5e-3   # energy a node needs to finish a configuration phase
-
-    def __post_init__(self) -> None:
-        if self.config_phase_energy_j < 0:
-            raise ValueError("config_phase_energy_j must be >= 0")
-
-
 def lifetime_from_spend(energy_j: float, spend_j_per_cycle: float,
-                        params: LifetimeParams) -> float:
+                        config_phase_energy_j: float) -> float:
     """Cycles until a node empties, given its total per-cycle transmit spend.
 
     Three regimes: an empty node has no lifetime; a node that can only afford
-    the configuration phase survives exactly one cycle; otherwise energy over
-    spend. Zero spend with energy to spare is the idle case and yields the
-    infinite sentinel (callers exclude idle nodes from epoch minima).
+    the configuration phase (``config_phase_energy_j``) survives exactly one
+    cycle; otherwise energy over spend. Zero spend with energy to spare is the
+    idle case and yields the infinite sentinel (callers exclude idle nodes
+    from epoch minima).
     """
     if energy_j <= 0.0:
         return 0.0
-    if energy_j <= params.config_phase_energy_j:
+    if energy_j <= config_phase_energy_j:
         return 1.0
     if spend_j_per_cycle == 0.0:
         return INFINITE_LIFETIME
@@ -59,7 +54,7 @@ def node_spend(net: NetworkState, u: NodeId,
 
 
 def max_epoch_duration(net: NetworkState, pieces: list[DataPiece],
-                       params: LifetimeParams) -> float:
+                       config_phase_energy_j: float) -> float:
     """Upper bound on the epoch length: the shortest lifetime among nodes with
     at least one activated outgoing link. Infinite when nothing transmits."""
     by_id = {p.id: p for p in pieces}
@@ -68,7 +63,8 @@ def max_epoch_duration(net: NetworkState, pieces: list[DataPiece],
         if not any(net.links[(u, v)].active_pieces for v in net.neighbors[u]):
             continue
         life = lifetime_from_spend(net.nodes[u].energy_j,
-                                   node_spend(net, u, by_id), params)
+                                   node_spend(net, u, by_id),
+                                   config_phase_energy_j)
         if life < best:
             best = life
     return best

@@ -4,7 +4,11 @@ Holds the static topology (grid placement, links with per-hop latency and
 transmit energy), the dynamic per-node energy accounts, and the distributed
 path structures (per-piece previous/next pointer rows). Everything here is
 plain data plus a handful of pure helpers; mutation during a run goes through
-the engine's single-writer step loop.
+the engine's single-writer step loop. No run parameter lives here: the grid
+builder takes its latency range, transmit cost and energy endowments as
+arguments (``ScenarioConfig.network()`` passes a scenario's), and the
+controller link, which is not a graph edge, is priced by the scenario's
+``controller_energy_j`` alone.
 """
 
 from __future__ import annotations
@@ -26,32 +30,11 @@ class TopologyError(ValueError):
 
 
 @dataclass
-class LatencyEnergyConfig:
-    """Sampling parameters for link construction plus node energy endowments.
-
-    Latencies are drawn uniformly per directed link; transmit energy per data
-    piece defaults to a constant (min == max). The controller link is not a
-    graph edge: any alive node reaches the controller at ``controller_energy_j``
-    per exchange.
-    """
-
-    latency_ms_min: float = 8.0
-    latency_ms_max: float = 12.0
-    tx_energy_j_min: float = 50e-6
-    tx_energy_j_max: float = 50e-6
-    controller_energy_j: float = 5e-3   # >> per-hop tx energy
-    node_energy_j_min: float = 0.0
-    node_energy_j_max: float = 10.0
-    proxy_energy_j: float = 30.0
-
-
-@dataclass
 class NodeState:
     node: NodeId
     pos: tuple[float, float]
     initial_energy_j: float
     spent_j: float = 0.0
-    is_proxy: bool = False
     alive: bool = True
 
     @property
@@ -149,7 +132,6 @@ class NetworkState:
     links: dict[tuple[NodeId, NodeId], LinkState]
     proxies: set[NodeId]
     neighbors: dict[NodeId, tuple[NodeId, ...]]         # static, sorted
-    link_params: LatencyEnergyConfig
 
     def alive_neighbors(self, u: NodeId) -> list[NodeId]:
         return [v for v in self.neighbors[u] if self.nodes[v].alive]
@@ -172,21 +154,28 @@ def build_grid_topology(
     spacing_m: float,
     range_m: float,
     proxy_ids: set[NodeId],
-    link_params: LatencyEnergyConfig | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
+    latency_ms: tuple[float, float],
+    tx_energy_j: float,
+    node_energy_j: tuple[float, float],
+    proxy_energy_j: float,
 ) -> NetworkState:
     """Place ``rows x cols`` nodes on a grid and link every pair within range.
 
     Node ids are row-major; a link (u, v) exists iff the Euclidean distance is
-    at most ``range_m``, each direction sampled independently. Construction is
-    deterministic for equal inputs. Raises TopologyError when the resulting
-    graph is disconnected or the proxy ids are invalid.
+    at most ``range_m``, each direction with its own latency drawn uniformly
+    from the ``latency_ms`` (min, max) range and costing ``tx_energy_j`` per
+    data piece. A proxy starts with ``proxy_energy_j``, every other node with
+    an energy drawn uniformly from the ``node_energy_j`` (min, max) range.
+    Construction is deterministic for equal inputs. Raises TopologyError when
+    the resulting graph is disconnected or the proxy ids are invalid.
+    ``ScenarioConfig.network()`` builds a scenario's grid through here.
     """
     if rows * cols < 2:
         raise TopologyError("need at least two nodes")
     if range_m <= 0 or spacing_m <= 0:
         raise TopologyError("spacing and range must be positive")
-    params = link_params or LatencyEnergyConfig()
     ids = list(range(rows * cols))
     bad = set(proxy_ids) - set(ids)
     if bad:
@@ -203,26 +192,28 @@ def build_grid_topology(
             if v == u:
                 continue
             if math.dist(pos[u], pos[v]) <= range_m:
-                latency = rng_links.uniform(params.latency_ms_min, params.latency_ms_max)
-                eps = rng_links.uniform(params.tx_energy_j_min, params.tx_energy_j_max)
-                links[(u, v)] = LinkState(eps_j=eps, eps_prev_j=eps, latency_ms=latency)
+                latency = rng_links.uniform(*latency_ms)
+                # A second draw per link, discarded: the recorded digests
+                # were made with it, and dropping it would move every later
+                # latency of every seeded grid.
+                rng_links.random()
+                links[(u, v)] = LinkState(eps_j=tx_energy_j, eps_prev_j=tx_energy_j,
+                                          latency_ms=latency)
                 neighbor_map[u].append(v)
 
     nodes: dict[NodeId, NodeState] = {}
     for u in ids:
         if u in proxy_ids:
-            energy = params.proxy_energy_j
+            energy = proxy_energy_j
         else:
-            energy = rng_energy.uniform(params.node_energy_j_min, params.node_energy_j_max)
-        nodes[u] = NodeState(node=u, pos=pos[u], initial_energy_j=energy,
-                             is_proxy=u in proxy_ids)
+            energy = rng_energy.uniform(*node_energy_j)
+        nodes[u] = NodeState(node=u, pos=pos[u], initial_energy_j=energy)
 
     net = NetworkState(
         nodes=nodes,
         links=links,
         proxies=set(proxy_ids),
         neighbors={u: tuple(sorted(neighbor_map[u])) for u in ids},
-        link_params=params,
     )
     if not _connected(net):
         raise TopologyError("grid is disconnected at this range; cannot operate")

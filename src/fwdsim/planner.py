@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .lifetime import LifetimeParams, lifetime_from_spend
+from .lifetime import lifetime_from_spend
 from .netmodel import NetworkState, NodeId
 
 INFINITY = float("inf")
@@ -168,7 +168,7 @@ class PlannerView:
     energy: dict[NodeId, float]
     edges: dict[tuple[NodeId, NodeId], tuple[float, float]]  # (eps_j, latency_ms)
     spend: dict[NodeId, float]                               # accumulated J/cycle
-    params: LifetimeParams
+    config_phase_energy_j: float
     topology: Topology | None = field(default=None, repr=False, compare=False)
     out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
         init=False, repr=False, compare=False)
@@ -183,7 +183,7 @@ class PlannerView:
             for u, es in self.topology.out_edges.items()}
 
     @classmethod
-    def from_status(cls, reports: list[StatusReport], params: LifetimeParams,
+    def from_status(cls, reports: list[StatusReport], config_phase_energy_j: float,
                     topology: Topology | None = None) -> "PlannerView":
         ordered = sorted(reports, key=lambda r: r.node)
         energy = {rep.node: rep.energy_j for rep in ordered}
@@ -193,7 +193,8 @@ class PlannerView:
                 if v in energy:                      # both endpoints reported alive
                     edges[(rep.node, v)] = (eps, lat)
         return cls(energy=energy, edges=edges,
-                   spend={u: 0.0 for u in energy}, params=params,
+                   spend={u: 0.0 for u in energy},
+                   config_phase_energy_j=config_phase_energy_j,
                    topology=topology)
 
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
@@ -203,7 +204,7 @@ class PlannerView:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
         eps, _ = self.edges[(u, v)]
         return lifetime_from_spend(self.energy[u], self.spend[u] + eps * rate,
-                                   self.params)
+                                   self.config_phase_energy_j)
 
     def commit(self, chain: list[NodeId], rate: float) -> None:
         for u, v in zip(chain, chain[1:]):
@@ -273,8 +274,8 @@ def bottleneck_path(
         return None
     budget = INFINITY if latency_budget_ms is None else latency_budget_ms
     weight = 2 if round_trip else 1              # latency position in an OutEdge
-    out_edges, energy, spend, params = (view.out_edges, view.energy,
-                                        view.spend, view.params)
+    out_edges, energy, spend, phase_j = (view.out_edges, view.energy,
+                                         view.spend, view.config_phase_energy_j)
     if lifetimes is None:
         lifetimes = {}
 
@@ -321,7 +322,7 @@ def bottleneck_path(
                 life = lifetimes.get((u, v))
                 if life is None:
                     life = lifetimes[(u, v)] = lifetime_from_spend(
-                        energy[u], spend[u] + edge[3] * rate, params)
+                        energy[u], spend[u] + edge[3] * rate, phase_j)
                 nbot = life if life < bot else bot
             # A label that can only end in a terminal worse than the
             # incumbent is dropped before it enters a bucket: any label it
@@ -392,7 +393,8 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
     unreachable). Edge weights are read from and filled into the piece's
     lifetime table, the one its label searches read, so they compare exactly
     with the bottlenecks of candidates."""
-    energy, spend, params, edges = view.energy, view.spend, view.params, view.edges
+    energy, spend, edges = view.energy, view.spend, view.edges
+    phase_j = view.config_phase_energy_j
     width = {root: INFINITY}
     heap = [(-INFINITY, root)]
     left = set(targets)
@@ -413,7 +415,7 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
             life = lifetimes.get(edge)
             if life is None:
                 life = lifetimes[edge] = lifetime_from_spend(
-                    energy[u], spend[u] + eps * rate, params)
+                    energy[u], spend[u] + eps * rate, phase_j)
             nw = life if life < w else w
             if nw > width.get(v, -INFINITY):
                 width[v] = nw
@@ -442,7 +444,7 @@ def compute_plan(
     pieces,
     proxies: set[NodeId],
     latency_budget_ms: float,
-    params: LifetimeParams,
+    config_phase_energy_j: float,
     topology: Topology | None = None,
 ) -> Plan:
     """Assign every piece a proxy and both path segments.
@@ -472,7 +474,7 @@ def compute_plan(
     """
     if not 0 < latency_budget_ms < INFINITY:
         raise PlanningError("latency budget must be positive and finite")
-    view = PlannerView.from_status(reports, params, topology)
+    view = PlannerView.from_status(reports, config_phase_energy_j, topology)
     topology = view.topology
     plan = Plan(topology=topology)
     alive_proxies = sorted(p for p in proxies if p in view.energy)

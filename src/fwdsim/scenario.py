@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import netmodel, planner
-from .lifetime import LifetimeParams
-from .netmodel import LatencyEnergyConfig, TopologyError
+from .netmodel import TopologyError
 
 WH_TO_J = 3600.0
 
@@ -78,20 +77,17 @@ class ScenarioConfig:
             return 1
         return max(1, self.horizon // 100_000)
 
-    def link_params(self) -> LatencyEnergyConfig:
-        return LatencyEnergyConfig(
-            latency_ms_min=self.latency_ms_min,
-            latency_ms_max=self.latency_ms_max,
-            tx_energy_j_min=self.tx_energy_j,
-            tx_energy_j_max=self.tx_energy_j,
-            controller_energy_j=self.controller_energy_j,
-            node_energy_j_min=self.node_energy_wh_min * WH_TO_J * self.energy_scale,
-            node_energy_j_max=self.node_energy_wh_max * WH_TO_J * self.energy_scale,
-            proxy_energy_j=self.proxy_energy_wh * WH_TO_J * self.energy_scale,
-        )
-
-    def lifetime_params(self) -> LifetimeParams:
-        return LifetimeParams(config_phase_energy_j=self.config_phase_energy_j)
+    def network(self) -> netmodel.NetworkState:
+        """The seeded grid this scenario runs on, with its endowments
+        converted from Wh to J. The one place a scenario becomes a grid."""
+        return netmodel.build_grid_topology(
+            self.rows, self.cols, self.spacing_m, self.range_m,
+            set(self.proxies), seed=self.seed,
+            latency_ms=(self.latency_ms_min, self.latency_ms_max),
+            tx_energy_j=self.tx_energy_j,
+            node_energy_j=(self.node_energy_wh_min * WH_TO_J * self.energy_scale,
+                           self.node_energy_wh_max * WH_TO_J * self.energy_scale),
+            proxy_energy_j=self.proxy_energy_wh * WH_TO_J * self.energy_scale)
 
     def full_horizon(self) -> "ScenarioConfig":
         return replace(self, horizon=FULL_HORIZON_CYCLES, energy_scale=1.0)
@@ -362,9 +358,7 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
 
     # Connectivity and plan-time feasibility, on the actual seeded topology.
     try:
-        net = netmodel.build_grid_topology(cfg.rows, cfg.cols, cfg.spacing_m,
-                                           cfg.range_m, set(cfg.proxies),
-                                           cfg.link_params(), cfg.seed)
+        net = cfg.network()
     except TopologyError as exc:
         err("topology", str(exc))
         return findings
@@ -374,7 +368,7 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
         return findings
     reports = planner.status_from_network(net)
     plan = planner.compute_plan(reports, pieces, net.proxies,
-                                cfg.latency_budget_ms, cfg.lifetime_params())
+                                cfg.latency_budget_ms, cfg.config_phase_energy_j)
     for pid in sorted(plan.infeasible):
         warn("protocol.latency_budget_ms",
              f"piece {pid} has no feasible plan: {plan.infeasible[pid]}")

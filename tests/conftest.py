@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
-from fwdsim import (DataPiece, InterferenceConfig, LatencyEnergyConfig,
-                    LinkState, NetworkState, NodeState, PathTable,
-                    ScenarioConfig, Simulation, install_path)
+from fwdsim import (DataPiece, InterferenceConfig, LinkState, NetworkState,
+                    NodeState, PathTable, ScenarioConfig, Simulation,
+                    build_grid_topology, install_path)
 
 
 def make_net(edges, energies, proxies=frozenset(), eps=50e-6, latency=10.0,
@@ -38,20 +36,29 @@ def make_net(edges, energies, proxies=frozenset(), eps=50e-6, latency=10.0,
         neighbor_map[u].append(v)
     for u, energy in energies.items():
         pos = positions[u] if positions else (float(u), 0.0)
-        nodes[u] = NodeState(node=u, pos=pos, initial_energy_j=energy,
-                             is_proxy=u in proxies)
+        nodes[u] = NodeState(node=u, pos=pos, initial_energy_j=energy)
     return NetworkState(
         nodes=nodes,
         links=links,
         proxies=set(proxies),
         neighbors={u: tuple(sorted(set(vs))) for u, vs in neighbor_map.items()},
-        link_params=LatencyEnergyConfig(),
     )
 
 
+def grid(rows, cols, range_m, proxies, seed) -> NetworkState:
+    """A seeded grid at 2.5 m spacing with fixed fixture draws: latencies
+    8-12 ms, 50 uJ per piece per hop, nodes 0-10 J, proxies 30 J."""
+    return build_grid_topology(rows, cols, 2.5, range_m, set(proxies), seed=seed,
+                               latency_ms=(8.0, 12.0), tx_energy_j=50e-6,
+                               node_energy_j=(0.0, 10.0), proxy_energy_j=30.0)
+
+
 def quiet_config(**overrides) -> ScenarioConfig:
-    """A scenario with no stochastic inputs, for fixture-driven runs."""
+    """A scenario with no stochastic inputs, for fixture-driven runs. Every
+    caller runs it over a prebuilt network, whose controller rounds are
+    priced at 5 mJ per exchange."""
     base = dict(
+        controller_energy_j=5e-3,
         horizon=50,
         strategy="DistrDataFwd",
         request_prob=0.0,
@@ -100,10 +107,3 @@ def surviving_violations(sim: Simulation, kinds=("loop", "pointer-asymmetry")):
     alive_pieces = [p for p in sim.pieces if not sim.piece_status[p.id].broken]
     report = validate_paths(sim.net, sim.table, alive_pieces)
     return report.of_kind(*kinds)
-
-
-@pytest.fixture
-def grid18():
-    from fwdsim import build_grid_topology
-
-    return build_grid_topology(3, 6, 2.5, 3.6, {4, 7, 10, 13}, seed=1)

@@ -40,7 +40,7 @@ from fwdsim.netmodel import PathReport, PathViolation
 from conftest import make_net
 
 
-def brute_force_epoch_bound(net, table, pieces, params) -> float:
+def brute_force_epoch_bound(net, table, pieces, config_phase_energy_j) -> float:
     """Minimum lifetime over nodes with at least one activated outgoing link,
     by direct enumeration."""
     best = math.inf
@@ -61,7 +61,7 @@ def brute_force_epoch_bound(net, table, pieces, params) -> float:
         energy = net.nodes[u].energy_j
         if energy <= 0.0:
             life = 0.0
-        elif energy <= params.config_phase_energy_j:
+        elif energy <= config_phase_energy_j:
             life = 1.0
         elif spend == 0.0:
             life = math.inf
@@ -152,7 +152,7 @@ def random_planner_graph(rng: random.Random, max_nodes: int = 8,
     """Random small connected graph expressed as a PlannerView plus the raw
     pieces needed to drive compute_plan. Latencies are uniform in [3, 20] ms,
     or drawn from ``latencies`` when given (coarse sets make ties common)."""
-    from fwdsim import LifetimeParams, PlannerView, StatusReport
+    from fwdsim import PlannerView, StatusReport
 
     n = rng.randint(3, max_nodes)
     nodes = list(range(n))
@@ -177,8 +177,7 @@ def random_planner_graph(rng: random.Random, max_nodes: int = 8,
         reports.append(StatusReport(node=u,
                                     energy_j=rng.choice([0.05, 0.5, 2.0, 8.0]),
                                     links=own))
-    params = LifetimeParams(config_phase_energy_j=5e-3)
-    view = PlannerView.from_status(reports, params)
+    view = PlannerView.from_status(reports, 5e-3)
     for u in nodes:                      # pre-existing load on some nodes
         if rng.random() < 0.4:
             view.spend[u] = rng.uniform(0.0, 2e-4)
@@ -638,7 +637,7 @@ def reference_projected_lifetime(sim: Simulation, node: NodeId,
     if extra_link is None:
         return 0.0
     spend += extra_link.eps_j * rate
-    return lifetime_from_spend(state.energy_j, spend, sim.params)
+    return lifetime_from_spend(state.energy_j, spend, sim.cfg.config_phase_energy_j)
 
 
 def reference_aggregate_rates(net: NetworkState, table: PathTable,

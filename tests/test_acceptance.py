@@ -13,10 +13,10 @@ from dataclasses import replace
 
 import pytest
 
-from fwdsim import (DataPiece, InterferenceConfig, LifetimeParams,
-                    PlannerView, ScenarioConfig, Simulation, StatusReport,
-                    bottleneck_path, lifetime_from_spend, max_epoch_duration,
-                    path_bottleneck, run_simulation, walk_chain)
+from fwdsim import (DataPiece, InterferenceConfig, PlannerView, ScenarioConfig,
+                    Simulation, StatusReport, bottleneck_path,
+                    lifetime_from_spend, max_epoch_duration, path_bottleneck,
+                    run_simulation, walk_chain)
 from fwdsim.cli import run_grid
 
 from conftest import surviving_violations
@@ -64,7 +64,7 @@ def forced_death_config(seed: int, cycle: int = 3000) -> ScenarioConfig:
     for piece in sorted(probe.pieces, key=lambda p: -p.rate):
         chain = walk_chain(probe.table, piece.id, piece.source)
         interior = [n for n in chain[1:-1]
-                    if n != piece.proxy and not probe.net.nodes[n].is_proxy]
+                    if n != piece.proxy and n not in probe.net.proxies]
         if interior:
             relay = interior[0]
             break
@@ -104,24 +104,23 @@ def rate_sweep():
 
 def test_criterion_01_lifetime_cases_and_monotonicity(report):
     started = time.monotonic()
-    params = LifetimeParams(config_phase_energy_j=5e-3)
+    phase_j = 5e-3   # config_phase_energy_j
     # One active link: the node's spend is eps * rate.
-    assert lifetime_from_spend(0.0, 0.1 * 2.0, params) == 0.0
-    assert lifetime_from_spend(params.config_phase_energy_j / 2,
-                               0.1 * 2.0, params) == 1.0
-    assert lifetime_from_spend(10.0, 0.1 * 2.0, params) == 50.0
+    assert lifetime_from_spend(0.0, 0.1 * 2.0, phase_j) == 0.0
+    assert lifetime_from_spend(phase_j / 2, 0.1 * 2.0, phase_j) == 1.0
+    assert lifetime_from_spend(10.0, 0.1 * 2.0, phase_j) == 50.0
     rng = random.Random(101)
     for _ in range(2000):
         energy = rng.uniform(0.01, 50.0)
         rate = rng.uniform(0.0, 8.0)
         eps = rng.uniform(1e-6, 1e-3)
         more_energy = lifetime_from_spend(energy + rng.uniform(0, 10),
-                                          eps * rate, params)
-        base = lifetime_from_spend(energy, eps * rate, params)
+                                          eps * rate, phase_j)
+        base = lifetime_from_spend(energy, eps * rate, phase_j)
         assert more_energy >= base
-        if energy > params.config_phase_energy_j:
+        if energy > phase_j:
             loaded = lifetime_from_spend(energy,
-                                         eps * (rate + rng.uniform(0, 4)), params)
+                                         eps * (rate + rng.uniform(0, 4)), phase_j)
             assert loaded <= base
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -131,12 +130,12 @@ def test_criterion_01_lifetime_cases_and_monotonicity(report):
 
 def test_criterion_02_epoch_bound_matches_enumeration(report):
     started = time.monotonic()
-    params = LifetimeParams(config_phase_energy_j=5e-3)
+    phase_j = 5e-3   # config_phase_energy_j
     rng = random.Random(202)
     for _ in range(200):
         net, table, pieces = random_epoch_instance(rng)
-        got = max_epoch_duration(net, pieces, params)
-        want = brute_force_epoch_bound(net, table, pieces, params)
+        got = max_epoch_duration(net, pieces, phase_j)
+        want = brute_force_epoch_bound(net, table, pieces, phase_j)
         assert got == want or (math.isinf(got) and math.isinf(want))
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

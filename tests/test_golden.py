@@ -15,9 +15,9 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
-from fwdsim import (InterferenceConfig, Simulation, StatusReport,
-                    build_grid_topology, compute_plan, parse_scenario, planner,
-                    sample_pieces, status_from_network)
+from fwdsim import (InterferenceConfig, Simulation, StatusReport, compute_plan,
+                    parse_scenario, planner, sample_pieces,
+                    status_from_network)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -153,8 +153,7 @@ def plan_instance(rows: int, cols: int, seed: int):
                     for c in (cols // 3, 2 * cols // 3))
     cfg = replace(parse_scenario(text), rows=rows, cols=cols, proxies=proxies,
                   seed=seed)
-    net = build_grid_topology(cfg.rows, cfg.cols, cfg.spacing_m, cfg.range_m,
-                              set(cfg.proxies), cfg.link_params(), cfg.seed)
+    net = cfg.network()
     return cfg, net, sample_pieces(cfg, net)
 
 
@@ -183,7 +182,7 @@ def test_plan_texts_match_golden_digests():
         for view, reps in (("initial", reports),
                            ("perturbed", perturbed(reports, seed))):
             plan = compute_plan(reps, pieces, net.proxies,
-                                cfg.latency_budget_ms, cfg.lifetime_params())
+                                cfg.latency_budget_ms, cfg.config_phase_energy_j)
             got[(rows, cols, seed, view)] = sha256(plan.to_text())
     moved = {k: v for k, v in got.items() if GOLDEN_PLANS[k] != v}
     assert not moved, moved

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (INFINITE_LIFETIME, LifetimeParams, lifetime_from_spend,
-                    max_epoch_duration, trigger_check)
+from fwdsim import (INFINITE_LIFETIME, lifetime_from_spend, max_epoch_duration,
+                    trigger_check)
 
 from oracles import brute_force_epoch_bound, random_epoch_instance
 
-PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
+PARAMS = 5e-3   # config_phase_energy_j
 
 
 class TestNodeLifetime:
@@ -20,7 +20,7 @@ class TestNodeLifetime:
         assert lifetime_from_spend(0.0, 0.1 * 2.0, PARAMS) == 0.0
 
     def test_configuration_phase_only_survives_one_cycle(self):
-        energy = PARAMS.config_phase_energy_j / 2
+        energy = PARAMS / 2
         assert lifetime_from_spend(energy, 0.1 * 2.0, PARAMS) == 1.0
 
     def test_energy_over_spend(self):
@@ -28,7 +28,7 @@ class TestNodeLifetime:
         assert lifetime_from_spend(10.0, 0.1 * 2.0, PARAMS) == 50.0
 
     def test_boundary_exactly_at_config_energy_is_one_cycle(self):
-        energy = PARAMS.config_phase_energy_j
+        energy = PARAMS
         assert lifetime_from_spend(energy, 0.1 * 2.0, PARAMS) == 1.0
 
     def test_idle_node_gets_infinite_sentinel(self):
@@ -50,7 +50,7 @@ class TestNodeLifetime:
            bump=st.floats(0.0, 8.0),
            eps=st.floats(1e-6, 1e-3))
     def test_rates_never_extend_lifetime(self, energy, rate, bump, eps):
-        assume(energy > PARAMS.config_phase_energy_j)
+        assume(energy > PARAMS)
         base = lifetime_from_spend(energy, eps * rate, PARAMS)
         loaded = lifetime_from_spend(energy, eps * (rate + bump), PARAMS)
         assert loaded <= base

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (DataPiece, LatencyEnergyConfig, LinkState, NetworkState,
-                    NodeState, PathRow, PathTable, Simulation, TopologyError,
-                    build_grid_topology, install_path, sample_access_latency,
-                    validate_paths, walk_chain)
+from fwdsim import (DataPiece, LinkState, NetworkState, NodeState, PathRow,
+                    PathTable, Simulation, TopologyError, install_path,
+                    sample_access_latency, validate_paths, walk_chain)
 from fwdsim.netmodel import PathViolation
 
-from conftest import make_net, quiet_config
+from conftest import grid, make_net, quiet_config
 from oracles import (reference_chain, reference_sample_access_latency,
                      reference_validate_paths, reference_walk_chain)
 
@@ -23,7 +22,7 @@ def undirected(net):
 
 class TestGridConstruction:
     def test_paper_scale_grid_is_four_neighbor_at_3m(self):
-        net = build_grid_topology(3, 6, 2.5, 3.0, PROXIES, seed=1)
+        net = grid(3, 6, 3.0, PROXIES, 1)
         assert len(net.nodes) == 18
         assert len(undirected(net)) == 27          # no diagonals at 3 m
         # corner degree 2, edge degree 3, interior degree 4
@@ -35,39 +34,39 @@ class TestGridConstruction:
         assert (0, 7) not in net.links
 
     def test_operating_grid_matches_published_edge_count(self):
-        net = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=1)
+        net = grid(3, 6, 3.6, PROXIES, 1)
         assert len(net.nodes) == 18
         assert len(undirected(net)) == 47          # diagonals included
 
     def test_minimal_two_node_grid(self):
-        net = build_grid_topology(1, 2, 2.5, 3.0, {0}, seed=1)
+        net = grid(1, 2, 3.0, {0}, 1)
         assert set(net.links) == {(0, 1), (1, 0)}
 
     def test_two_by_two_grid_has_four_link_pairs(self):
         # horizontal 2.5 x2, vertical 2.5 x2, diagonal 3.54 excluded
-        net = build_grid_topology(2, 2, 2.5, 3.0, {0}, seed=1)
+        net = grid(2, 2, 3.0, {0}, 1)
         assert len(net.nodes) == 4
         assert len(undirected(net)) == 4
         assert (0, 3) not in net.links and (1, 2) not in net.links
 
     def test_disconnected_grid_rejected(self):
         with pytest.raises(TopologyError):
-            build_grid_topology(1, 3, 2.5, 2.0, {0}, seed=1)
+            grid(1, 3, 2.0, {0}, 1)
 
     def test_bad_proxy_ids_rejected(self):
         with pytest.raises(TopologyError):
-            build_grid_topology(2, 2, 2.5, 3.0, {9}, seed=1)
+            grid(2, 2, 3.0, {9}, 1)
 
     def test_construction_is_deterministic(self):
-        a = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=42)
-        b = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=42)
+        a = grid(3, 6, 3.6, PROXIES, 42)
+        b = grid(3, 6, 3.6, PROXIES, 42)
         assert a.nodes == b.nodes and a.links == b.links
-        c = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=43)
+        c = grid(3, 6, 3.6, PROXIES, 43)
         assert a.nodes != c.nodes and a.links != c.links
 
     @pytest.mark.parametrize("seed", [0, 7, 99])
     def test_link_existence_symmetric_and_range_consistent(self, seed):
-        net = build_grid_topology(3, 5, 2.5, 3.6, {2}, seed=seed)
+        net = grid(3, 5, 3.6, {2}, seed)
         for (u, v) in net.links:
             assert (v, u) in net.links
         for u in net.nodes:
@@ -79,7 +78,7 @@ class TestGridConstruction:
                 assert (v in net.neighbors[u]) == within
 
     def test_proxies_start_richer(self):
-        net = build_grid_topology(3, 6, 2.5, 3.6, PROXIES, seed=1)
+        net = grid(3, 6, 3.6, PROXIES, 1)
         proxy_floor = min(net.nodes[p].initial_energy_j for p in PROXIES)
         normal_ceiling = max(net.nodes[u].initial_energy_j
                              for u in net.nodes if u not in PROXIES)
@@ -197,7 +196,7 @@ class TestValidatePaths:
 @settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 4), cols=st.integers(2, 5), seed=st.integers(0, 10))
 def test_grid_chain_reconstruction_roundtrip(rows, cols, seed):
-    net = build_grid_topology(rows, cols, 2.5, 3.6, {0}, seed=seed)
+    net = grid(rows, cols, 3.6, {0}, seed)
     ids = sorted(net.nodes)
     chain = [ids[0]]
     for v in ids[1:]:
@@ -242,7 +241,6 @@ def pointer_tables(draw):
         links=links,
         proxies=set(),
         neighbors={u: tuple(v for v in nodes if (u, v) in links) for u in nodes},
-        link_params=LatencyEnergyConfig(),
     )
     consumer = draw(st.one_of(st.just(chain[-1]), st.sampled_from(nodes)))
     proxy = draw(st.one_of(st.sampled_from(chain), st.sampled_from(nodes), st.none()))

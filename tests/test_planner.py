@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import planner
-from fwdsim import (DataPiece, LifetimeParams, PlannerView, PlanningError,
-                    ScenarioConfig, Simulation, StatusReport, bottleneck_path,
-                    build_grid_topology, compute_plan, install_path,
-                    path_bottleneck, sample_access_latency,
+from fwdsim import (DataPiece, PlannerView, PlanningError, ScenarioConfig,
+                    Simulation, StatusReport, bottleneck_path, compute_plan,
+                    install_path, path_bottleneck, sample_access_latency,
                     status_from_network, validate_paths, walk_chain, PathTable)
 
-from conftest import make_net, quiet_config
+from conftest import grid, make_net, quiet_config
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
                      random_planner_graph, reference_bottleneck_path,
                      reference_compute_plan)
 from test_golden import plan_instance
 
-PARAMS = LifetimeParams(config_phase_energy_j=5e-3)
+PARAMS = 5e-3   # config_phase_energy_j
 
 
 def view_from(links, energies, spend=None):
@@ -156,7 +155,8 @@ class TestMatchesReferenceSearch:
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
         links[(2, 3)] = (50e-6, 4.0)                 # no way back from 3
         view = PlannerView(energy={u: 5.0 for u in range(4)}, edges=links,
-                           spend={u: 0.0 for u in range(4)}, params=PARAMS)
+                           spend={u: 0.0 for u in range(4)},
+                           config_phase_energy_j=PARAMS)
         assert view.out_neighbors(1) == [0, 2]
         assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6),
                                      (3, 4.0, float("inf"), 50e-6))
@@ -286,9 +286,8 @@ class TestComputePlan:
 
     def test_emitted_plans_validate_and_respect_budget(self):
         rng = random.Random(777)
-        from fwdsim import build_grid_topology
         for seed in range(6):
-            net = build_grid_topology(3, 4, 2.5, 3.6, {5, 6}, seed=seed)
+            net = grid(3, 4, 3.6, {5, 6}, seed)
             for u in net.nodes.values():
                 u.initial_energy_j = rng.uniform(1.0, 30.0)
             net.nodes[5].initial_energy_j = 100.0
@@ -328,7 +327,7 @@ def tie_heavy_plans(draw):
             links[(u, v)] = draw(link)
             if draw(st.integers(0, 7)):
                 links[(v, u)] = draw(link)
-    energy = st.sampled_from([0.0, 1e-3, PARAMS.config_phase_energy_j,
+    energy = st.sampled_from([0.0, 1e-3, PARAMS,
                               0.05, 0.2, 0.5, 2.0, 8.0])
     reported = [u for u in range(n) if draw(st.integers(0, 9))]
     reports = [StatusReport(node=u, energy_j=draw(energy),
@@ -348,7 +347,7 @@ def tie_heavy_plans(draw):
 def next_round(draw, reports):
     """The reports of a later controller round: every energy and link cost
     drawn again, and now and then one node gone or one latency changed."""
-    energy = st.sampled_from([0.0, 1e-3, PARAMS.config_phase_energy_j,
+    energy = st.sampled_from([0.0, 1e-3, PARAMS,
                               0.05, 0.2, 0.5, 2.0, 8.0])
     eps = st.sampled_from([25e-6, 50e-6, 150e-6])
     out = [StatusReport(node=rep.node, energy_j=draw(energy),
@@ -424,7 +423,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(planner, "bottleneck_path", counting)
         compute_plan(status_from_network(net), pieces, net.proxies,
-                     cfg.latency_budget_ms, cfg.lifetime_params())
+                     cfg.latency_budget_ms, cfg.config_phase_energy_j)
         assert calls <= 133
 
     def test_replan_grid_shares_edge_lifetimes(self, monkeypatch):
@@ -442,7 +441,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(planner, "lifetime_from_spend", counting)
         compute_plan(status_from_network(net), pieces, net.proxies,
-                     cfg.latency_budget_ms, cfg.lifetime_params())
+                     cfg.latency_budget_ms, cfg.config_phase_energy_j)
         assert calls == 5740
 
     @settings(max_examples=100, deadline=None)
@@ -465,7 +464,7 @@ class TestBranchAndBound:
 
         def plan(reps, topology):
             return compute_plan(reps, pieces, net.proxies,
-                                cfg.latency_budget_ms, cfg.lifetime_params(),
+                                cfg.latency_budget_ms, cfg.config_phase_energy_j,
                                 topology)
 
         topology = plan(reports, None).topology
@@ -503,7 +502,7 @@ class TestRecompute:
 
     def test_charges_every_alive_node_one_exchange(self):
         sim = self.make_sim()
-        cost = sim.net.link_params.controller_energy_j
+        cost = sim.cfg.controller_energy_j
         before = {u: sim.net.nodes[u].energy_j for u in sim.net.nodes}
         sim._controller_round()
         assert sim._cfg_energy == pytest.approx(len(sim.net.nodes) * cost)
@@ -512,13 +511,22 @@ class TestRecompute:
         assert not sim.piece_status[0].broken and sim.pieces[0].proxy in (1, 4)
         assert validate_paths(sim.net, sim.table, sim.pieces).ok()
 
+    def test_charges_the_configured_exchange_cost(self):
+        # A prebuilt network carries no price of its own: the round charges
+        # the scenario's controller_energy_j.
+        sim = self.make_sim(controller_energy_j=0.05)
+        before = {u: sim.net.nodes[u].spent_j for u in sim.net.nodes}
+        sim._controller_round()
+        for u in sim.net.nodes:
+            assert sim.net.nodes[u].spent_j - before[u] == 0.05
+
     def test_dead_nodes_neither_pay_nor_appear_in_paths(self):
         sim = self.make_sim()
         sim.net.nodes[2].alive = False
         before = sim.net.nodes[2].energy_j
         sim._controller_round()
         assert sim._cfg_energy == pytest.approx(
-            4 * sim.net.link_params.controller_energy_j)
+            4 * sim.cfg.controller_energy_j)
         assert sim.net.nodes[2].energy_j == before
         assert 2 not in self.chain_nodes(sim)
         assert not sim.piece_status[0].broken
@@ -539,8 +547,7 @@ class TestRecompute:
 
     def test_node_emptied_at_start_up_dies_off_every_chain(self):
         cfg = ScenarioConfig(seed=1, strategy="PDD", horizon=10)
-        net = build_grid_topology(cfg.rows, cfg.cols, cfg.spacing_m, cfg.range_m,
-                                  set(cfg.proxies), cfg.link_params(), cfg.seed)
+        net = cfg.network()
         cost = sorted(n.initial_energy_j for n in net.nodes.values())[3]
         sim = Simulation(replace(cfg, controller_energy_j=cost))
         emptied = {u for u, n in net.nodes.items() if n.initial_energy_j <= cost}

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fwdsim
 from fwdsim import (Finding, InterferenceConfig, ScenarioConfig,
                     ScenarioParseError, is_valid, parse_scenario,
                     render_scenario, run_simulation, validate_config)
@@ -68,6 +70,11 @@ class TestValidation:
         findings = validate_config(ScenarioConfig(trigger_threshold=1.5))
         assert not is_valid(findings)
         assert any("trigger_threshold" in f.field for f in findings)
+
+    def test_negative_config_phase_energy_rejected(self):
+        findings = validate_config(ScenarioConfig(config_phase_energy_j=-1e-3))
+        assert Finding("error", "links.config_phase_energy_j",
+                       "must be >= 0") in findings
 
     def test_range_below_spacing_is_disconnected(self):
         findings = validate_config(ScenarioConfig(range_m=2.0))
@@ -182,9 +189,13 @@ class TestCli:
 
     def test_console_entry_point(self, tmp_path):
         path = self.write_scenario(tmp_path, small_cfg())
+        # The child imports the package this test imported, installed or not.
+        here = str(Path(fwdsim.__file__).resolve().parent.parent)
+        paths = [here, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "fwdsim.cli", str(path), "--validate-only"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
 
 

@@ -127,8 +127,9 @@ def test_spend_model_matches_the_replaced_sums(sim, rate):
     net, table, pieces = sim.net, sim.table, sim.pieces
     assert unwired_rows(sim) == []
 
-    got = max_epoch_duration(net, pieces, sim.params)
-    want = reference_max_epoch_duration(net, table, pieces, sim.params)
+    phase_j = sim.cfg.config_phase_energy_j
+    got = max_epoch_duration(net, pieces, phase_j)
+    want = reference_max_epoch_duration(net, table, pieces, phase_j)
     assert got == want
 
     for u in sorted(net.nodes):
