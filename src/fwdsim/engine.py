@@ -59,7 +59,6 @@ Three strategies share the same initial centrally computed plan:
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -289,18 +288,15 @@ class NodeCtx:
 
     def deactivate_edge_all_pieces(self, v: NodeId) -> None:
         link = self._sim.net.links.get((self.node, v))
-        if link is None:
-            return
-        for piece in sorted(link.active_pieces):
-            self._sim.net.deactivate(piece, self.node, v)
+        if link is not None:
+            link.active_pieces.clear()
 
     def deactivate_all_edges(self) -> None:
         for v in self.out_neighbor_ids():
             self.deactivate_edge_all_pieces(v)
             back = self._sim.net.links.get((v, self.node))
             if back is not None:
-                for piece in sorted(back.active_pieces):
-                    self._sim.net.deactivate(piece, v, self.node)
+                back.active_pieces.clear()
 
     # --- pieces -------------------------------------------------------------------
     def piece_known(self, piece: int) -> bool:
@@ -381,7 +377,6 @@ class Simulation:
         self._forced: dict[int, list[NodeId]] = {}
         for cyc, node in cfg.forced_deaths:
             self._forced.setdefault(cyc, []).append(node)
-        self._forced_cycles = sorted(self._forced)
         # This cycle's interference event draw, when a quiet stretch drew it.
         self._interference_draw: float | None = None
 
@@ -401,8 +396,8 @@ class Simulation:
         self._delivered = 0
         self._lost = 0
         self._reconfigs = 0
-        self._cr_trigger = False
-        self._cr_deaths_pending = False
+        # A PDD-CR round is due: a trigger fired or a node died, in a round too.
+        self._replan_due = False
         # The last plan's topology, for the next controller round to reuse.
         self._topology: planner.Topology | None = None
 
@@ -534,15 +529,13 @@ class Simulation:
         ``_step()`` that follows forwards from it."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
-                or self._busy or self._cr_deaths_pending):
+                or self._busy or self._replan_due):
             return None
         stop = end
-        for due in self._reverts:
-            if start <= due < stop:
-                stop = due
-        k = bisect_left(self._forced_cycles, start)
-        if k < len(self._forced_cycles) and self._forced_cycles[k] < stop:
-            stop = self._forced_cycles[k]
+        for schedule in (self._reverts, self._forced):
+            for due in schedule:
+                if start <= due < stop:
+                    stop = due
         if stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
             return None
         walk = self._walk()
@@ -743,7 +736,6 @@ class Simulation:
 
     def _inject_interference(self, cyc: int) -> None:
         inter = self.cfg.interference
-        self._cr_trigger = False
         drawn, self._interference_draw = self._interference_draw, None
         affected = inject_interference(self.net, self._rng_interference, inter,
                                        self.cfg.trigger_threshold,
@@ -751,8 +743,8 @@ class Simulation:
         for lk, fired in affected:
             self._dirty_links.add(lk)
             self._reverts.setdefault(cyc + inter.duration_cycles, []).append(lk)
-            if fired:
-                self._cr_trigger = True
+            if fired and self.cfg.strategy == "PDD-CR":
+                self._replan_due = True
 
     def _generate_and_forward(self, walk=None) -> None:
         """Charge this cycle's forwarding in piece and hop order, from
@@ -796,8 +788,7 @@ class Simulation:
         one replans wholesale)."""
         if self.cfg.strategy != "DistrDataFwd" or status.broken:
             return
-        state = self._ctx[blocked_at].state
-        if piece.id in state.pending_route or piece.id in state.pending_splice:
+        if self._ctx[blocked_at].state.repairing(piece.id):
             status.stuck_cycles = 0
             return
         status.stuck_cycles += 1
@@ -885,9 +876,9 @@ class Simulation:
         return worst
 
     def _central_reconfiguration_hook(self) -> None:
-        if not (self._cr_trigger or self._cr_deaths_pending):
+        if not self._replan_due:
             return
-        self._cr_deaths_pending = False
+        self._replan_due = False
         self._controller_round()
         self.note_reconfiguration()
 
@@ -963,7 +954,7 @@ class Simulation:
         self._alive_count -= 1
         self.metrics.death_times[node] = self.cycle
         if self.cfg.strategy == "PDD-CR":
-            self._cr_deaths_pending = True
+            self._replan_due = True
         for pid in self._piece_ids:
             piece = self.pieces_by_id[pid]
             if piece.source == node:

@@ -15,19 +15,19 @@ route request; relays piggyback the minimum projected lifetime seen so far,
 the target collects arrivals for one cycle and answers along the route that
 maximizes that minimum.
 
-A node joining a path may already be on it. The join handler distinguishes
-the fresh, already-downstream and already-upstream cases using per-row order
-keys (monotone along a chain, carried in join and route-reply messages) and
-dissolves the superseded stretch with a directional deletion wave so the
-surviving path is always simple.
+A node joining a path, by a splice join or a route reply, may already be on
+it. One routine (``_enter_path``) tells the fresh, already-downstream and
+already-upstream cases apart by per-row order keys (monotone along a chain,
+carried in join and route-reply messages); a directional deletion wave
+dissolves the superseded stretch, so the surviving path is always simple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lifetime import trigger_check
-from .netmodel import ORDER_KEY_GAP, NodeId
+from .lifetime import INFINITE_LIFETIME, trigger_check
+from .netmodel import ORDER_KEY_GAP, NodeId, PathRow
 
 FWD = "fwd"
 BWD = "bwd"
@@ -136,17 +136,22 @@ class PendingSplice:
 
 @dataclass
 class ProtocolState:
-    # relayed and answered map (origin, req_id) to the cycle the key was
-    # added, in insertion (so cycle) order; old keys are forgotten.
-    relayed: dict = field(default_factory=dict)        # already re-broadcast
+    # seen maps the (origin, req_id) of each request I relayed or answered
+    # (never both: a target does not relay) to the cycle the key was added,
+    # in insertion (so cycle) order; old keys are forgotten.
+    seen: dict = field(default_factory=dict)
     collectors: dict = field(default_factory=dict)     # (origin, req_id) -> RouteCollector
-    answered: dict = field(default_factory=dict)       # already replied to
     pending_route: dict = field(default_factory=dict)  # piece -> PendingRoute
     pending_splice: dict = field(default_factory=dict) # piece -> PendingSplice
     next_request_id: int = 0
 
     def has_pending_work(self) -> bool:
         return bool(self.collectors or self.pending_route or self.pending_splice)
+
+    def repairing(self, piece: int) -> bool:
+        """Whether a repair of mine for ``piece`` is underway: a route
+        discovery or a splice waiting for its stitch."""
+        return piece in self.pending_route or piece in self.pending_splice
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +192,17 @@ def node_cycle(ctx, cycle: int) -> None:
 
 
 def _forget_old_requests(ctx) -> None:
-    """Drop relayed and answered request ids older than ``route_ttl + 1``
-    cycles. Every copy of a request arrives within ``route_ttl + 1`` cycles
-    of the origin's send and request ids never recur, so an older id can
-    never be looked up again (AODV's PATH_DISCOVERY_TIME, RFC 3561 6.3)."""
+    """Drop seen request ids older than ``route_ttl + 1`` cycles. Every copy
+    of a request arrives within ``route_ttl + 1`` cycles of the origin's send
+    and request ids never recur, so an older id can never be looked up again
+    (AODV's PATH_DISCOVERY_TIME, RFC 3561 6.3)."""
     oldest = ctx.cycle() - (ctx.route_ttl + 1)
-    for seen in (ctx.state.relayed, ctx.state.answered):
-        while seen:
-            key = next(iter(seen))
-            if seen[key] >= oldest:
-                break
-            del seen[key]
+    seen = ctx.state.seen
+    while seen:
+        key = next(iter(seen))
+        if seen[key] >= oldest:
+            break
+        del seen[key]
 
 
 def _trigger_scan(ctx) -> int:
@@ -352,20 +357,36 @@ def local_aodv_plus(ctx, piece: int, target: NodeId, ttl: int) -> None:
     deadline = ctx.cycle() + 2 * (ttl + 1) + 2
     state.pending_route[piece] = PendingRoute(req_id=req_id, target=target,
                                               deadline=deadline)
+    _flood(ctx, piece, ctx.node, target, req_id, ttl, INFINITE_LIFETIME, (),
+           row.order_key)
+
+
+def _flood(ctx, piece: int, origin: NodeId, target: NodeId, req_id: int,
+           ttl: int, min_lifetime: float, hops: tuple[NodeId, ...],
+           origin_key: float) -> None:
+    """Broadcast one copy of a route request to every alive neighbor not on
+    ``hops``, with me appended to the hops and the minimum lifetime lowered
+    to my own over the edge to that neighbor. The origin and every relay
+    send through here (RFC 3561 6.3-6.5)."""
+    me = ctx.node
     rate = ctx.piece_rate(piece)
-    load = ctx.load_of(ctx.node)
+    load = ctx.load_of(me)
+    hops_out = hops + (me,)
     for nb in ctx.alive_neighbor_ids():
-        life = ctx.projected_lifetime_of(ctx.node, nb, rate, load)
-        ctx.send(nb, RouteRequest(piece=piece, origin=ctx.node, target=target,
-                                  req_id=req_id, ttl=ttl, min_lifetime=life,
-                                  hops=(ctx.node,), origin_key=row.order_key))
+        if nb in hops:
+            continue
+        life = ctx.projected_lifetime_of(me, nb, rate, load)
+        ctx.send(nb, RouteRequest(piece=piece, origin=origin, target=target,
+                                  req_id=req_id, ttl=ttl,
+                                  min_lifetime=min(min_lifetime, life),
+                                  hops=hops_out, origin_key=origin_key))
 
 
 def _handle_route_request(ctx, msg: RouteRequest) -> None:
     me = ctx.node
+    key = (msg.origin, msg.req_id)
     if me == msg.target:
-        key = (msg.origin, msg.req_id)
-        if key in ctx.state.answered:
+        if key in ctx.state.seen:
             return   # stragglers after the reply went out
         col = ctx.state.collectors.get(key)
         if col is None:
@@ -380,33 +401,30 @@ def _handle_route_request(ctx, msg: RouteRequest) -> None:
         return
     if me in msg.hops:
         return
-    if (msg.origin, msg.req_id) in ctx.state.relayed:
+    if key in ctx.state.seen:
         return
     if msg.ttl < 1:
         return
-    ctx.state.relayed[(msg.origin, msg.req_id)] = ctx.cycle()
-    rate = ctx.piece_rate(msg.piece)
-    load = ctx.load_of(me)
-    for nb in ctx.alive_neighbor_ids():
-        if nb in msg.hops:
-            continue
-        life = ctx.projected_lifetime_of(me, nb, rate, load)
-        ctx.send(nb, RouteRequest(piece=msg.piece, origin=msg.origin,
-                                  target=msg.target, req_id=msg.req_id,
-                                  ttl=msg.ttl - 1,
-                                  min_lifetime=min(msg.min_lifetime, life),
-                                  hops=msg.hops + (me,),
-                                  origin_key=msg.origin_key))
+    ctx.state.seen[key] = ctx.cycle()
+    _flood(ctx, msg.piece, msg.origin, msg.target, msg.req_id, msg.ttl - 1,
+           msg.min_lifetime, msg.hops, msg.origin_key)
+
+
+def _due(ctx, entries: dict):
+    """Remove and yield, in key order, the (key, entry) pairs of ``entries``
+    whose deadline has come. The keys are sorted before the first entry is
+    yielded, so a caller may add entries as it goes."""
+    now = ctx.cycle()
+    for key in sorted(entries):
+        entry = entries[key]
+        if entry.deadline <= now:
+            del entries[key]
+            yield key, entry
 
 
 def _expire_collectors(ctx) -> None:
-    state = ctx.state
-    for key in sorted(state.collectors):
-        col = state.collectors[key]
-        if col.deadline > ctx.cycle():
-            continue
-        del state.collectors[key]
-        state.answered[key] = ctx.cycle()
+    for key, col in _due(ctx, ctx.state.collectors):
+        ctx.state.seen[key] = ctx.cycle()
         row = ctx.row(col.piece)
         if row is None:
             ctx.diagnostic(f"route collected for piece {col.piece} I no longer serve")
@@ -425,24 +443,15 @@ def _expire_collectors(ctx) -> None:
 
 
 def _expire_pending_routes(ctx) -> None:
-    state = ctx.state
-    for piece in sorted(state.pending_route):
-        pr = state.pending_route[piece]
-        if pr.deadline <= ctx.cycle():
-            del state.pending_route[piece]
-            if ctx.row(piece) is None:
-                continue   # the path restructured around me meanwhile
-            ctx.report_broken(piece, "repair-failed")
+    for piece, _ in _due(ctx, ctx.state.pending_route):
+        if ctx.row(piece) is None:
+            continue   # the path restructured around me meanwhile
+        ctx.report_broken(piece, "repair-failed")
 
 
 def _check_pending_splices(ctx) -> None:
-    state = ctx.state
-    for piece in sorted(state.pending_splice):
-        ps = state.pending_splice[piece]
-        if ps.deadline > ctx.cycle():
-            continue
-        del state.pending_splice[piece]
-        if piece in state.pending_route:
+    for piece, ps in _due(ctx, ctx.state.pending_splice):
+        if piece in ctx.state.pending_route:
             continue   # a newer repair superseded the splice
         row = ctx.row(piece)
         if row is None or row.next != ps.joiner:
@@ -494,28 +503,15 @@ def _handle_route_reply(ctx, msg: RouteReply) -> None:
     downstream = msg.hops[k + 1]
     up_key = _route_key(msg.origin_key, msg.target_key, k - 1, span)
     my_key = _route_key(msg.origin_key, msg.target_key, k, span)
-    row = ctx.row(piece)
-    if row is None:
-        ctx.set_row(piece, prev=upstream, next=downstream, order_key=my_key)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=me,
-                                        delete=False, direction=FWD))
+    stale = _enter_path(ctx, piece, upstream, downstream, my_key, up_key)
+    if stale is None:
         ctx.send(upstream, msg)
-    elif row.order_key > up_key:
-        ctx.set_prev(piece, upstream)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=me,
+    elif stale.next is not None and stale.next != downstream:
+        # Dissolve my stale old continuation. It either dead-ends at the
+        # failed hop or rejoins the path at my new downstream, so that is
+        # the wave's terminator.
+        ctx.send(stale.next, ModifyPath(piece=piece, joiner=downstream,
                                         delete=True, direction=FWD))
-        ctx.send(upstream, msg)
-    else:
-        old_next = row.next
-        ctx.set_next(piece, downstream)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=me,
-                                        delete=False, direction=FWD))
-        if old_next is not None and old_next != downstream:
-            # Dissolve my stale old continuation. It either dead-ends at the
-            # failed hop or rejoins the path at my new downstream, so that is
-            # the wave's terminator.
-            ctx.send(old_next, ModifyPath(piece=piece, joiner=downstream,
-                                          delete=True, direction=FWD))
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +535,30 @@ def join_path(ctx, msg: Join) -> None:
     if not ctx.piece_known(piece):
         ctx.diagnostic(f"join refused: unknown piece {piece}")
         return
-    row = ctx.row(piece)
-    if row is None:
-        ctx.set_row(piece, prev=upstream, next=downstream,
-                    order_key=msg.upstream_key + JOIN_KEY_STEP)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
-                                        delete=False, direction=FWD))
-    elif row.order_key > msg.upstream_key:
-        ctx.set_prev(piece, upstream)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
-                                        delete=True, direction=FWD))
-    else:
-        ctx.set_next(piece, downstream)
-        ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
-                                        delete=False, direction=FWD))
+    if _enter_path(ctx, piece, upstream, downstream,
+                   msg.upstream_key + JOIN_KEY_STEP, msg.upstream_key) is not None:
         ctx.send(upstream, ModifyPath(piece=piece, joiner=ctx.node,
                                       delete=True, direction=BWD))
+
+
+def _enter_path(ctx, piece: int, upstream: NodeId, downstream: NodeId,
+                key: float, upstream_key: float) -> PathRow | None:
+    """The row write and forward message that a splice joiner and a
+    route-reply relay share (``join_path``'s three cases), with order key
+    ``key`` when I am fresh. Returns my old row when I already sat upstream
+    of the joint, so the caller can dissolve what I superseded, else None.
+    Rows are replaced, not mutated, so it still names my old next."""
+    row = ctx.row(piece)
+    downstream_of_joint = row is not None and row.order_key > upstream_key
+    if row is None:
+        ctx.set_row(piece, prev=upstream, next=downstream, order_key=key)
+    elif downstream_of_joint:
+        ctx.set_prev(piece, upstream)
+    else:
+        ctx.set_next(piece, downstream)
+    ctx.send(downstream, ModifyPath(piece=piece, joiner=ctx.node,
+                                    delete=downstream_of_joint, direction=FWD))
+    return None if downstream_of_joint else row
 
 
 def modify_path(ctx, src: NodeId, msg: ModifyPath) -> None:

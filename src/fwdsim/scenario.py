@@ -17,6 +17,9 @@ from .netmodel import TopologyError
 
 WH_TO_J = 3600.0
 
+# Node and proxy endowments may not exceed one battery: 830 mAh at 3.7 V.
+BATTERY_CAP_WH = 3.071
+
 STRATEGIES = ("PDD", "PDD-CR", "DistrDataFwd")
 
 FULL_HORIZON_CYCLES = 7_200_000   # 2000 hours at one-second cycles
@@ -48,7 +51,6 @@ class ScenarioConfig:
     node_energy_wh_min: float = 0.0
     node_energy_wh_max: float = 1.0
     proxy_energy_wh: float = 3.0
-    battery_cap_wh: float = 3.071    # 830 mAh at 3.7 V
     energy_scale: float = 1.0 / 60.0
     # data
     consumer_fraction: float = 0.25
@@ -164,7 +166,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "node_wh_min": ("node_energy_wh_min", _float),
         "node_wh_max": ("node_energy_wh_max", _float),
         "proxy_wh": ("proxy_energy_wh", _float),
-        "battery_cap_wh": ("battery_cap_wh", _float),
         "scale": ("energy_scale", _float),
     },
     "data": {
@@ -295,7 +296,9 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
         err("links.latency_ms_min/max", "need 0 < min <= max")
     if cfg.tx_energy_j <= 0:
         err("links.tx_energy_j", "must be positive")
-    if cfg.controller_energy_j <= cfg.tx_energy_j:
+    if cfg.controller_energy_j < 0:
+        err("links.controller_energy_j", "must be >= 0")
+    elif cfg.controller_energy_j <= cfg.tx_energy_j:
         warn("links.controller_energy_j",
              "controller exchanges should cost far more than one-hop sends")
     if cfg.config_phase_energy_j < 0:
@@ -303,10 +306,10 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
 
     if cfg.node_energy_wh_min < 0 or cfg.node_energy_wh_max < cfg.node_energy_wh_min:
         err("energy.node_wh_min/max", "need 0 <= min <= max")
-    if cfg.node_energy_wh_max > cfg.battery_cap_wh:
-        err("energy.node_wh_max", f"exceeds battery capacity {cfg.battery_cap_wh} Wh")
-    if cfg.proxy_energy_wh > cfg.battery_cap_wh:
-        err("energy.proxy_wh", f"exceeds battery capacity {cfg.battery_cap_wh} Wh")
+    if cfg.node_energy_wh_max > BATTERY_CAP_WH:
+        err("energy.node_wh_max", f"exceeds battery capacity {BATTERY_CAP_WH} Wh")
+    if cfg.proxy_energy_wh > BATTERY_CAP_WH:
+        err("energy.proxy_wh", f"exceeds battery capacity {BATTERY_CAP_WH} Wh")
     if cfg.proxy_energy_wh <= cfg.node_energy_wh_max:
         warn("energy.proxy_wh", "proxies should start far richer than normal nodes")
     if cfg.energy_scale <= 0:

@@ -750,7 +750,6 @@ config_phase_energy_j = {cfg.config_phase_energy_j!r}
 node_wh_min = {cfg.node_energy_wh_min!r}
 node_wh_max = {cfg.node_energy_wh_max!r}
 proxy_wh = {cfg.proxy_energy_wh!r}
-battery_cap_wh = {cfg.battery_cap_wh!r}
 scale = {cfg.energy_scale!r}
 
 [data]

@@ -203,6 +203,70 @@ class TestJoinPathCases:
         assert len(modify) == 3
 
 
+class TestRouteReplyCases:
+    """A route-reply relay that is already on the path, scripted from the
+    moment the target answers: the origin's pending route and the target's
+    new upstream are set by hand, and the reply is injected at the target's
+    route predecessor. Rate 0 keeps the data plane quiet, so no learning
+    write moves a pointer."""
+
+    def reply_fixture(self, edges, chain, origin, target, hops, dead=()):
+        net = make_net(edges, {u: 50.0 for u in range(8)})
+        sim = mini_sim(net, [(0, 5, 1, 0, chain)], horizon=20, trace=True)
+        for node in dead:
+            sim.mark_dead(node)
+        sim._ctx[origin].state.pending_route[0] = protocol.PendingRoute(
+            req_id=0, target=target, deadline=15)
+        target_row = sim.table.row(0, target)
+        sim.write_row(0, target, hops[-2], target_row.next, target_row.order_key)
+        sim.send_message(target, hops[-2], protocol.RouteReply(
+            piece=0, origin=origin, req_id=0, hops=hops,
+            origin_key=sim.table.row(0, origin).order_key,
+            target_key=target_row.order_key))
+        return sim
+
+    def test_relay_already_downstream_adopts_predecessor_and_deletes_forward(self):
+        # Node 1 repairs toward 2 over 1-6-3-7-2; relay 3 already sits
+        # downstream of 2, so it keeps its continuation and the stretch
+        # 7-2 dissolves forward, up to itself.
+        sim = self.reply_fixture(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 3), (3, 7), (7, 2)],
+            [0, 1, 2, 3, 4, 5], origin=1, target=2, hops=(1, 6, 3, 7, 2))
+        sim.run(6)
+        assert [line for line in sim.trace_lines
+                if line.split(",")[1] in ("ModifyPath", "RouteReply")] == [
+            "0,RouteReply,2,7,0",
+            "0,ModifyPath,7,2,0", "0,RouteReply,7,3,0",
+            "1,ModifyPath,3,7,0", "1,RouteReply,3,6,0",
+            "2,ModifyPath,6,3,0", "2,RouteReply,6,1,0", "2,ModifyPath,7,2,0",
+        ]
+        assert walk_chain(sim.table, 0, 0) == [0, 1, 6, 3, 4, 5]
+        assert sim.table.row(0, 2) is None and sim.table.row(0, 7) is None
+        assert not surviving_violations(sim)
+        assert not sim.diagnostics
+
+    def test_relay_already_upstream_shortcuts_and_dissolves_its_old_next(self):
+        # Node 4 died; node 3 repairs toward 5 over 3-1-6-5. Relay 1 already
+        # sits upstream of 3: it shortcuts to 6, stops the reply, and its
+        # stale old continuation 2-3 dissolves up to the failed hop.
+        sim = self.reply_fixture(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 1), (1, 6), (6, 5)],
+            [0, 1, 2, 3, 4, 5], origin=3, target=5, hops=(3, 1, 6, 5), dead=(4,))
+        sim.run(6)
+        assert [line for line in sim.trace_lines
+                if line.split(",")[1] in ("ModifyPath", "RouteReply")] == [
+            "0,RouteReply,5,6,0",
+            "0,ModifyPath,6,5,0", "0,RouteReply,6,1,0",
+            "1,ModifyPath,1,6,0", "1,ModifyPath,1,2,0",
+            "2,ModifyPath,2,3,0",
+            "3,ModifyPath,3,4,0",
+        ]
+        assert walk_chain(sim.table, 0, 0) == [0, 1, 6, 5]
+        assert sim.table.row(0, 2) is None and sim.table.row(0, 3) is None
+        assert not surviving_violations(sim)
+        assert not sim.diagnostics
+
+
 class TestModifyPath:
     def test_delete_no_is_a_single_pointer_write(self):
         # rate 0 keeps the data plane quiet so the stitch alone is observable

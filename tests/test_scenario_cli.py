@@ -35,7 +35,8 @@ class TestScenarioFiles:
         assert "wat" in str(err.value)
 
     @pytest.mark.parametrize("section, key", [("data", "piece_size_bytes"),
-                                              ("protocol", "cycle_seconds")])
+                                              ("protocol", "cycle_seconds"),
+                                              ("energy", "battery_cap_wh")])
     def test_removed_inert_keys_are_unknown(self, section, key):
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(f"[{section}]\n{key} = 1\n")
@@ -75,6 +76,26 @@ class TestValidation:
         findings = validate_config(ScenarioConfig(config_phase_energy_j=-1e-3))
         assert Finding("error", "links.config_phase_energy_j",
                        "must be >= 0") in findings
+
+    def test_negative_controller_energy_rejected(self):
+        findings = validate_config(ScenarioConfig(controller_energy_j=-1.0))
+        assert Finding("error", "links.controller_energy_j",
+                       "must be >= 0") in findings
+
+    def test_free_controller_exchange_only_warns(self):
+        findings = validate_config(ScenarioConfig(controller_energy_j=0.0))
+        assert is_valid(findings)
+        assert [f.severity for f in findings
+                if f.field == "links.controller_energy_j"] == ["warning"]
+
+    @pytest.mark.parametrize("attr, fieldname", [
+        ("node_energy_wh_max", "energy.node_wh_max"),
+        ("proxy_energy_wh", "energy.proxy_wh")])
+    def test_endowment_above_battery_capacity_rejected(self, attr, fieldname):
+        assert is_valid(validate_config(ScenarioConfig(**{attr: 3.071})))
+        findings = validate_config(ScenarioConfig(**{attr: 3.072}))
+        assert Finding("error", fieldname,
+                       "exceeds battery capacity 3.071 Wh") in findings
 
     def test_range_below_spacing_is_disconnected(self):
         findings = validate_config(ScenarioConfig(range_m=2.0))
