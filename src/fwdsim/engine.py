@@ -25,27 +25,41 @@ one exactly: the same charges on the same nodes, the same delivered and lost
 pieces. ``run()`` steps every cycle that has an event through ``_step()`` and
 advances the cycles between events in one loop (``Simulation._run_quiet``)
 over the (node, amount) charges of one forwarding walk of the current state
-(``Simulation._walk``), the walk ``_step()`` charges from too. A cycle is
-quiet when no message is pending or sitting in an inbox, no revert or forced
-death is due, no link changed, no node is drained or busy with a repair, no
-PDD-CR replan is pending, and, under DistrDataFwd, every piece that fails to
-deliver is already broken (no transmission feedback is running) and no
-data-plane learning write is due. A stretch ends at the first interference
-hit, the next due revert or forced death, the end of the ``run()`` call, or
-one cycle of spend before any charged node could run out. The walk is made
-afresh at every ``run()`` entry and after every ``_step()``, so state edited
-between calls takes effect; the ``_step()`` that ends a stretch forwards
-from the stretch's walk, so an event cycle is walked once. Each quiet cycle
-still draws the interference event and one request per piece, so both
-random streams are consumed in the same order as by ``_step()``; a hit is
-handed to that cycle's ``_step()`` as its drawn value. Charges are applied
-in the same order and with the same float operations, so outputs are
-bit-identical to stepping every cycle. A quiet cycle records its metrics
-row by calling the nine series' ``append`` methods directly, bound once
-when the simulation is built, with no method call of its own. Every
-quiet cycle adds the same generated, delivered and lost counts, so piece
-conservation is checked once, before the stretch runs: when each cycle's
-counts balance and the first cycle's totals do, every cycle's totals do.
+(``Simulation._walk``), the walk ``_step()`` charges from too. A stretch
+starts only when no message is pending or sitting in an inbox, no link
+changed, no node is drained or busy with a repair, no PDD-CR replan is
+pending, and, under DistrDataFwd, every piece that fails to deliver is
+already broken (no transmission feedback is running) and no data-plane
+learning write is due.
+
+Which events end a stretch depends on the strategy. Under all three it ends
+at the next forced death, at the end of the ``run()`` call, and one cycle of
+spend before any charged node could run out. Under DistrDataFwd it also ends
+at every interference hit and before every due revert: a changed out-link
+wakes its tail node's protocol step. Under PDD and PDD-CR a hit or a revert
+changes only what some hops cost, and the walk reads no link cost, so the
+stretch applies it itself, through the same ``_revert_interference`` and
+``_inject_interference`` as ``_step()``. It recomputes the amounts of the
+hops over the changed links and, when any changed, re-derives the clamp
+guard from the new spend, and it settles the changed links' previous cost
+at the end of the cycle. It ends there only on a hit that fires the
+trigger under PDD-CR, or when the new spend brings a node within a cycle of
+its clamp. The cycle it ends at has had its reverts and hit applied, and
+its ``_step()`` is told so and goes on from the forced deaths.
+
+The walk is made afresh at every ``run()`` entry and after every
+``_step()``, so state edited between calls takes effect; the ``_step()``
+that ends a stretch forwards from the stretch's walk, so an event cycle is
+walked once. Each quiet cycle still draws the interference event and one
+request per piece, so both random streams are consumed in the same order as
+by ``_step()``. Charges are applied in the same order and with the same
+float operations, so outputs are bit-identical to stepping every cycle. A
+quiet cycle records its metrics row by calling the nine series' ``append``
+methods directly, bound once when the simulation is built, with no method
+call of its own. Every quiet cycle adds the same generated, delivered and
+lost counts, so piece conservation is checked once, before the stretch
+runs: when each cycle's counts balance and the first cycle's totals do,
+every cycle's totals do.
 
 Three strategies share the same initial centrally computed plan:
 
@@ -377,8 +391,6 @@ class Simulation:
         self._forced: dict[int, list[NodeId]] = {}
         for cyc, node in cfg.forced_deaths:
             self._forced.setdefault(cyc, []).append(node)
-        # This cycle's interference event draw, when a quiet stretch drew it.
-        self._interference_draw: float | None = None
 
         self._pending_msgs: list[tuple[NodeId, NodeId, object]] = []
         self._ctx = {u: NodeCtx(self, u) for u in self._node_ids}
@@ -469,7 +481,8 @@ class Simulation:
         the nodes with pending protocol work.
 
         Cycles with an event go through ``_step()``; the quiet cycles between
-        them through ``_run_quiet()``, which hands its forwarding walk on.
+        them through ``_run_quiet()``, which hands on its forwarding walk and
+        whether it has applied the next cycle's reverts and hit.
         """
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
         nodes = self.net.nodes
@@ -482,16 +495,21 @@ class Simulation:
                       if ctx.state.has_pending_work()}
         end = self.cycle + max(0, remaining)
         while self.cycle < end:
-            walk = self._run_quiet(end)
+            walk, interfered = self._run_quiet(end)
             if self.cycle < end:
-                self._step(walk)
+                self._step(walk, interfered)
         return self.metrics
 
-    def _step(self, walk=None) -> None:
+    def _step(self, walk=None, interfered=False) -> None:
+        """One cycle with an event. ``walk`` is the forwarding walk of the
+        stretch before, when it made one; ``interfered`` says that the
+        stretch has already applied this cycle's reverts and interference
+        event."""
         cyc = self.cycle
         receivers = self._deliver_messages()
-        self._revert_interference(cyc)
-        self._inject_interference(cyc)
+        if not interfered:
+            self._revert_interference(cyc)
+            self._inject_interference(cyc)
         for node in self._forced.get(cyc, ()):
             st = self.net.nodes[node]
             if st.alive:
@@ -524,43 +542,41 @@ class Simulation:
     def _run_quiet(self, end: int):
         """Advance the quiet cycles from ``self.cycle`` on, stopping before
         the next cycle with an event or at ``end`` (see the module
-        docstring). Each quiet cycle does exactly what ``_step()`` would.
-        Returns the forwarding walk (``_walk()``) when it made one; the
-        ``_step()`` that follows forwards from it."""
+        docstring). Each quiet cycle does exactly what ``_step()`` would,
+        and under PDD and PDD-CR that includes the reverts and interference
+        hits that fire no trigger. Returns the forwarding walk (``_walk()``)
+        when it made one, and whether the cycle it stopped at has had its
+        reverts and interference event applied already; the ``_step()`` that
+        follows forwards from the walk and skips what was applied."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
-            return None
-        stop = end
-        for schedule in (self._reverts, self._forced):
+            return None, False
+        local_repair = self.cfg.strategy == "DistrDataFwd"
+        reverts = self._reverts
+        event_stop = end
+        schedules = (self._forced, reverts) if local_repair else (self._forced,)
+        for schedule in schedules:
             for due in schedule:
-                if start <= due < stop:
-                    stop = due
-        if stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
-            return None
+                if start <= due < event_stop:
+                    event_stop = due
+        if event_stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
+            return None, False
         walk = self._walk()
         entries, gen, dlv, lost, quiet = walk
         if not quiet:
-            return walk
+            return walk, False
         charges = []   # (node, amount) in piece and hop order
-        spend = {}   # node id -> (node, per-cycle spend, charge count)
+        hops = {}   # link -> [(index in charges, piece rate)], unless local repair
         for piece, _, sent, _, _ in entries:
-            for tx, link, _, _ in sent:
-                amount = link.eps_j * piece.rate
-                if amount > 0.0:
-                    charges.append((tx, amount))
-                    _, per_cycle, count = spend.get(tx.node, (tx, 0.0, 0))
-                    spend[tx.node] = (tx, per_cycle + amount, count + 1)
-        for node, per_cycle, count in spend.values():
-            # Stop one cycle of spend short of the clamp, allowing for the
-            # rounding of every addition to spent_j on the way.
-            room = node.initial_energy_j - node.spent_j - per_cycle
-            slack = count * node.initial_energy_j * 2.0 ** -50
-            cycles = room / (per_cycle + slack)
-            if cycles < stop - start:
-                stop = start + max(0, int(cycles))
+            for tx, link, rx, _ in sent:
+                if not local_repair:
+                    hops.setdefault((tx.node, rx.node), []).append(
+                        (len(charges), piece.rate))
+                charges.append((tx, link.eps_j * piece.rate))
+        stop = _clamp_stop(start, charges, event_stop)
         if stop <= start:
-            return walk
+            return walk, False
 
         cfg, m = self.cfg, self.metrics
         generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
@@ -580,6 +596,7 @@ class Simulation:
         piece_range = range(len(pieces))
         access: list = [None] * len(pieces)   # sample_access_latency, lazily
         table, net, log = self.table, self.net, self.energy_log
+        links, dirty = net.links, self._dirty_links
         miss_causes = m.miss_causes
         (add_cycle, add_data, add_cfg, add_generated, add_delivered, add_lost,
          add_latency, add_reconfigs, add_alive) = self._appends
@@ -587,19 +604,38 @@ class Simulation:
         data = self._data_energy
         requests = ok = violations = misses = 0
         max_access = m.max_access_latency_ms
+        interfered = False
         cyc = start
         while cyc < stop:
+            changed = cyc in reverts
+            if changed:
+                self._revert_interference(cyc)
             if p_hit > 0.0:
                 draw = draw_interference()
                 if draw < p_hit:
-                    self._interference_draw = draw   # _step() takes it from here
+                    self._inject_interference(cyc, draw)
+                    changed = True
+            if changed:
+                if local_repair or self._replan_due:
+                    interfered = True   # the _step() of this cycle goes on from here
                     break
+                touched = False
+                for lk in dirty:
+                    for i, rate in hops.get(lk, ()):
+                        charges[i] = (charges[i][0], links[lk].eps_j * rate)
+                        touched = True
+                if touched:
+                    stop = _clamp_stop(cyc, charges, event_stop)
+                    if stop <= cyc:
+                        interfered = True
+                        break
             for node, amount in charges:
                 node.spent_j += amount
                 data += amount
             if audit:
                 for node, amount in charges:
-                    log.setdefault(node.node, []).append((cyc, DATA, amount))
+                    if amount > 0.0:
+                        log.setdefault(node.node, []).append((cyc, DATA, amount))
             generated += gen
             dlv_total += dlv
             lost_total += lost
@@ -631,11 +667,13 @@ class Simulation:
                 add_latency(max_lat)
                 add_reconfigs(reconfigs)
                 add_alive(alive)
+            if changed:
+                self._settle_links()
             cyc += 1
 
         ran = cyc - start
         if ran == 0:
-            return walk
+            return walk, interfered
         self.cycle = cyc
         self._data_energy = data
         self._generated, self._delivered, self._lost = generated, dlv_total, lost_total
@@ -649,7 +687,7 @@ class Simulation:
         m.latency_violations += violations
         m.request_misses += misses
         m.max_access_latency_ms = max_access
-        return walk
+        return walk, interfered
 
     def _walk(self):
         """This cycle's forwarding, walked without charging: for each
@@ -661,7 +699,8 @@ class Simulation:
 
         It reads liveness, chains and activations, which no phase of
         ``_step()`` before forwarding changes, so a stretch's walk holds for
-        the step that ends it; amounts are read when charged. A learning
+        the step that ends it. It reads no link cost, so it holds across the
+        hits and reverts a stretch applies; amounts are read when charged. A learning
         write rewrites the receiver's row and so activates its next link:
         the hop after a learning hop is active even if it was not.
         """
@@ -734,9 +773,14 @@ class Simulation:
             link.eps_prev_j = link.eps_j
         self._dirty_links.clear()
 
-    def _inject_interference(self, cyc: int) -> None:
+    def _inject_interference(self, cyc: int, drawn: float | None = None) -> None:
+        """Apply this cycle's interference event through
+        ``inject_interference``, which draws it unless a quiet stretch hands
+        in the ``drawn`` value. The links a hit changes are marked changed
+        and get their revert scheduled; under PDD-CR a hit that fires the
+        trigger calls for a replan. A stretch applies its hits here too, so
+        the module function sees each hit once, whoever makes it."""
         inter = self.cfg.interference
-        drawn, self._interference_draw = self._interference_draw, None
         affected = inject_interference(self.net, self._rng_interference, inter,
                                        self.cfg.trigger_threshold,
                                        link_ids=self._link_ids, drawn=drawn)
@@ -1002,6 +1046,24 @@ def inject_interference(net: NetworkState, rng: random.Random,
                                    trigger_threshold))
         affected.append((lk, fired))
     return affected
+
+
+def _clamp_stop(cyc: int, charges, stop: int) -> int:
+    """The first cycle from ``cyc`` on, and before ``stop``, that a quiet
+    stretch charging ``charges`` each cycle must leave to ``_step()``: one
+    cycle of spend short of any charged node's clamp, allowing for the
+    rounding of every addition to ``spent_j`` on the way."""
+    spend = {}   # node id -> (node, per-cycle spend, charge count)
+    for node, amount in charges:
+        _, per_cycle, count = spend.get(node.node, (node, 0.0, 0))
+        spend[node.node] = (node, per_cycle + amount, count + 1)
+    for node, per_cycle, count in spend.values():
+        room = node.initial_energy_j - node.spent_j - per_cycle
+        slack = count * node.initial_energy_j * 2.0 ** -50
+        cycles = room / (per_cycle + slack)
+        if cycles < stop - cyc:
+            stop = cyc + max(0, int(cycles))
+    return stop
 
 
 def sample_access_latency(piece: DataPiece, table: PathTable,

@@ -173,9 +173,13 @@ def node_cycle(ctx, cycle: int) -> None:
     left. The engine steps only nodes outside that case, so a change here
     that adds per-cycle work under other conditions must extend the engine's
     wake set (``Simulation._protocol_phase``) to match. It must also end a
-    quiet stretch under the same conditions (the early returns of
-    ``Simulation._run_quiet`` and the quiet flag of ``Simulation._walk``),
-    which steps no node at all.
+    DistrDataFwd quiet stretch under the same conditions, since a stretch
+    steps no node at all: the early returns of ``Simulation._run_quiet`` and
+    the quiet flag of ``Simulation._walk`` cover the inbox, repair and energy
+    cases, and a DistrDataFwd stretch ends at every interference hit and
+    before every due revert, the cycles in which an out-link's cost changes.
+    PDD and PDD-CR run no protocol step, so their stretches apply hits and
+    reverts themselves.
     """
     if not ctx.alive():
         return

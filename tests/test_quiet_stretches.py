@@ -4,40 +4,47 @@
 and forwards hop by hop, as the engine did before quiet stretches. On small
 random scenarios, split into random ``run(n)`` calls with state edits
 between them, both must give identical CSV, summary, death times, energy
-log, trace and diagnostics, and leave identical node, pointer-row, piece and
-protocol state, after every call.
+log, trace and diagnostics, and leave identical node, link-cost,
+pointer-row, piece and protocol state, after every call.
 
-Link costs and the controller cost are powers of two, so every energy sum is
-exact; a drain edit leaves a node an exact number of hops of energy, which
-puts its clamp on a cycle boundary, where a stretch that runs one cycle too
-long would miss it.
+The controller cost and, in the scripted tests, the link costs are powers
+of two, so every energy sum is exact; a drain edit leaves a node an exact
+number of hops of energy, which puts its clamp on a cycle boundary, where a
+stretch that runs one cycle too long would miss it. The random test also
+draws a link cost that is not a power of two, so its sums round, and a
+stretch that added a node's charges in another order would drift from the
+stepped run.
 """
 
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import (STRATEGIES, EngineError, InterferenceConfig, PathRow,
-                    ScenarioConfig, Simulation)
+                    ScenarioConfig, Simulation, engine, parse_scenario)
 
 from conftest import make_net, mini_sim, spike_link
 from oracles import SteppedSimulation
 
 TX_J = 2.0 ** -14
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def outputs(sim):
     m = sim.metrics
     nodes = [(st.spent_j, st.alive) for _, st in sorted(sim.net.nodes.items())]
+    links = [(link.eps_j, link.eps_prev_j)
+             for _, link in sorted(sim.net.links.items())]
     rows = {pid: sorted(sim.table.rows_for_piece(pid).items())
             for pid in sim.pieces_by_id}
     protocol = [ctx.state for _, ctx in sorted(sim._ctx.items())]
     return (sim.cycle, m.csv_text(), m.summary_text(), dict(m.death_times),
-            sim.energy_log, sim.trace_lines, sim.diagnostics, nodes, rows,
-            sim.piece_status, protocol)
+            sim.energy_log, sim.trace_lines, sim.diagnostics, nodes, links,
+            rows, sim.piece_status, protocol)
 
 
 def edit(sim, kind, a, b):
@@ -48,7 +55,7 @@ def edit(sim, kind, a, b):
     if kind == "drain":
         node = sim.net.nodes[a % len(sim.net.nodes)]
         if node.alive:
-            node.initial_energy_j = node.spent_j + b * TX_J
+            node.initial_energy_j = node.spent_j + b * sim.cfg.tx_energy_j
         return
     if kind == "spike":
         u, v = sorted(sim.net.links)[a % len(sim.net.links)]
@@ -75,7 +82,8 @@ def test_quiet_stretches_match_stepping_every_cycle(data):
     horizon = draw(st.integers(10, 300), label="horizon")
     cfg = ScenarioConfig(
         rows=3, cols=4, proxies=(5, 6),
-        tx_energy_j=TX_J, controller_energy_j=2.0 ** -10,
+        tx_energy_j=draw(st.sampled_from([TX_J, 5e-05])),
+        controller_energy_j=2.0 ** -10,
         node_energy_wh_min=0.0,
         node_energy_wh_max=draw(st.sampled_from([5e-6, 2e-5, 1e-3])),
         proxy_energy_wh=draw(st.sampled_from([2e-5, 1e-3])),
@@ -145,6 +153,101 @@ def test_clamp_on_a_cycle_boundary_matches_stepping_every_cycle(strategy,
     fast = build(Simulation)
     run_in_step(fast, build(SteppedSimulation), [])
     assert fast.metrics.death_times == {1: hops_left - 1}
+
+
+@pytest.mark.parametrize("strategy", ["PDD", "PDD-CR"])
+@pytest.mark.parametrize("duration", [1, 3])
+@pytest.mark.parametrize("hops_left", [3, 4, 5])
+def test_clamp_under_a_spike_matches_stepping_every_cycle(strategy, duration,
+                                                          hops_left):
+    # Every interference event multiplies every link's cost by 4, below the
+    # PDD-CR trigger, for `duration` cycles. Relay 1 holds hops_left cycles
+    # of baseline spend when the first event lands: enough for the stretch
+    # from cycle 0 to reach it, too little to outlast it. Its clamp falls in
+    # the spiked cycle (3 or 4 hops left) or the next one (5).
+    def build(engine, relay_j, horizon):
+        net = make_net([(0, 1), (1, 2), (2, 3)],
+                       {0: 1.0, 1: relay_j, 2: 1.0, 3: 1.0}, proxies={2},
+                       eps=TX_J)
+        return mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], engine=engine,
+                        horizon=horizon, strategy=strategy, request_prob=0.5,
+                        trigger_threshold=0.9, seed=3,
+                        interference=InterferenceConfig(
+                            prob_per_cycle=0.1, multiplier=4.0,
+                            affected_links=6, duration_cycles=duration))
+
+    probe = build(Simulation, 1.0, 100)
+    while probe.net.links[(1, 2)].eps_j == TX_J:
+        probe.run(1)
+    hit = probe.cycle - 1
+    assert hit > 0
+
+    def sim(engine):
+        return build(engine, (hit + hops_left) * TX_J, hit + 12)
+
+    fast = sim(Simulation)
+    run_in_step(fast, sim(SteppedSimulation), [(hit + 3, "none", 0, 0)])
+    assert fast.metrics.death_times[1] == (hit if hops_left < 5 else hit + 1)
+
+
+def interference_events(monkeypatch):
+    """Record, for every interference event a simulation applies, its cycle
+    and whether it fired the trigger on a link in use."""
+    events = {}
+    cycle = []
+    real_inject = engine.inject_interference
+    real_method = Simulation._inject_interference
+
+    def inject(*args, **kwargs):
+        affected = real_inject(*args, **kwargs)
+        if affected:
+            events[cycle[0]] = any(fired for _, fired in affected)
+        return affected
+
+    def method(self, cyc, *args):
+        cycle[:] = [cyc]
+        real_method(self, cyc, *args)
+
+    monkeypatch.setattr(engine, "inject_interference", inject)
+    monkeypatch.setattr(Simulation, "_inject_interference", method)
+    return events
+
+
+@pytest.mark.parametrize("seed", [8, 18])
+def test_churn_steps_only_where_a_plan_or_a_liveness_can_change(monkeypatch,
+                                                                 seed):
+    # The benchmark's churn set-up: two forced deaths at cycle 3000, and on
+    # one cycle in ten an event that triples two links' cost for a cycle.
+    # Under the static plan only the deaths are stepped. Under central
+    # recomputation so are the events that fire the trigger and the replan
+    # in the cycle after each death (a controller round's own charges can
+    # empty a node). Local repair still steps every event and every revert:
+    # a changed out-link wakes its tail node's protocol step.
+    cfg = replace(parse_scenario((SCENARIOS / "forced_death.scenario").read_text()),
+                  seed=seed, horizon=3500,
+                  interference=InterferenceConfig(0.1, 3.0, 2, 1))
+    deaths = {cyc for cyc, _ in cfg.forced_deaths}
+    real_step = Simulation._step
+    for strategy in STRATEGIES:
+        steps = []
+
+        def step(self, *args):
+            steps.append(self.cycle)
+            real_step(self, *args)
+
+        monkeypatch.setattr(Simulation, "_step", step)
+        events = interference_events(monkeypatch)
+        died = Simulation(replace(cfg, strategy=strategy)).run().death_times
+        fired = {cyc for cyc, fires in events.items() if fires}
+        assert len(events) > 300 and steps == sorted(set(steps))
+        if strategy == "PDD":
+            assert steps == sorted(deaths)
+        elif strategy == "PDD-CR":
+            assert fired and len(fired) < len(events) / 2
+            assert set(steps) == deaths | fired | {cyc + 1 for cyc in died.values()}
+        else:
+            reverts = {cyc + 1 for cyc in events if cyc + 1 < cfg.horizon}
+            assert set(events) | reverts | deaths <= set(steps)
 
 
 def test_default_scenario_matches_stepping_every_cycle():
