@@ -32,20 +32,20 @@ pending, and, under DistrDataFwd, every piece that fails to deliver is
 already broken (no transmission feedback is running) and no data-plane
 learning write is due.
 
-Which events end a stretch depends on the strategy. Under all three it ends
-at the next forced death, at the end of the ``run()`` call, and one cycle of
-spend before any charged node could run out. Under DistrDataFwd it also ends
-at every interference hit and before every due revert: a changed out-link
-wakes its tail node's protocol step. Under PDD and PDD-CR a hit or a revert
-changes only what some hops cost, and the walk reads no link cost, so the
-stretch applies it itself, through the same ``_revert_interference`` and
-``_inject_interference`` as ``_step()``. It recomputes the amounts of the
-hops over the changed links and, when any changed, re-derives the clamp
-guard from the new spend, and it settles the changed links' previous cost
-at the end of the cycle. It ends there only on a hit that fires the
-trigger under PDD-CR, or when the new spend brings a node within a cycle of
-its clamp. The cycle it ends at has had its reverts and hit applied, and
-its ``_step()`` is told so and goes on from the forced deaths.
+A stretch ends at the next forced death, at the end of the ``run()`` call,
+and one cycle of spend before any charged node could run out. An
+interference hit or a revert changes only what some hops cost, and the walk
+reads no link cost, so the stretch applies it itself, through the same
+``_revert_interference`` and ``_inject_interference`` as ``_step()``. It
+recomputes the amounts of the hops over the changed links and, when any
+changed, re-derives the clamp guard from the new spend, and it settles the
+changed links' previous cost at the end of the cycle. It ends there only
+when a changed link fires the trigger (``lifetime.link_fires``), which
+under PDD-CR calls for a replan and under DistrDataFwd makes the link's
+tail repair, or when the new spend brings a node within a cycle of its
+clamp. PDD never reacts to the trigger, so its stretch runs on through
+every hit. The cycle a stretch ends at has had its reverts and hit applied,
+and its ``_step()`` is told so and goes on from the forced deaths.
 
 The walk is made afresh at every ``run()`` entry and after every
 ``_step()``, so state edited between calls takes effect; the ``_step()``
@@ -77,8 +77,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import netmodel, planner, protocol
-from .lifetime import (lifetime_from_spend, max_epoch_duration, node_spend,
-                       trigger_check)
+from .lifetime import (lifetime_from_spend, link_fires, max_epoch_duration,
+                       node_spend)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
 from .scenario import ScenarioConfig, sample_pieces
 
@@ -357,6 +357,9 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, *, net: NetworkState | None = None,
                  table: PathTable | None = None,
                  pieces: list[DataPiece] | None = None):
+        if cfg.interference.duration_cycles < 1:
+            # A hit's revert would fall in a cycle already past.
+            raise ValueError("interference.duration_cycles: must be >= 1")
         self.cfg = cfg
         self.cycle = 0
         self.diagnostics: list[str] = []
@@ -543,23 +546,20 @@ class Simulation:
         """Advance the quiet cycles from ``self.cycle`` on, stopping before
         the next cycle with an event or at ``end`` (see the module
         docstring). Each quiet cycle does exactly what ``_step()`` would,
-        and under PDD and PDD-CR that includes the reverts and interference
-        hits that fire no trigger. Returns the forwarding walk (``_walk()``)
-        when it made one, and whether the cycle it stopped at has had its
-        reverts and interference event applied already; the ``_step()`` that
-        follows forwards from the walk and skips what was applied."""
+        reverts and interference hits included, under every strategy: it
+        stops at a changed link that fires the trigger, unless under PDD.
+        Returns the forwarding walk (``_walk()``) when it made one, and
+        whether the cycle it stopped at has had its reverts and interference
+        event applied already; the ``_step()`` that follows forwards from
+        the walk and skips what was applied."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
             return None, False
-        local_repair = self.cfg.strategy == "DistrDataFwd"
-        reverts = self._reverts
         event_stop = end
-        schedules = (self._forced, reverts) if local_repair else (self._forced,)
-        for schedule in schedules:
-            for due in schedule:
-                if start <= due < event_stop:
-                    event_stop = due
+        for due in self._forced:
+            if start <= due < event_stop:
+                event_stop = due
         if event_stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
             return None, False
         walk = self._walk()
@@ -567,12 +567,11 @@ class Simulation:
         if not quiet:
             return walk, False
         charges = []   # (node, amount) in piece and hop order
-        hops = {}   # link -> [(index in charges, piece rate)], unless local repair
+        hops = {}   # link -> [(index in charges, piece rate)]
         for piece, _, sent, _, _ in entries:
             for tx, link, rx, _ in sent:
-                if not local_repair:
-                    hops.setdefault((tx.node, rx.node), []).append(
-                        (len(charges), piece.rate))
+                hops.setdefault((tx.node, rx.node), []).append(
+                    (len(charges), piece.rate))
                 charges.append((tx, link.eps_j * piece.rate))
         stop = _clamp_stop(start, charges, event_stop)
         if stop <= start:
@@ -587,6 +586,8 @@ class Simulation:
             raise EngineError("piece conservation violated cumulatively")
         draw_interference = self._rng_interference.random
         p_hit = cfg.interference.prob_per_cycle
+        reverts, threshold = self._reverts, cfg.trigger_threshold
+        reacts = cfg.strategy != "PDD"   # to a changed link that fires
         draw_request = self._rng_requests.random
         p_req = cfg.request_prob
         budget = cfg.latency_budget_ms
@@ -616,7 +617,7 @@ class Simulation:
                     self._inject_interference(cyc, draw)
                     changed = True
             if changed:
-                if local_repair or self._replan_due:
+                if reacts and any(link_fires(links[lk], threshold) for lk in dirty):
                     interfered = True   # the _step() of this cycle goes on from here
                     break
                 touched = False
@@ -778,7 +779,8 @@ class Simulation:
         ``inject_interference``, which draws it unless a quiet stretch hands
         in the ``drawn`` value. The links a hit changes are marked changed
         and get their revert scheduled; under PDD-CR a hit that fires the
-        trigger calls for a replan. A stretch applies its hits here too, so
+        trigger calls for a replan. Every strategy's quiet stretch applies
+        its hits here too (and, but for PDD's, ends at one that fires), so
         the module function sees each hit once, whoever makes it."""
         inter = self.cfg.interference
         affected = inject_interference(self.net, self._rng_interference, inter,
@@ -878,9 +880,11 @@ class Simulation:
         whose cost changed this cycle, or no energy left.
 
         For any other node ``protocol.node_cycle`` does nothing, so this
-        equals stepping every node. No step creates such work for another
-        node within the cycle: a send is delivered next cycle and charges
-        only its sender.
+        equals stepping every node. A node whose changed out-links fire no
+        trigger does nothing either, which quiet stretches rely on; waking
+        it is wider than needed and changes nothing. No step creates such
+        work for another node within the cycle: a send is delivered next
+        cycle and charges only its sender.
         """
         wake = receivers | self._busy | self._drained
         for lk in self._dirty_links:
@@ -1041,10 +1045,7 @@ def inject_interference(net: NetworkState, rng: random.Random,
         link = net.links[lk]
         link.eps_prev_j = link.eps_j
         link.eps_j = link.eps_baseline_j * params.multiplier
-        fired = (bool(link.active_pieces) and link.eps_j > 0
-                 and trigger_check(link.eps_j, link.eps_prev_j,
-                                   trigger_threshold))
-        affected.append((lk, fired))
+        affected.append((lk, link_fires(link, trigger_threshold)))
     return affected
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .netmodel import DataPiece, NetworkState, NodeId
+from .netmodel import DataPiece, LinkState, NetworkState, NodeId
 
 INFINITE_LIFETIME = math.inf
 
@@ -76,3 +76,13 @@ def trigger_check(eps_now_j: float, eps_prev_j: float, threshold: float) -> bool
     if eps_now_j <= 0.0:
         raise ValueError("current link cost must be positive")
     return (eps_now_j - eps_prev_j) / eps_now_j > threshold
+
+
+def link_fires(link: LinkState, threshold: float) -> bool:
+    """Whether ``link`` fires the trigger: it carries a piece, and its cost
+    changed this cycle by a jump that passes ``trigger_check``. The one test
+    of a firing link, for the tail node's trigger scan and for the engine,
+    which lets a quiet stretch run on through a change that fires nothing."""
+    return (bool(link.active_pieces) and link.eps_j > 0.0
+            and link.eps_j != link.eps_prev_j
+            and trigger_check(link.eps_j, link.eps_prev_j, threshold))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lifetime import INFINITE_LIFETIME, trigger_check
+from .lifetime import INFINITE_LIFETIME, link_fires
 from .netmodel import ORDER_KEY_GAP, NodeId, PathRow
 
 FWD = "fwd"
@@ -138,7 +138,8 @@ class PendingSplice:
 class ProtocolState:
     # seen maps the (origin, req_id) of each request I relayed or answered
     # (never both: a target does not relay) to the cycle the key was added,
-    # in insertion (so cycle) order; old keys are forgotten.
+    # in insertion (so cycle) order; old keys are forgotten at the next add
+    # (``_remember``).
     seen: dict = field(default_factory=dict)
     collectors: dict = field(default_factory=dict)     # (origin, req_id) -> RouteCollector
     pending_route: dict = field(default_factory=dict)  # piece -> PendingRoute
@@ -167,23 +168,19 @@ def node_cycle(ctx, cycle: int) -> None:
     route-discovery timeouts, and the exit guard that disconnects a node that
     ran out of energy or saw most of its links spike at once.
 
-    No-op contract: the step changes nothing (beyond forgetting old request
-    ids) for a node with an empty inbox, no collector, pending route or
-    pending splice, no out-link whose cost changed this cycle, and energy
-    left. The engine steps only nodes outside that case, so a change here
-    that adds per-cycle work under other conditions must extend the engine's
-    wake set (``Simulation._protocol_phase``) to match. It must also end a
-    DistrDataFwd quiet stretch under the same conditions, since a stretch
-    steps no node at all: the early returns of ``Simulation._run_quiet`` and
-    the quiet flag of ``Simulation._walk`` cover the inbox, repair and energy
-    cases, and a DistrDataFwd stretch ends at every interference hit and
-    before every due revert, the cycles in which an out-link's cost changes.
-    PDD and PDD-CR run no protocol step, so their stretches apply hits and
-    reverts themselves.
+    No-op contract: the step changes nothing for a node with an empty inbox,
+    no collector, pending route or pending splice, no out-link that fires
+    the trigger (``lifetime.link_fires``), and energy left. The engine steps
+    only nodes outside that case, so a change here that adds per-cycle work
+    under other conditions must extend the engine's wake set
+    (``Simulation._protocol_phase``) to match. It must also end a quiet
+    stretch under the same conditions, since a stretch steps no node at all:
+    the early returns of ``Simulation._run_quiet`` and the quiet flag of
+    ``Simulation._walk`` cover the inbox, repair and energy cases, and a
+    stretch ends in any cycle in which a changed link fires the trigger.
     """
     if not ctx.alive():
         return
-    _forget_old_requests(ctx)
     triggered = _trigger_scan(ctx)
     for src, msg in ctx.take_inbox():
         _dispatch(ctx, src, msg)
@@ -195,20 +192,6 @@ def node_cycle(ctx, cycle: int) -> None:
         disconnect(ctx)
 
 
-def _forget_old_requests(ctx) -> None:
-    """Drop seen request ids older than ``route_ttl + 1`` cycles. Every copy
-    of a request arrives within ``route_ttl + 1`` cycles of the origin's send
-    and request ids never recur, so an older id can never be looked up again
-    (AODV's PATH_DISCOVERY_TIME, RFC 3561 6.3)."""
-    oldest = ctx.cycle() - (ctx.route_ttl + 1)
-    seen = ctx.state.seen
-    while seen:
-        key = next(iter(seen))
-        if seen[key] >= oldest:
-            break
-        del seen[key]
-
-
 def _trigger_scan(ctx) -> int:
     """Deactivate every outgoing edge whose cost ratio fired this cycle and
     alert the upstream node of each affected piece. Returns the number of
@@ -216,11 +199,7 @@ def _trigger_scan(ctx) -> int:
     fired = 0
     for v in ctx.out_neighbor_ids():
         link = ctx.out_link(v)
-        if not link.active_pieces:
-            continue
-        if link.eps_j == link.eps_prev_j:
-            continue
-        if not trigger_check(link.eps_j, link.eps_prev_j, ctx.trigger_threshold):
+        if not link_fires(link, ctx.trigger_threshold):
             continue
         fired += 1
         affected = sorted(link.active_pieces)
@@ -409,9 +388,31 @@ def _handle_route_request(ctx, msg: RouteRequest) -> None:
         return
     if msg.ttl < 1:
         return
-    ctx.state.seen[key] = ctx.cycle()
+    _remember(ctx, key)
     _flood(ctx, msg.piece, msg.origin, msg.target, msg.req_id, msg.ttl - 1,
            msg.min_lifetime, msg.hops, msg.origin_key)
+
+
+def _remember(ctx, key: tuple[NodeId, int]) -> None:
+    """Store request id ``key`` as seen this cycle, after dropping the ids
+    stored more than ``route_ttl + 1`` cycles ago. Every copy of a request
+    arrives within ``route_ttl + 1`` cycles of the origin's send and request
+    ids never recur, so an older id can never be looked up again (AODV's
+    PATH_DISCOVERY_TIME, RFC 3561 6.3).
+
+    Pruning happens only here, where ids are added, so a protocol step that
+    stores nothing changes nothing. Memory stays bounded all the same: after
+    any store a node holds only the ids it stored in the last
+    ``route_ttl + 2`` cycles, and between stores it grows not at all."""
+    now = ctx.cycle()
+    oldest = now - (ctx.route_ttl + 1)
+    seen = ctx.state.seen
+    while seen:
+        first = next(iter(seen))
+        if seen[first] >= oldest:
+            break
+        del seen[first]
+    seen[key] = now
 
 
 def _due(ctx, entries: dict):
@@ -428,7 +429,7 @@ def _due(ctx, entries: dict):
 
 def _expire_collectors(ctx) -> None:
     for key, col in _due(ctx, ctx.state.collectors):
-        ctx.state.seen[key] = ctx.cycle()
+        _remember(ctx, key)
         row = ctx.row(col.piece)
         if row is None:
             ctx.diagnostic(f"route collected for piece {col.piece} I no longer serve")

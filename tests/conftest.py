@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 from fwdsim import (DataPiece, InterferenceConfig, LinkState, NetworkState,
                     NodeState, PathTable, ScenarioConfig, Simulation,
-                    build_grid_topology, install_path)
+                    build_grid_topology, install_path, parse_scenario)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_net(edges, energies, proxies=frozenset(), eps=50e-6, latency=10.0,
@@ -67,6 +72,16 @@ def quiet_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def churn_config(seed: int, **overrides) -> ScenarioConfig:
+    """The benchmark's churn set-up at ``seed``: the shipped
+    ``forced_death`` scenario, whose relay and consumer die at cycle 3000,
+    with an interference event on one cycle in ten that triples two links'
+    cost for one cycle. ``overrides`` replace further fields."""
+    cfg = parse_scenario((SCENARIOS / "forced_death.scenario").read_text())
+    return replace(cfg, seed=seed,
+                   interference=InterferenceConfig(0.1, 3.0, 2, 1), **overrides)
 
 
 def mini_sim(net, specs, engine=Simulation, **cfg_overrides) -> Simulation:

@@ -9,9 +9,11 @@ search returns exactly the same path, ties included.
 bound, which tried every proxy, kept to check that skipping proxies changes
 no plan. ``SteppedSimulation`` is the engine's cycle loop before quiet
 stretches and its forwarding before the shared walk, kept to check that they
-change no output. The four ``reference_*`` pointer walkers are the chain
-walks as they stood before they shared ``walk_chain``, kept to check that
-sharing it changes no result.
+change no output. ``PolledSimulation`` also steps every alive node's
+protocol every cycle, as the engine did before it stepped only nodes with
+work, kept to check that skipping the others changes nothing. The four
+``reference_*`` pointer walkers are the chain walks as they stood before
+they shared ``walk_chain``, kept to check that sharing it changes no result.
 ``reference_projected_lifetime``, ``reference_max_epoch_duration`` (over
 ``_node_lifetime``, the removed per-link lifetime sum) and
 ``reference_clear_piece_paths`` (over ``EdgeIndexedNetwork``, the network
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from fwdsim import (INFINITE_LIFETIME, DataPiece, EngineError, NetworkState,
                     NodeId, PathTable, PiecePlan, Plan, PlannerView, PlanningError,
                     ScenarioConfig, Simulation, bottleneck_path, install_path,
-                    lifetime_from_spend, path_bottleneck)
+                    lifetime_from_spend, path_bottleneck, protocol)
 from fwdsim.engine import DATA
 from fwdsim.netmodel import PathReport, PathViolation
 
@@ -479,6 +481,19 @@ class SteppedSimulation(Simulation):
         self._lost += lost
         if gen != dlv + lost:
             raise EngineError("piece conservation violated within a cycle")
+
+
+class PolledSimulation(SteppedSimulation):
+    """``SteppedSimulation`` with the protocol phase as it stood before the
+    engine stepped only the nodes with protocol work: every alive node, in
+    id order, every cycle. It checks the no-op contract of
+    ``protocol.node_cycle``, on which the engine's wake set and its quiet
+    stretches rely."""
+
+    def _protocol_phase(self, cyc, receivers) -> None:
+        for u in self._node_ids:
+            if self.net.nodes[u].alive:
+                protocol.node_cycle(self._ctx[u], cyc)
 
 
 def reference_walk_chain(table: PathTable, piece_id: int, start: NodeId,

@@ -155,6 +155,14 @@ class TestInterference:
         affected = inject_interference(net, random.Random(3), params, 0.5)
         assert affected and not any(fired for _, fired in affected)
 
+    def test_spike_without_a_revert_cycle_is_rejected(self):
+        # A zero-cycle spike would schedule its revert in a cycle already
+        # past: the link would stay spiked for good.
+        cfg = calm_scenario(interference=InterferenceConfig(
+            prob_per_cycle=0.05, multiplier=3.0, duration_cycles=0))
+        with pytest.raises(ValueError, match=r"^interference\.duration_cycles"):
+            Simulation(cfg)
+
     def test_transient_spike_reverts_to_baseline(self):
         cfg = calm_scenario(strategy="PDD", horizon=50,
                             interference=InterferenceConfig(prob_per_cycle=1.0,

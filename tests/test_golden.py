@@ -19,6 +19,8 @@ from fwdsim import (InterferenceConfig, Simulation, StatusReport, compute_plan,
                     parse_scenario, planner, sample_pieces,
                     status_from_network)
 
+from conftest import churn_config
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
@@ -190,8 +192,8 @@ def test_plan_texts_match_golden_digests():
 
 # (scenario, seed) -> SHA-256 of the concatenated Plan.to_text() of every plan
 # a PDD-CR run makes, start-up included: the ``replan`` benchmark layout (8x8,
-# 5% interference, 200 cycles) and ``forced_death`` under 10% interference
-# (its own horizon).
+# 5% interference, 200 cycles) and the churn set-up (``churn_config``) at
+# ``forced_death``'s own horizon.
 GOLDEN_REPLANS = {
     ("replan", 1):
         "f512e4d981dff2baf0100da080674bb8592c32d48d563c2346861ccfc794e760",
@@ -211,8 +213,7 @@ def replan_config(scenario: str, seed: int):
                       interference=InterferenceConfig(0.05, 3.0, 2, 1),
                       horizon=200)
     else:
-        cfg = parse_scenario((SCENARIOS / f"{scenario}.scenario").read_text())
-        cfg = replace(cfg, interference=InterferenceConfig(0.1, 3.0, 2, 1))
+        cfg = churn_config(seed)
     return replace(cfg, strategy="PDD-CR", seed=seed)
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fwdsim import (INFINITE_LIFETIME, lifetime_from_spend, max_epoch_duration,
-                    trigger_check)
+from fwdsim import (INFINITE_LIFETIME, LinkState, lifetime_from_spend,
+                    max_epoch_duration, trigger_check)
+from fwdsim.lifetime import link_fires
 
 from oracles import brute_force_epoch_bound, random_epoch_instance
 
@@ -82,6 +83,21 @@ class TestTriggerCheck:
         assume(abs((now - prev) / now - threshold) > 1e-6)
         assert (trigger_check(now, prev, threshold)
                 == trigger_check(now * scale, prev * scale, threshold))
+
+
+class TestLinkFires:
+    @pytest.mark.parametrize("carries, prev, now, fires", [
+        ({0}, 1.0, 2.5, True),      # an in-use link jumps past the threshold
+        (set(), 1.0, 2.5, False),   # the same jump on an idle link
+        ({0}, 2.5, 2.5, False),     # a spiked link hit again: no change
+        ({0}, 2.5, 1.0, False),     # a revert
+        ({0}, 1.0, 0.0, False),     # no cost to compare against
+    ])
+    def test_only_an_in_use_link_that_jumped_fires(self, carries, prev, now,
+                                                   fires):
+        link = LinkState(eps_j=now, eps_prev_j=prev, latency_ms=10.0,
+                         active_pieces=set(carries))
+        assert link_fires(link, 0.5) is fires
 
 
 class TestEpochBound:

@@ -7,7 +7,10 @@ pointer table, link activations, message traces and loss accounting.
 
 import random
 
-from fwdsim import ModifyPath, Simulation, validate_paths, walk_chain
+import pytest
+
+from fwdsim import (ModifyPath, RouteRequest, Simulation, validate_paths,
+                    walk_chain)
 from fwdsim import protocol
 
 from conftest import make_net, mini_sim, spike_link, surviving_violations
@@ -360,6 +363,38 @@ class TestRouteDiscovery:
         sim.run()
         lost = sim.metrics.totals()["lost"]
         assert lost >= (60 - 3) * 2            # everything after the death
+
+
+class TestRequestMemory:
+    @pytest.mark.parametrize("ttl", [1, 2])
+    def test_ids_expire_at_the_first_store_past_their_window(self, ttl):
+        # Relay 1 of 0-1-2-3 relays request (0, 0) at cycle 10. Every copy
+        # arrives within ttl + 1 cycles of the origin's send, so the id is
+        # held through cycle 11 + ttl; the first store after that drops it,
+        # and nothing else does.
+        net = make_net([(0, 1), (1, 2), (2, 3)], {u: 50.0 for u in range(4)},
+                       proxies={2})
+        sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], route_ttl=ttl)
+        ctx = sim._ctx[1]
+        seen = ctx.state.seen
+
+        def copies_relayed(req_id, cycle):
+            sim.cycle = cycle
+            before = sim.pending_message_count()
+            protocol._handle_route_request(ctx, RouteRequest(
+                piece=0, origin=0, target=3, req_id=req_id, ttl=ttl,
+                min_lifetime=1.0, hops=(0,), origin_key=0.0))
+            return sim.pending_message_count() - before
+
+        assert copies_relayed(0, 10) == 1
+        assert copies_relayed(0, 11 + ttl) == 0      # a straggler is dropped
+        assert copies_relayed(1, 11 + ttl) == 1
+        assert seen == {(0, 0): 10, (0, 1): 11 + ttl}
+        assert copies_relayed(2, 12 + ttl) == 1
+        assert seen == {(0, 1): 11 + ttl, (0, 2): 12 + ttl}
+        sim.cycle = 1000
+        protocol.node_cycle(ctx, 1000)               # stores nothing
+        assert seen == {(0, 1): 11 + ttl, (0, 2): 12 + ttl}
 
 
 class TestDisconnect:

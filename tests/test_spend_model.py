@@ -29,7 +29,7 @@ from fwdsim import (STRATEGIES, DataPiece, InterferenceConfig, PathTable,
 from fwdsim.netmodel import clear_piece_paths
 from fwdsim.scenario import _SCHEMA
 
-from conftest import make_net, mini_sim, quiet_config
+from conftest import churn_config, make_net, mini_sim, quiet_config
 from oracles import (EdgeIndexedNetwork, reference_clear_piece_paths,
                      reference_max_epoch_duration,
                      reference_projected_lifetime, reference_render_scenario)
@@ -206,9 +206,7 @@ def test_active_links_stay_under_their_rows(strategy, seed, cuts):
     """Forced deaths plus frequent interference, run in chunks that end at
     random cycles: after each chunk, every piece active on (u, v) has u's row
     point to v."""
-    cfg = parse_scenario((SCENARIOS / "forced_death.scenario").read_text())
-    sim = Simulation(replace(cfg, interference=InterferenceConfig(0.1, 3.0, 2, 1),
-                             horizon=CHURN_HORIZON, strategy=strategy, seed=seed))
+    sim = Simulation(churn_config(seed, horizon=CHURN_HORIZON, strategy=strategy))
     for end in sorted(set(cuts)) + [CHURN_HORIZON]:
         sim.run(end - sim.cycle)
         assert unwired_rows(sim) == []
