@@ -481,7 +481,9 @@ class Simulation:
         afresh from the state: the alive count, the alive nodes with no
         energy left, the links whose cost differs from their previous cost
         (they count as changed in the next cycle and settle at its end), and
-        the nodes with pending protocol work.
+        the nodes with pending protocol work. The series' appends are bound
+        again too: ``copy.deepcopy`` copies bound builtin methods as they
+        are, so a copy's ones would still append to the original's series.
 
         Cycles with an event go through ``_step()``; the quiet cycles between
         them through ``_run_quiet()``, which hands on its forwarding walk and
@@ -496,6 +498,7 @@ class Simulation:
                              if link.eps_j != link.eps_prev_j}
         self._busy = {u for u, ctx in self._ctx.items()
                       if ctx.state.has_pending_work()}
+        self._appends = tuple(s.append for s in self.metrics.series())
         end = self.cycle + max(0, remaining)
         while self.cycle < end:
             walk, interfered = self._run_quiet(end)

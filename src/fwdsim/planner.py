@@ -8,13 +8,17 @@ latency budget on the consumer side. Planning is greedy in descending rate
 order and fully deterministic under the documented tie-breaking.
 
 Segments come from a Pareto label search (Martins 1984) over the view's
-adjacency index, built once per view. Three kinds of work are reused, each
-exact by construction, so no plan depends on the reuse:
+adjacency index. A view numbers its directed edges once, at construction,
+and every index entry carries its edge's id, so a search reads and fills
+per-edge data by list position rather than by a (u, v) key. Three kinds of
+work are reused, each exact by construction, so no plan depends on the
+reuse:
 
 * Edge lifetimes. A view's spend changes only at ``PlannerView.commit``,
   between two pieces, so ``compute_plan`` keeps one lifetime table per piece,
-  shared by both widest-path runs, every label search and every candidate's
-  bottleneck. A search called without a table fills its own.
+  a list indexed by edge id and filled on first use, shared by both
+  widest-path runs, every label search and every candidate's bottleneck. A
+  search called without a table fills its own.
 * Incumbents. A label search may start from a floor, the (bottleneck, hops)
   a segment must reach for its candidate to tie the best one found so far;
   the labels the floor drops could only have led to candidates that lose.
@@ -89,8 +93,11 @@ class Plan:
 # One latency index entry: (v, one-way latency, round-trip latency). The
 # round-trip latency is infinite when (v, u) is missing.
 LatencyEdge = tuple[NodeId, float, float]
-# One adjacency index entry: a latency index entry plus eps_j.
-OutEdge = tuple[NodeId, float, float, float]
+# One adjacency index entry of u: a latency index entry plus the eps_j and
+# the edge id of (u, v).
+OutEdge = tuple[NodeId, float, float, float, int]
+# One in-edge index entry of u: (v, eps_j, edge id) of (v, u).
+InEdge = tuple[NodeId, float, int]
 
 
 class Topology:
@@ -157,12 +164,15 @@ class Topology:
 class PlannerView:
     """Controller-side picture of the alive network built from status reports.
 
-    ``out_edges`` is the adjacency index: each node's out-edges sorted by
-    neighbor id, built once at construction from the topology's latency
-    index. Energies and edges stay fixed for the view's life; only ``spend``
-    changes, so nothing derived from it is stored here. ``topology`` holds
-    what depends on the node set and latencies only; a given one is reused
-    when it fits the view, and a new one is built otherwise.
+    Construction numbers the directed edges 0, 1, ... (``edge_ids``) and
+    builds two indexes from the topology's latency index. ``out_edges`` is
+    the adjacency index: each node's out-edges sorted by neighbor id.
+    ``in_edges`` lists, for each node u and in the same order, the edges
+    (v, u) whose reverse edge (u, v) exists. Energies and edges stay fixed
+    for the view's life; only ``spend`` changes, so nothing derived from it
+    is stored here. ``topology`` holds what depends on the node set and
+    latencies only; a given one is reused when it fits the view, and a new
+    one is built otherwise.
     """
 
     energy: dict[NodeId, float]
@@ -170,17 +180,29 @@ class PlannerView:
     spend: dict[NodeId, float]                               # accumulated J/cycle
     config_phase_energy_j: float
     topology: Topology | None = field(default=None, repr=False, compare=False)
+    edge_ids: dict[tuple[NodeId, NodeId], int] = field(
+        init=False, repr=False, compare=False)
     out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
+        init=False, repr=False, compare=False)
+    in_edges: dict[NodeId, tuple[InEdge, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         latencies = {key: lat for key, (_, lat) in self.edges.items()}
         if self.topology is None or not self.topology.fits(self.energy, latencies):
             self.topology = Topology(self.energy, latencies)
-        edges = self.edges
+        edges, index = self.edges, self.topology.out_edges
+        ids = self.edge_ids = {}
+        for u, es in index.items():
+            for v, _, _ in es:
+                ids[(u, v)] = len(ids)
         self.out_edges = {
-            u: tuple((v, lat, rt, edges[(u, v)][0]) for v, lat, rt in es)
-            for u, es in self.topology.out_edges.items()}
+            u: tuple((v, lat, rt, edges[(u, v)][0], ids[(u, v)]) for v, lat, rt in es)
+            for u, es in index.items()}
+        self.in_edges = {
+            u: tuple((v, edges[(v, u)][0], ids[(v, u)]) for v, _, rt in es
+                     if rt < INFINITY)
+            for u, es in index.items()}
 
     @classmethod
     def from_status(cls, reports: list[StatusReport], config_phase_energy_j: float,
@@ -200,6 +222,10 @@ class PlannerView:
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
         return [edge[0] for edge in self.out_edges.get(u, ())]
 
+    def new_lifetimes(self) -> Lifetimes:
+        """An empty lifetime table: one unfilled slot per edge id."""
+        return [None] * len(self.edge_ids)
+
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
         eps, _ = self.edges[(u, v)]
@@ -212,10 +238,10 @@ class PlannerView:
             self.spend[u] += eps * rate
 
 
-# (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate, filled on
-# first use. Valid until the view's spend next changes: ``compute_plan`` keeps
-# one per piece, since it only commits between pieces.
-Lifetimes = dict[tuple[NodeId, NodeId], float]
+# Edge id of (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate,
+# None until first use. Valid until the view's spend next changes:
+# ``compute_plan`` keeps one per piece, since it only commits between pieces.
+Lifetimes = list[float | None]
 
 
 def status_from_network(net: NetworkState) -> list[StatusReport]:
@@ -256,15 +282,16 @@ def bottleneck_path(
 
     Expansion reads ``view.out_edges``, taking the one-way or the round-trip
     latency by position. Edge lifetimes come from ``lifetimes``, a table for
-    this rate under the view's current spend; without one the search fills
-    a table of its own. Two bounds drop labels that cannot win: a label
-    whose best possible terminal already loses to the incumbent, and, under
-    a round-trip budget, a label that cannot reach dst within the budget.
-    The labels such a label would dominate cannot win either, so dropping it
-    changes no result, tied paths included. The incumbent is the best
-    terminal label pushed so far, or from the start ``floor`` when given, a
-    (bottleneck, hops) pair: then the result is the unfloored one if that
-    is not strictly worse than the floor, and None otherwise.
+    this rate under the view's current spend, at the edge's id; without one
+    the search fills a table of its own. A node's first label enters its
+    bucket without a dominance scan. Two bounds drop labels that cannot win:
+    a label whose best possible terminal already loses to the incumbent,
+    and, under a round-trip budget, a label that cannot reach dst within the
+    budget. The labels such a label would dominate cannot win either, so
+    dropping it changes no result, tied paths included. The incumbent is the
+    best terminal label pushed so far, or from the start ``floor`` when
+    given, a (bottleneck, hops) pair: then the result is the unfloored one
+    if that is not strictly worse than the floor, and None otherwise.
     """
     if src == dst:
         raise PlanningError("source and target must differ")
@@ -277,7 +304,7 @@ def bottleneck_path(
     out_edges, energy, spend, phase_j = (view.out_edges, view.energy,
                                          view.spend, view.config_phase_energy_j)
     if lifetimes is None:
-        lifetimes = {}
+        lifetimes = view.new_lifetimes()
 
     labels: dict[NodeId, list[tuple[float, float, int]]] = {src: [(0.0, INFINITY, 0)]}
     best_terminal: tuple[float, int, tuple[NodeId, ...]] | None = None  # (-bot, hops, path)
@@ -319,9 +346,9 @@ def bottleneck_path(
             if hop_only:
                 nbot = INFINITY
             else:
-                life = lifetimes.get((u, v))
+                life = lifetimes[edge[4]]
                 if life is None:
-                    life = lifetimes[(u, v)] = lifetime_from_spend(
+                    life = lifetimes[edge[4]] = lifetime_from_spend(
                         energy[u], spend[u] + edge[3] * rate, phase_j)
                 nbot = life if life < bot else bot
             # A label that can only end in a terminal worse than the
@@ -331,18 +358,22 @@ def bottleneck_path(
                                   and nhops + (v != dst) > inc_hops):
                 continue
             bucket = labels.get(v)
-            if bucket is None:
-                bucket = labels[v] = []
-            for elat, ebot, ehops in bucket:
-                if elat <= nlat and ebot >= nbot and ehops <= nhops:
-                    break
+            if bucket is None:                   # v's first label
+                labels[v] = [(nlat, nbot, nhops)]
             else:
-                bucket[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in bucket
-                             if not (nlat <= elat and nbot >= ebot and nhops <= ehops)]
-                bucket.append((nlat, nbot, nhops))
-                if v == dst and (nbot > inc_bot or nhops < inc_hops):
-                    inc_bot, inc_hops = nbot, nhops
-                heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,)))
+                for elat, ebot, ehops in bucket:
+                    if elat <= nlat and ebot >= nbot and ehops <= nhops:
+                        break
+                else:
+                    bucket[:] = [(elat, ebot, ehops) for (elat, ebot, ehops) in bucket
+                                 if not (nlat <= elat and nbot >= ebot and nhops <= ehops)]
+                    bucket.append((nlat, nbot, nhops))
+                    bucket = None                # the label is in
+                if bucket is not None:           # dominated: dropped
+                    continue
+            if v == dst and (nbot > inc_bot or nhops < inc_hops):
+                inc_bot, inc_hops = nbot, nhops
+            heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,)))
 
     if best_terminal is None:
         return None
@@ -392,9 +423,11 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
     (Dijkstra, stopped once every target is settled; targets left out are
     unreachable). Edge weights are read from and filled into the piece's
     lifetime table, the one its label searches read, so they compare exactly
-    with the bottlenecks of candidates."""
-    energy, spend, edges = view.energy, view.spend, view.edges
+    with the bottlenecks of candidates. Going toward root, the search walks
+    the in-edge index: v transmits over (v, x)."""
+    energy, spend = view.energy, view.spend
     phase_j = view.config_phase_energy_j
+    index = view.in_edges if toward else view.out_edges
     width = {root: INFINITY}
     heap = [(-INFINITY, root)]
     left = set(targets)
@@ -404,18 +437,13 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
         if w < width[x]:
             continue
         left.discard(x)
-        for v, _, rt, eps in view.out_edges[x]:
-            if not toward:
-                u, edge = x, (x, v)
-            elif rt < INFINITY:                  # v transmits over (v, x)
-                u, edge = v, (v, x)
-                eps = edges[edge][0]
-            else:
-                continue
-            life = lifetimes.get(edge)
+        for edge in index[x]:                    # both end in (eps_j, edge id)
+            v = edge[0]
+            life = lifetimes[edge[-1]]
             if life is None:
-                life = lifetimes[edge] = lifetime_from_spend(
-                    energy[u], spend[u] + eps * rate, phase_j)
+                u = v if toward else x
+                life = lifetimes[edge[-1]] = lifetime_from_spend(
+                    energy[u], spend[u] + edge[-2] * rate, phase_j)
             nw = life if life < w else w
             if nw > width.get(v, -INFINITY):
                 width[v] = nw
@@ -428,12 +456,14 @@ def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float,
     """Minimum projected lifetime over a chain's transmitting nodes, read
     from and filled into ``lifetimes`` when given."""
     if lifetimes is None:
-        lifetimes = {}
+        lifetimes = view.new_lifetimes()
+    ids = view.edge_ids
     bot = INFINITY
     for edge in zip(chain, chain[1:]):
-        life = lifetimes.get(edge)
+        eid = ids[edge]
+        life = lifetimes[eid]
         if life is None:
-            life = lifetimes[edge] = view.edge_lifetime(*edge, rate)
+            life = lifetimes[eid] = view.edge_lifetime(*edge, rate)
         if life < bot:
             bot = life
     return bot
@@ -494,7 +524,7 @@ def compute_plan(
         reachable = [p for p in alive_proxies
                      if p in hops_s and p in to_go
                      and p not in (piece.source, piece.consumer)]
-        lifetimes: Lifetimes = {}
+        lifetimes = view.new_lifetimes()
         width_s = _widest(view, piece.source, piece.rate, lifetimes, reachable,
                           toward=False)
         width_c = _widest(view, piece.consumer, piece.rate, lifetimes, reachable,

@@ -150,10 +150,13 @@ def enumerate_best_bottleneck(view, src, dst, budget, rate, round_trip=False):
 
 
 def random_planner_graph(rng: random.Random, max_nodes: int = 8,
-                         latencies: tuple[float, ...] | None = None):
+                         latencies: tuple[float, ...] | None = None,
+                         one_way: float = 0.0):
     """Random small connected graph expressed as a PlannerView plus the raw
     pieces needed to drive compute_plan. Latencies are uniform in [3, 20] ms,
-    or drawn from ``latencies`` when given (coarse sets make ties common)."""
+    or drawn from ``latencies`` when given (coarse sets make ties common).
+    With ``one_way``, each link loses one of its two directions with that
+    probability."""
     from fwdsim import PlannerView, StatusReport
 
     n = rng.randint(3, max_nodes)
@@ -173,6 +176,10 @@ def random_planner_graph(rng: random.Random, max_nodes: int = 8,
     for u, v in edges:
         links[(u, v)] = (rng.choice([25e-6, 50e-6, 100e-6]), latency())
         links[(v, u)] = (rng.choice([25e-6, 50e-6, 100e-6]), latency())
+    if one_way:
+        for u, v in sorted(edges):
+            if rng.random() < one_way:
+                del links[rng.choice([(u, v), (v, u)])]
     reports = []
     for u in nodes:
         own = {v: links[(u, v)] for (a, v) in links if a == u}

@@ -153,14 +153,28 @@ class TestMatchesReferenceSearch:
 
     def test_direct_construction_builds_the_index(self):
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
-        links[(2, 3)] = (50e-6, 4.0)                 # no way back from 3
+        links[(2, 3)] = (40e-6, 4.0)                 # no way back from 3
         view = PlannerView(energy={u: 5.0 for u in range(4)}, edges=links,
                            spend={u: 0.0 for u in range(4)},
                            config_phase_energy_j=PARAMS)
+        ids = view.edge_ids
+        assert sorted(ids.values()) == list(range(len(links)))
+        assert set(ids) == set(links)
         assert view.out_neighbors(1) == [0, 2]
-        assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6),
-                                     (3, 4.0, float("inf"), 50e-6))
+        assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6, ids[(2, 1)]),
+                                     (3, 4.0, float("inf"), 40e-6, ids[(2, 3)]))
         assert view.out_edges[3] == ()
+        # (2, 3) has no reverse edge, so it is in no in-edge list.
+        assert view.in_edges[2] == ((1, 50e-6, ids[(1, 2)]),)
+        assert view.in_edges[3] == ()
+        assert len(view.new_lifetimes()) == len(links)
+        reports = [StatusReport(node=u, energy_j=5.0,
+                                links={v: lk for (a, v), lk in links.items() if a == u})
+                   for u in range(4)]
+        built = PlannerView.from_status(reports, PARAMS)
+        assert built.edge_ids == ids
+        assert built.out_edges == view.out_edges
+        assert built.in_edges == view.in_edges
 
 
 class TestFloor:
@@ -189,7 +203,7 @@ class TestFloor:
         lives = sorted({view.edge_lifetime(u, v, rate) for u, v in view.edges})
         floor = (data.draw(st.sampled_from(lives + [0.0, math.inf])),
                  data.draw(st.integers(-1, len(nodes))))
-        table = {}
+        table = view.new_lifetimes()
         assert bottleneck_path(view, src, dst, lifetimes=table, **kwargs) == want
         got = bottleneck_path(view, src, dst, floor=floor, lifetimes=table, **kwargs)
 
@@ -201,6 +215,63 @@ class TestFloor:
             assert got == want
         else:
             assert got is None or key(got) > target
+
+
+class TestWidest:
+    """The widest-path bound against brute force: from the root, and toward
+    it over edges that have a reverse edge, every target's width is the
+    best bottleneck over simple paths, and a target left out has none."""
+
+    @staticmethod
+    def best_widths(view, root, rate, toward):
+        """Max-min lifetime over the simple paths from root (toward: to
+        root, over edges that have a reverse edge) to every node."""
+        edges = view.edges
+        best = {}
+
+        def visit(x, width, seen):
+            if x != root and width > best.get(x, -math.inf):
+                best[x] = width
+            for (a, b) in edges:
+                if toward and b == x and (x, a) in edges and a not in seen:
+                    life = view.edge_lifetime(a, x, rate)
+                    visit(a, min(width, life), seen | {a})
+                elif not toward and a == x and b not in seen:
+                    life = view.edge_lifetime(x, b, rate)
+                    visit(b, min(width, life), seen | {b})
+
+        visit(root, math.inf, {root})
+        return best
+
+    def test_in_edge_index_lists_the_edges_with_a_reverse_edge(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            view, nodes = random_planner_graph(rng, one_way=0.3)
+            for u in nodes:
+                want = tuple((v, view.edges[(v, u)][0], view.edge_ids[(v, u)])
+                             for v in sorted(nodes)
+                             if (v, u) in view.edges and (u, v) in view.edges)
+                assert view.in_edges[u] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_widths_match_brute_force(self, seed, data):
+        rng = random.Random(seed)
+        view, nodes = random_planner_graph(rng, max_nodes=7,
+                                           latencies=(5.0, 10.0), one_way=0.3)
+        root = data.draw(st.sampled_from(nodes))
+        others = [u for u in nodes if u != root]
+        targets = data.draw(st.lists(st.sampled_from(others), unique=True))
+        rate = data.draw(st.sampled_from([0, 1, 2, 8]))
+        table = view.new_lifetimes()          # shared, as compute_plan does
+        for toward in data.draw(st.permutations([False, True])):
+            width = planner._widest(view, root, rate, table, targets, toward)
+            want = self.best_widths(view, root, rate, toward)
+            assert width[root] == math.inf
+            for t in targets:
+                assert width.get(t) == want.get(t)
+            for u, w in width.items():        # settled or not, a real path's
+                assert u == root or w <= want[u]
 
 
 def five_node_reports(dying=1):
