@@ -33,33 +33,51 @@ already broken (no transmission feedback is running) and no data-plane
 learning write is due.
 
 A stretch ends at the next forced death, at the end of the ``run()`` call,
-and one cycle of spend before any charged node could run out. An
-interference hit or a revert changes only what some hops cost, and the walk
-reads no link cost, so the stretch applies it itself, through the same
-``_revert_interference`` and ``_inject_interference`` as ``_step()``. It
-recomputes the amounts of the hops over the changed links and, when any
-changed, re-derives the clamp guard from the new spend, and it settles the
-changed links' previous cost at the end of the cycle. It ends there only
-when a changed link fires the trigger (``lifetime.link_fires``), which
-under PDD-CR calls for a replan and under DistrDataFwd makes the link's
-tail repair, or when the new spend brings a node within a cycle of its
-clamp. PDD never reacts to the trigger, so its stretch runs on through
-every hit. The cycle a stretch ends at has had its reverts and hit applied,
-and its ``_step()`` is told so and goes on from the forced deaths.
+and one cycle of spend before any charged node could run out (each node's
+own guard, ``charging.Account.guard``). An interference hit or a revert
+changes only what some hops cost, and the walk reads no link cost, so the
+stretch applies it itself, through the same ``_revert_interference`` and
+``_inject_interference`` as ``_step()``. It recomputes the amounts of the
+hops over the changed links and the guards of the nodes that pay them, and
+it settles the changed links' previous cost at the end of the cycle. It
+ends there only when a changed link fires the trigger
+(``lifetime.link_fires``), which under PDD-CR calls for a replan and under
+DistrDataFwd makes the link's tail repair, or when the new spend brings a
+node within a cycle of its clamp. PDD never reacts to the trigger, so its
+stretch runs on through every hit. The cycle a stretch ends at has had its
+reverts and hit applied, and its ``_step()`` is told so and goes on from
+the forced deaths.
 
 The walk is made afresh at every ``run()`` entry and after every
 ``_step()``, so state edited between calls takes effect; the ``_step()``
 that ends a stretch forwards from the stretch's walk, so an event cycle is
 walked once. Each quiet cycle still draws the interference event and one
 request per piece, so both random streams are consumed in the same order as
-by ``_step()``. Charges are applied in the same order and with the same
-float operations, so outputs are bit-identical to stepping every cycle. A
-quiet cycle records its metrics row by calling the nine series' ``append``
-methods directly, bound once when the simulation is built, with no method
-call of its own. Every quiet cycle adds the same generated, delivered and
-lost counts, so piece conservation is checked once, before the stretch
-runs: when each cycle's counts balance and the first cycle's totals do,
-every cycle's totals do.
+by ``_step()``.
+
+A stretch charges in closed form, and its outputs are still bit-identical
+to stepping every cycle. The premise is IEEE-754 addition rounding to
+nearest, ties to even. Inside one binade [2**e, 2**(e+1)) every float is a
+multiple of the binade's ulp u, so adding an amount a >= 0 to an account
+there adds exactly R(a), a rounded to the nearest multiple of u, as long as
+the sum stays in the binade and a is not an exact tie (an odd multiple of
+u/2, which rounds by the parity of the sum). One cycle's in-order additions
+then add exactly D, the sum of the R(a), and k cycles add k * D, so an
+account crosses its binade in one step (``charging``). The cycle that
+leaves the binade is added amount by amount, and so is every cycle where
+the rule does not apply: a tie, or an account that is zero or subnormal.
+The data total is read by every metrics row, so it adds D once a cycle
+and counts down the cycles to the crossing. A node's ``spent_j`` is
+read by no quiet cycle: it is brought up to date only when a hit or a
+revert changes what the node pays, and when the stretch ends. An energy
+audit only logs each charge; the charging is the same.
+
+A quiet cycle records its metrics row by calling the nine series'
+``append`` methods directly, bound once when the simulation is built, with
+no method call of its own. Every quiet cycle adds the same generated,
+delivered and lost counts, so piece conservation is checked once, before
+the stretch runs: when each cycle's counts balance and the first cycle's
+totals do, every cycle's totals do.
 
 Three strategies share the same initial centrally computed plan:
 
@@ -77,6 +95,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import netmodel, planner, protocol
+from .charging import Account, binade
 from .lifetime import (lifetime_from_spend, link_fires, max_epoch_duration,
                        node_spend)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
@@ -554,7 +573,14 @@ class Simulation:
         Returns the forwarding walk (``_walk()``) when it made one, and
         whether the cycle it stopped at has had its reverts and interference
         event applied already; the ``_step()`` that follows forwards from
-        the walk and skips what was applied."""
+        the walk and skips what was applied.
+
+        The charges are not added one by one. The data total moves one exact
+        step a cycle and each node's account a whole binade at a time, which
+        gives the same floats as the plain additions for as long as round to
+        nearest even keeps within a binade; the crossing cycle, ties and
+        zero or subnormal totals take the plain additions (see the module
+        docstring and ``charging``)."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
@@ -569,14 +595,22 @@ class Simulation:
         entries, gen, dlv, lost, quiet = walk
         if not quiet:
             return walk, False
-        charges = []   # (node, amount) in piece and hop order
-        hops = {}   # link -> [(index in charges, piece rate)]
+        amounts = []   # every charge of a cycle, in piece and hop order
+        accounts = {}   # node id -> Account
+        hops = {}   # link -> [(index in amounts, account, index in its amounts, rate)]
         for piece, _, sent, _, _ in entries:
             for tx, link, rx, _ in sent:
+                acct = accounts.get(tx.node)
+                if acct is None:
+                    acct = accounts[tx.node] = Account(tx, start)
                 hops.setdefault((tx.node, rx.node), []).append(
-                    (len(charges), piece.rate))
-                charges.append((tx, link.eps_j * piece.rate))
-        stop = _clamp_stop(start, charges, event_stop)
+                    (len(amounts), acct, len(acct.amounts), piece.rate))
+                amount = link.eps_j * piece.rate
+                amounts.append(amount)
+                acct.amounts.append(amount)
+        for acct in accounts.values():
+            acct.guard(start, event_stop)
+        stop = min((acct.stop for acct in accounts.values()), default=event_stop)
         if stop <= start:
             return walk, False
 
@@ -606,6 +640,7 @@ class Simulation:
          add_latency, add_reconfigs, add_alive) = self._appends
         cfg_energy, reconfigs, alive = self._cfg_energy, self._reconfigs, self._alive_count
         data = self._data_energy
+        step, left = binade(data, amounts)   # the data total's jump, for `left` cycles
         requests = ok = violations = misses = 0
         max_access = m.max_access_latency_ms
         interfered = False
@@ -623,23 +658,32 @@ class Simulation:
                 if reacts and any(link_fires(links[lk], threshold) for lk in dirty):
                     interfered = True   # the _step() of this cycle goes on from here
                     break
-                touched = False
+                moved = set()
                 for lk in dirty:
-                    for i, rate in hops.get(lk, ()):
-                        charges[i] = (charges[i][0], links[lk].eps_j * rate)
-                        touched = True
-                if touched:
-                    stop = _clamp_stop(cyc, charges, event_stop)
+                    for i, acct, j, rate in hops.get(lk, ()):
+                        acct.sync(cyc)   # before its amounts change
+                        amounts[i] = acct.amounts[j] = links[lk].eps_j * rate
+                        moved.add(acct)
+                if moved:
+                    for acct in moved:
+                        acct.guard(cyc, event_stop)
+                    stop = min(acct.stop for acct in accounts.values())
                     if stop <= cyc:
                         interfered = True
                         break
-            for node, amount in charges:
-                node.spent_j += amount
-                data += amount
+                    step, left = binade(data, amounts)
+            if left:
+                data += step
+                left -= 1
+            else:   # the cycle that leaves the binade, or no jump applies
+                for amount in amounts:
+                    data += amount
+                step, left = binade(data, amounts)
             if audit:
-                for node, amount in charges:
-                    if amount > 0.0:
-                        log.setdefault(node.node, []).append((cyc, DATA, amount))
+                for acct in accounts.values():
+                    for amount in acct.amounts:
+                        if amount > 0.0:
+                            log.setdefault(acct.node.node, []).append((cyc, DATA, amount))
             generated += gen
             dlv_total += dlv
             lost_total += lost
@@ -675,6 +719,8 @@ class Simulation:
                 self._settle_links()
             cyc += 1
 
+        for acct in accounts.values():
+            acct.sync(cyc)
         ran = cyc - start
         if ran == 0:
             return walk, interfered
@@ -1050,24 +1096,6 @@ def inject_interference(net: NetworkState, rng: random.Random,
         link.eps_j = link.eps_baseline_j * params.multiplier
         affected.append((lk, link_fires(link, trigger_threshold)))
     return affected
-
-
-def _clamp_stop(cyc: int, charges, stop: int) -> int:
-    """The first cycle from ``cyc`` on, and before ``stop``, that a quiet
-    stretch charging ``charges`` each cycle must leave to ``_step()``: one
-    cycle of spend short of any charged node's clamp, allowing for the
-    rounding of every addition to ``spent_j`` on the way."""
-    spend = {}   # node id -> (node, per-cycle spend, charge count)
-    for node, amount in charges:
-        _, per_cycle, count = spend.get(node.node, (node, 0.0, 0))
-        spend[node.node] = (node, per_cycle + amount, count + 1)
-    for node, per_cycle, count in spend.values():
-        room = node.initial_energy_j - node.spent_j - per_cycle
-        slack = count * node.initial_energy_j * 2.0 ** -50
-        cycles = room / (per_cycle + slack)
-        if cycles < stop - cyc:
-            stop = cyc + max(0, int(cycles))
-    return stop
 
 
 def sample_access_latency(piece: DataPiece, table: PathTable,

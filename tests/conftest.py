@@ -5,11 +5,19 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
+from hypothesis import settings
+
 from fwdsim import (DataPiece, InterferenceConfig, LinkState, NetworkState,
                     NodeState, PathTable, ScenarioConfig, Simulation,
                     build_grid_topology, install_path, parse_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Hypothesis profiles, chosen with ``--hypothesis-profile``. ``default`` is
+# Hypothesis' own default; ``ci`` draws ten times the examples for the tests
+# that leave their example count to the profile.
+settings.register_profile("default")
+settings.register_profile("ci", max_examples=1000)
 
 
 def make_net(edges, energies, proxies=frozenset(), eps=50e-6, latency=10.0,

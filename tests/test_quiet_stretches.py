@@ -16,9 +16,13 @@ number of hops of energy, which puts its clamp on a cycle boundary, where a
 stretch that runs one cycle too long would miss it. The random test also
 draws a link cost that is not a power of two, so its sums round, and a
 stretch that added a node's charges in another order would drift from the
-stepped run.
+stepped run. A stretch charges in closed form, a binade at a time, so one
+long stretch at such a cost takes a relay's account and the data total
+across several binades and must still match the stepped run bit for bit.
+Turning the energy audit on or off must change no output.
 """
 
+import math
 import sys
 from dataclasses import replace
 
@@ -27,9 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import (STRATEGIES, EngineError, InterferenceConfig, PathRow,
-                    ScenarioConfig, Simulation, engine)
+                    ScenarioConfig, Simulation, engine, parse_scenario)
 
-from conftest import churn_config, make_net, mini_sim, spike_link
+from conftest import SCENARIOS, churn_config, make_net, mini_sim, spike_link
 from oracles import PolledSimulation, SteppedSimulation
 
 TX_J = 2.0 ** -14
@@ -354,3 +358,69 @@ def test_unbalanced_quiet_counts_raise_from_the_stretch(
                        ) as raised:
         sim.run()
     assert raised.traceback[-1].name == "_run_quiet"
+
+
+@pytest.mark.parametrize("strategy, p_hit", [
+    ("PDD", 0.0), ("PDD-CR", 0.0), ("DistrDataFwd", 0.0), ("PDD", 0.05)])
+def test_one_long_stretch_crosses_binades_like_stepping(monkeypatch, strategy,
+                                                        p_hit):
+    # Two pieces share relay 1 at a cost that is not a power of two, so its
+    # account and the data total round on every addition. From zero spend,
+    # 6,000 cycles take both across many binades in closed form. Under PDD
+    # with interference the stretch runs on through hits and reverts, each
+    # of which brings the nodes whose hops it re-prices up to date.
+    def build(engine):
+        net = make_net([(0, 1), (1, 2), (2, 3), (1, 4)],
+                       {u: 100.0 for u in range(5)}, proxies={2}, eps=3e-5)
+        return mini_sim(net, [(0, 3, 2, 3, [0, 1, 2, 3]),
+                              (4, 3, 2, 1, [4, 1, 2, 3])],
+                        engine=engine, horizon=6000, strategy=strategy,
+                        request_prob=0.5, seed=5,
+                        interference=InterferenceConfig(
+                            prob_per_cycle=p_hit, multiplier=2.5,
+                            affected_links=2, duration_cycles=2))
+
+    steps = []
+    real_step = Simulation._step
+
+    def step(self, *args):
+        steps.append(self.cycle)
+        real_step(self, *args)
+
+    monkeypatch.setattr(Simulation, "_step", step)
+    fast = build(Simulation)
+    fast.run()
+    assert steps == [] and fast.cycle == 6000   # one stretch, start to end
+    monkeypatch.undo()
+    stepped = build(SteppedSimulation)
+    stepped.run()
+    assert outputs(fast) == outputs(stepped)
+
+    def binades(before, after):
+        return math.frexp(after)[1] - math.frexp(before)[1]
+
+    # The relay pays 4 pieces' hops a cycle; the data total is row 0.
+    assert binades(4 * 3e-5, fast.net.nodes[1].spent_j) >= 2
+    assert binades(fast.metrics.energy_data_j[0], fast._data_energy) >= 2
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("churn", 1), ("churn", 2), ("churn", 3), ("churn", 4), ("desk", 1)])
+def test_energy_audit_changes_no_output(workload, seed):
+    # The audit only logs what the charging path spends; it drives none of
+    # it, so every output is the same with it on and off.
+    if workload == "churn":
+        base = churn_config(seed, horizon=3500)
+    else:
+        base = replace(parse_scenario(
+            (SCENARIOS / "default.scenario").read_text()), seed=seed)
+
+    def run(strategy, audit):
+        sim = Simulation(replace(base, strategy=strategy, audit_energy=audit))
+        m = sim.run()
+        assert bool(sim.energy_log) == audit
+        spent = [st.spent_j.hex() for _, st in sorted(sim.net.nodes.items())]
+        return m.csv_text(), m.summary_text(), dict(m.death_times), spent
+
+    for strategy in STRATEGIES:
+        assert run(strategy, True) == run(strategy, False)
