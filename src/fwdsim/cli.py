@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,42 +58,51 @@ def _run_one(cfg: ScenarioConfig) -> tuple[Metrics, list[str] | None]:
     return sim.metrics, (sim.trace_lines if cfg.trace else None)
 
 
-def run_grid(base: ScenarioConfig, strategies: list[str], seeds: list[int],
-             workers: int = 1) -> dict[tuple[str, int], tuple[Metrics, list[str] | None]]:
-    """Run every (strategy, seed) combination; deterministic per combination
-    regardless of scheduling."""
+def iter_grid(base: ScenarioConfig, strategies: list[str], seeds: list[int],
+              workers: int = 1,
+              ) -> Iterator[tuple[tuple[str, int], Metrics, list[str] | None]]:
+    """Run every (strategy, seed) combination and yield each run's key,
+    metrics and trace as the run finishes: in key order with one worker, in
+    order of completion with more. Each run is deterministic regardless of
+    scheduling. The generator keeps no reference to a run it has yielded,
+    so a caller that drops each run before asking for the next holds one
+    run's series at a time."""
     configs = {(s, seed): replace(base, strategy=s, seed=seed)
                for s in strategies for seed in seeds}
-    results: dict[tuple[str, int], tuple[Metrics, list[str] | None]] = {}
     if workers > 1:
-        keys = sorted(configs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, outcome in zip(keys, pool.map(_run_one,
-                                                   [configs[k] for k in keys])):
-                results[key] = outcome
+            pending = {pool.submit(_run_one, configs[key]): key
+                       for key in sorted(configs)}
+            for future in as_completed(pending):
+                yield (pending.pop(future), *future.result())
+                del future   # and its result, before the next run is awaited
     else:
         for key in sorted(configs):
-            results[key] = _run_one(configs[key])
-    return results
+            yield (key, *_run_one(configs[key]))
 
 
-def comparison_table(results: dict[tuple[str, int], Metrics]) -> str:
-    strategies = sorted({s for s, _ in results})
+def run_grid(base: ScenarioConfig, strategies: list[str], seeds: list[int],
+             workers: int = 1) -> dict[tuple[str, int], tuple[Metrics, list[str] | None]]:
+    """Every run of ``iter_grid``, by (strategy, seed)."""
+    return {key: (metrics, trace)
+            for key, metrics, trace in iter_grid(base, strategies, seeds, workers)}
+
+
+def comparison_table(totals: dict[tuple[str, int], dict[str, float]]) -> str:
+    """Means over seeds per strategy, from each run's ``Metrics.totals()``
+    with its ``latency_violations`` added."""
+    strategies = sorted({s for s, _ in totals})
     lines = [COMPARISON_HEADER]
     for strat in strategies:
-        runs = [m for (s, _), m in sorted(results.items()) if s == strat]
-        if not runs:
-            continue
-        n = len(runs)
-        tot = [m.totals() for m in runs]
+        tot = [t for (s, _), t in sorted(totals.items()) if s == strat]
+        n = len(tot)
         mean = lambda key: sum(t[key] for t in tot) / n
-        mean_viol = sum(m.latency_violations for m in runs) / n
         lines.append(
             f"{strat},{n},"
             f"{mean('energy_data_j') + mean('energy_cfg_j'):.10g},"
             f"{mean('energy_data_j'):.10g},{mean('energy_cfg_j'):.10g},"
             f"{mean('generated'):.10g},{mean('delivered'):.10g},"
-            f"{mean('lost'):.10g},{mean_viol:.10g},"
+            f"{mean('lost'):.10g},{mean('latency_violations'):.10g},"
             f"{mean('reconfigurations'):.10g}"
         )
     return "\n".join(lines) + "\n"
@@ -133,24 +143,27 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        results = run_grid(cfg, strategies, seeds, workers=args.workers)
-        metrics_only: dict[tuple[str, int], Metrics] = {}
-        for (strat, seed) in sorted(results):
-            metrics, trace = results[(strat, seed)]
-            metrics_only[(strat, seed)] = metrics
+        # Each run's files are written as it arrives, and only its totals
+        # kept, so memory holds one run's series, not the grid's.
+        totals: dict[tuple[str, int], dict[str, float]] = {}
+        for (strat, seed), metrics, trace in iter_grid(cfg, strategies, seeds,
+                                                       workers=args.workers):
+            totals[(strat, seed)] = {**metrics.totals(),
+                                     "latency_violations": metrics.latency_violations}
             stem = f"{strat}_seed{seed}"
             (out_dir / f"{stem}.csv").write_text(metrics.csv_text())
             (out_dir / f"{stem}_summary.txt").write_text(metrics.summary_text())
             if trace is not None:
                 (out_dir / f"{stem}_trace.log").write_text("\n".join(trace) + "\n")
-        (out_dir / "comparison.csv").write_text(comparison_table(metrics_only))
+            del metrics, trace   # before the next run is awaited
+        (out_dir / "comparison.csv").write_text(comparison_table(totals))
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # runtime failure inside a run
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(results)} runs to {out_dir}")
+    print(f"wrote {len(totals)} runs to {out_dir}")
     return 0
 
 

@@ -72,12 +72,19 @@ read by no quiet cycle: it is brought up to date only when a hit or a
 revert changes what the node pays, and when the stretch ends. An energy
 audit only logs each charge; the charging is the same.
 
-A quiet cycle records its metrics row by calling the nine series'
-``append`` methods directly, bound once when the simulation is built, with
-no method call of its own. Every quiet cycle adds the same generated,
-delivered and lost counts, so piece conservation is checked once, before
-the stretch runs: when each cycle's counts balance and the first cycle's
-totals do, every cycle's totals do.
+Every cycle ends the same way, written once for a range of cycles
+[start, stop): ``Simulation._sample_requests`` draws the range's consumer
+requests and tallies them, and ``Simulation._close`` adds the range's
+counts to the totals, checks piece conservation and extends the metrics
+series in bulk with the rows of its row cycles. A step calls each with its
+one cycle; a stretch calls each once, after its charging loop, for every
+cycle it ran, and calls nothing per quiet cycle. The request stream is
+drawn apart from the interference stream, so drawing a stretch's requests
+after its hits draws the same values, and a stretch changes nothing that
+``sample_access_latency`` reads, so each piece's access latency is sampled
+once per range. Every quiet cycle adds the same generated, delivered and
+lost counts, so one check covers a stretch: when each cycle's counts
+balance and the totals balanced before it, every cycle's totals do.
 
 Three strategies share the same initial centrally computed plan:
 
@@ -400,8 +407,6 @@ class Simulation:
         self._piece_ids = sorted(self.pieces_by_id)
 
         self.metrics = Metrics(strategy=cfg.strategy, seed=cfg.seed)
-        # The appends of the per-cycle series, in CSV column order.
-        self._appends = tuple(s.append for s in self.metrics.series())
 
         self._rng_interference = random.Random(f"{cfg.seed}:interference")
         self._rng_requests = random.Random(f"{cfg.seed}:requests")
@@ -500,13 +505,13 @@ class Simulation:
         afresh from the state: the alive count, the alive nodes with no
         energy left, the links whose cost differs from their previous cost
         (they count as changed in the next cycle and settle at its end), and
-        the nodes with pending protocol work. The series' appends are bound
-        again too: ``copy.deepcopy`` copies bound builtin methods as they
-        are, so a copy's ones would still append to the original's series.
+        the nodes with pending protocol work.
 
         Cycles with an event go through ``_step()``; the quiet cycles between
         them through ``_run_quiet()``, which hands on its forwarding walk and
-        whether it has applied the next cycle's reverts and hit.
+        whether it has applied the next cycle's reverts and hit. Both end
+        their cycles through ``_sample_requests()`` and ``_close()``, a step
+        for its one cycle and a stretch once for all of its own.
         """
         remaining = (self.cfg.horizon - self.cycle) if cycles is None else cycles
         nodes = self.net.nodes
@@ -517,7 +522,6 @@ class Simulation:
                              if link.eps_j != link.eps_prev_j}
         self._busy = {u for u, ctx in self._ctx.items()
                       if ctx.state.has_pending_work()}
-        self._appends = tuple(s.append for s in self.metrics.series())
         end = self.cycle + max(0, remaining)
         while self.cycle < end:
             walk, interfered = self._run_quiet(end)
@@ -543,24 +547,13 @@ class Simulation:
         self._generate_and_forward(walk)
         if self.cfg.strategy == "DistrDataFwd":
             self._protocol_phase(cyc, receivers)
-        max_lat = self._sample_requests()
+        rows, worst = self._sample_requests(cyc, cyc + 1)
         if self.cfg.strategy == "PDD-CR":
             self._central_reconfiguration_hook()
         self._death_sweep()
-        if self._generated != self._delivered + self._lost + self.metrics.in_transit:
-            raise EngineError("piece conservation violated cumulatively")
-        if cyc % self._stride == 0 or cyc == self.cfg.horizon - 1:
-            (add_cycle, add_data, add_cfg, add_generated, add_delivered,
-             add_lost, add_latency, add_reconfigs, add_alive) = self._appends
-            add_cycle(cyc)
-            add_data(self._data_energy)
-            add_cfg(self._cfg_energy)
-            add_generated(self._generated)
-            add_delivered(self._delivered)
-            add_lost(self._lost)
-            add_latency(max_lat)
-            add_reconfigs(self._reconfigs)
-            add_alive(self._alive_count)
+        # Forwarding has added this cycle's counts to the totals already.
+        self._close(cyc, cyc + 1, rows, (0, 0, 0),
+                    [self._data_energy] * len(rows), worst)
         self._settle_links()
         self.cycle += 1
 
@@ -580,7 +573,10 @@ class Simulation:
         gives the same floats as the plain additions for as long as round to
         nearest even keeps within a binade; the crossing cycle, ties and
         zero or subnormal totals take the plain additions (see the module
-        docstring and ``charging``)."""
+        docstring and ``charging``). The loop keeps the data total of each
+        metrics-row cycle; the requests of all the cycles that ran are drawn
+        after it, and the cycles closed with those rows, by one call each
+        to ``_sample_requests()`` and ``_close()``."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
@@ -614,35 +610,17 @@ class Simulation:
         if stop <= start:
             return walk, False
 
-        cfg, m = self.cfg, self.metrics
-        generated, dlv_total, lost_total = self._generated, self._delivered, self._lost
-        # Every quiet cycle adds the same counts: when they balance and the
-        # totals balance after the first cycle, they do after every cycle.
-        if (gen != dlv + lost
-                or generated + gen != dlv_total + dlv + lost_total + lost + m.in_transit):
-            raise EngineError("piece conservation violated cumulatively")
+        cfg = self.cfg
         draw_interference = self._rng_interference.random
         p_hit = cfg.interference.prob_per_cycle
         reverts, threshold = self._reverts, cfg.trigger_threshold
         reacts = cfg.strategy != "PDD"   # to a changed link that fires
-        draw_request = self._rng_requests.random
-        p_req = cfg.request_prob
-        budget = cfg.latency_budget_ms
-        audit = cfg.audit_energy
+        audit, log = cfg.audit_energy, self.energy_log
+        links, dirty = self.net.links, self._dirty_links
         stride, last = self._stride, cfg.horizon - 1
-        pieces = [self.pieces_by_id[pid] for pid in self._piece_ids]
-        piece_range = range(len(pieces))
-        access: list = [None] * len(pieces)   # sample_access_latency, lazily
-        table, net, log = self.table, self.net, self.energy_log
-        links, dirty = net.links, self._dirty_links
-        miss_causes = m.miss_causes
-        (add_cycle, add_data, add_cfg, add_generated, add_delivered, add_lost,
-         add_latency, add_reconfigs, add_alive) = self._appends
-        cfg_energy, reconfigs, alive = self._cfg_energy, self._reconfigs, self._alive_count
+        data_rows = []   # the data total of each metrics-row cycle
         data = self._data_energy
         step, left = binade(data, amounts)   # the data total's jump, for `left` cycles
-        requests = ok = violations = misses = 0
-        max_access = m.max_access_latency_ms
         interfered = False
         cyc = start
         while cyc < stop:
@@ -684,37 +662,8 @@ class Simulation:
                     for amount in acct.amounts:
                         if amount > 0.0:
                             log.setdefault(acct.node.node, []).append((cyc, DATA, amount))
-            generated += gen
-            dlv_total += dlv
-            lost_total += lost
-            max_lat = 0.0
-            for i in piece_range:
-                if draw_request() < p_req:
-                    requests += 1
-                    sample = access[i]
-                    if sample is None:
-                        sample = access[i] = sample_access_latency(pieces[i], table, net)
-                    latency, miss = sample
-                    if miss is not None:
-                        misses += 1
-                        miss_causes[miss] += 1
-                        continue
-                    max_lat = max(max_lat, latency)
-                    max_access = max(max_access, latency)
-                    if latency > budget:
-                        violations += 1
-                    else:
-                        ok += 1
-            if cyc % stride == 0 or cyc == last:
-                add_cycle(cyc)
-                add_data(data)
-                add_cfg(cfg_energy)
-                add_generated(generated)
-                add_delivered(dlv_total)
-                add_lost(lost_total)
-                add_latency(max_lat)
-                add_reconfigs(reconfigs)
-                add_alive(alive)
+            if cyc % stride == 0 or cyc == last:   # the rows _sample_requests() returns
+                data_rows.append(data)
             if changed:
                 self._settle_links()
             cyc += 1
@@ -724,19 +673,16 @@ class Simulation:
         ran = cyc - start
         if ran == 0:
             return walk, interfered
-        self.cycle = cyc
+        rows, worst = self._sample_requests(start, cyc)
         self._data_energy = data
-        self._generated, self._delivered, self._lost = generated, dlv_total, lost_total
+        self._close(start, cyc, rows, (gen, dlv, lost), data_rows, worst)
+        self.cycle = cyc
+        loss_causes = self.metrics.loss_causes
         for piece, status, _, cause, _ in entries:
             if cause is None:
                 status.stuck_cycles = 0
             else:
-                m.loss_causes[status.cause or cause] += piece.rate * ran
-        m.requests_total += requests
-        m.requests_ok += ok
-        m.latency_violations += violations
-        m.request_misses += misses
-        m.max_access_latency_ms = max_access
+                loss_causes[status.cause or cause] += piece.rate * ran
         return walk, interfered
 
     def _walk(self):
@@ -949,28 +895,81 @@ class Simulation:
             else:
                 busy.discard(u)
 
-    def _sample_requests(self) -> float:
-        cfg = self.cfg
-        worst = 0.0
-        for pid in self._piece_ids:
-            draw = self._rng_requests.random()   # one draw per piece per cycle
-            if cfg.request_prob <= 0.0 or draw >= cfg.request_prob:
-                continue
-            piece = self.pieces_by_id[pid]
-            self.metrics.requests_total += 1
-            latency, miss = sample_access_latency(piece, self.table, self.net)
-            if miss is not None:
-                self.metrics.request_misses += 1
-                self.metrics.miss_causes[miss] += 1
-                continue
-            worst = max(worst, latency)
-            self.metrics.max_access_latency_ms = max(
-                self.metrics.max_access_latency_ms, latency)
-            if latency > cfg.latency_budget_ms:
-                self.metrics.latency_violations += 1
-            else:
-                self.metrics.requests_ok += 1
-        return worst
+    def _sample_requests(self, start: int, stop: int) -> tuple[list[int], list[float]]:
+        """Draw each cycle of [start, stop) one consumer request per piece,
+        in id order, and tally the requests. Returns the cycles that get a
+        metrics row (every stride-th and the horizon's last) and the worst
+        latency served in each (0.0 when none was). A piece's access latency
+        is sampled once, at its first request: nothing it reads changes
+        within a range, which is one step's cycle or a stretch, whose hits
+        and charges move only link costs and spend."""
+        draw, p_req = self._rng_requests.random, self.cfg.request_prob
+        piece_ids, stride, last = self._piece_ids, self._stride, self.cfg.horizon - 1
+        hits = {}   # piece id -> [requests, latency, miss]
+        rows, worst = [], []
+        for cyc in range(start, stop):
+            served = 0.0
+            for pid in piece_ids:
+                if draw() < p_req:
+                    hit = hits.get(pid)
+                    if hit is None:
+                        hit = hits[pid] = [0, *sample_access_latency(
+                            self.pieces_by_id[pid], self.table, self.net)]
+                    hit[0] += 1
+                    latency = hit[1]
+                    if latency is not None and latency > served:
+                        served = latency
+            if cyc % stride == 0 or cyc == last:
+                rows.append(cyc)
+                worst.append(served)
+        if hits:
+            m = self.metrics
+            for count, latency, miss in hits.values():
+                m.requests_total += count
+                if miss is not None:
+                    m.request_misses += count
+                    m.miss_causes[miss] += count
+                    continue
+                m.max_access_latency_ms = max(m.max_access_latency_ms, latency)
+                if latency > self.cfg.latency_budget_ms:
+                    m.latency_violations += count
+                else:
+                    m.requests_ok += count
+        return rows, worst
+
+    def _close(self, start: int, stop: int, rows, counts: tuple[int, int, int],
+               data: list[float], worst: list[float]) -> None:
+        """End the cycles [start, stop). Each adds ``counts``, the pieces it
+        generated, delivered and lost, to the totals (a step's forwarding
+        has added its own, so it passes none); then piece conservation is
+        checked, and each cycle of ``rows`` gets its metrics row, with
+        ``data`` and ``worst`` giving its data total and worst served
+        latency. The rows are extended onto the series in bulk."""
+        gen, dlv, lost = counts
+        ran = stop - start
+        generated = self._generated = self._generated + ran * gen
+        delivered = self._delivered = self._delivered + ran * dlv
+        lost_total = self._lost = self._lost + ran * lost
+        m = self.metrics
+        if gen != dlv + lost or generated != delivered + lost_total + m.in_transit:
+            raise EngineError("piece conservation violated cumulatively")
+        if not rows:
+            return
+        k = len(rows)
+        m.cycles.extend(rows)
+        m.energy_data_j.extend(data)
+        m.energy_cfg_j.extend([self._cfg_energy] * k)
+        if ran == 1:   # its one row reads the totals as they stand
+            m.generated.append(generated)
+            m.delivered.append(delivered)
+            m.lost.append(lost_total)
+        else:   # a row's totals leave out the cycles of the range after it
+            m.generated.extend([generated - gen * (stop - 1 - cyc) for cyc in rows])
+            m.delivered.extend([delivered - dlv * (stop - 1 - cyc) for cyc in rows])
+            m.lost.extend([lost_total - lost * (stop - 1 - cyc) for cyc in rows])
+        m.max_latency_ms.extend(worst)
+        m.reconfigurations.extend([self._reconfigs] * k)
+        m.alive_nodes.extend([self._alive_count] * k)
 
     def _central_reconfiguration_hook(self) -> None:
         if not self._replan_due:

@@ -6,15 +6,18 @@ simulation, runs both on to the horizon, and compares the CSV, summary and
 diagnostics of each with those of one unbroken ``run()``. The copy is a
 ``copy.deepcopy``, after which the original also runs on, or a pickle round
 trip. Either way no state may stay shared between the two objects, and none
-may live outside them.
+may live outside them. A Hypothesis property does the same over small
+random configurations, each cut at a random cycle.
 """
 
 import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwdsim import STRATEGIES, Simulation
+from fwdsim import STRATEGIES, InterferenceConfig, ScenarioConfig, Simulation
 
 from conftest import churn_config
 
@@ -51,4 +54,44 @@ def test_pickle_round_trip_runs_on_unbroken(case):
     sim.run(CUT)
     restored = pickle.loads(pickle.dumps(sim))
     restored.run()
+    assert result(restored) == want
+
+
+@st.composite
+def cut_configs(draw):
+    """A small configuration on the default grid, and a cycle to cut it
+    at. Metrics strides of 7 thin the rows and add the horizon's last."""
+    horizon = draw(st.integers(10, 250))
+    cfg = ScenarioConfig(
+        horizon=horizon,
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        seed=draw(st.integers(0, 2 ** 16)),
+        request_prob=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        metrics_stride=draw(st.sampled_from([0, 7])),
+        interference=InterferenceConfig(
+            prob_per_cycle=draw(st.sampled_from([0.0, 0.05, 0.2])),
+            multiplier=3.0, affected_links=draw(st.integers(1, 2)),
+            duration_cycles=draw(st.integers(1, 3))),
+        forced_deaths=tuple(draw(st.lists(
+            st.tuples(st.integers(0, horizon - 1), st.integers(0, 17)),
+            max_size=2))))
+    return cfg, draw(st.integers(0, horizon))
+
+
+@settings(deadline=None)
+@given(cut_configs())
+def test_any_cut_copied_or_pickled_runs_on_unbroken(case):
+    cfg, cut = case
+    whole = Simulation(cfg)
+    whole.run()
+    sim = Simulation(cfg)
+    sim.run(cut)
+    restored = pickle.loads(pickle.dumps(sim))
+    twin = copy.deepcopy(sim)
+    sim.run()
+    twin.run()
+    restored.run()
+    want = result(whole)
+    assert result(sim) == want
+    assert result(twin) == want
     assert result(restored) == want
