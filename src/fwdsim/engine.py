@@ -55,6 +55,16 @@ walked once. Each quiet cycle still draws the interference event and one
 request per piece, so both random streams are consumed in the same order as
 by ``_step()``.
 
+A stretch advances one run at a time. A run is the cycles between two
+events: a revert, an interference hit, the data total leaving its binade
+(below) and the stretch's end. Every cycle of a run is alike: it changes no
+link cost and adds the same exact step to the data total. The run draws the
+interference stream in one loop up to its first hit, which ends the run;
+the hit's cycle is an event, handed the draw that found it. Each event
+cycle goes through the stretch's per-cycle body, which applies the revert
+and the hit and re-prices the hops they change. So does every cycle when
+the energy audit is on, since its log has an entry per cycle.
+
 A stretch charges in closed form, and its outputs are still bit-identical
 to stepping every cycle. The premise is IEEE-754 addition rounding to
 nearest, ties to even. Inside one binade [2**e, 2**(e+1)) every float is a
@@ -66,17 +76,21 @@ then add exactly D, the sum of the R(a), and k cycles add k * D, so an
 account crosses its binade in one step (``charging``). The cycle that
 leaves the binade is added amount by amount, and so is every cycle where
 the rule does not apply: a tie, or an account that is zero or subnormal.
-The data total is read by every metrics row, so it adds D once a cycle
-and counts down the cycles to the crossing. A node's ``spent_j`` is
-read by no quiet cycle: it is brought up to date only when a hit or a
-revert changes what the node pays, and when the stretch ends. An energy
-audit only logs each charge; the charging is the same.
+The data total is read by every metrics row. Inside its binade the total
+after j cycles of a run is exactly its value before the run plus j * D, so
+the totals at the run's row cycles are built in bulk, an exact progression
+along the stride grid; only row cycles are built, however long the run. A
+node's ``spent_j`` is read by no quiet cycle: it is brought up to date only
+when a hit or a revert changes what the node pays, and when the stretch
+ends. An energy audit only logs each charge; the charging is the same.
 
 Every cycle ends the same way, written once for a range of cycles
 [start, stop): ``Simulation._sample_requests`` draws the range's consumer
 requests and tallies them, and ``Simulation._close`` adds the range's
 counts to the totals, checks piece conservation and extends the metrics
-series in bulk with the rows of its row cycles. A step calls each with its
+series in bulk with the rows of its row cycles (``Simulation._row_ranges``:
+every stride-th cycle, and the horizon's last). A row's counter totals
+form progressions along the stride grid too. A step calls each with its
 one cycle; a stretch calls each once, after its charging loop, for every
 cycle it ran, and calls nothing per quiet cycle. The request stream is
 drawn apart from the interference stream, so drawing a stretch's requests
@@ -98,8 +112,10 @@ Three strategies share the same initial centrally computed plan:
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 
 from . import netmodel, planner, protocol
 from .charging import Account, binade
@@ -222,12 +238,17 @@ class NodeCtx:
     Exposes only what a real node could know: its own rows, links and energy,
     beacon-carried neighbor information (adjacency, link metrics, projected
     lifetime, liveness within two hops), and its inbox/outbox.
+
+    It holds its simulation through a weak proxy, so a simulation and its
+    contexts form no reference cycle and a finished run is freed as soon as
+    its last reference goes. A context is copied and pickled with its
+    simulation only (``Simulation.__getstate__``).
     """
 
     __slots__ = ("_sim", "node", "state", "_inbox")
 
     def __init__(self, sim: "Simulation", node: NodeId):
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
         self.node = node
         self.state = protocol.ProtocolState()
         self._inbox: list[tuple[NodeId, object]] = []
@@ -256,6 +277,11 @@ class NodeCtx:
 
     def out_link(self, v: NodeId) -> netmodel.LinkState:
         return self._sim.net.links[(self.node, v)]
+
+    def changed_out_neighbor_ids(self) -> list[NodeId]:
+        """The out-neighbors whose link's cost changed this cycle, in
+        neighbor order: the only out-links that can fire the trigger."""
+        return sorted(v for u, v in self._sim._dirty_links if u == self.node)
 
     def link_latency(self, v: NodeId) -> float:
         link = self._sim.net.links.get((self.node, v))
@@ -445,6 +471,20 @@ class Simulation:
         self.metrics.initial_epoch_bound = max_epoch_duration(
             self.net, self.pieces, cfg.config_phase_energy_j)
 
+    def __getstate__(self) -> dict:
+        # Each node context is saved as its protocol state and inbox, and
+        # rebuilt around the copy, since it holds its simulation weakly.
+        state = self.__dict__.copy()
+        state["_ctx"] = {u: (ctx.state, ctx._inbox) for u, ctx in self._ctx.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._ctx = {}
+        for u, (node_state, inbox) in state["_ctx"].items():
+            ctx = self._ctx[u] = NodeCtx(self, u)
+            ctx.state, ctx._inbox = node_state, inbox
+
     # ------------------------------------------------------------- controller
 
     def _controller_round(self) -> None:
@@ -547,13 +587,12 @@ class Simulation:
         self._generate_and_forward(walk)
         if self.cfg.strategy == "DistrDataFwd":
             self._protocol_phase(cyc, receivers)
-        rows, worst = self._sample_requests(cyc, cyc + 1)
+        served = self._sample_requests(cyc, cyc + 1)
         if self.cfg.strategy == "PDD-CR":
             self._central_reconfiguration_hook()
         self._death_sweep()
         # Forwarding has added this cycle's counts to the totals already.
-        self._close(cyc, cyc + 1, rows, (0, 0, 0),
-                    [self._data_energy] * len(rows), worst)
+        self._close(cyc, cyc + 1, (0, 0, 0), [self._data_energy], served)
         self._settle_links()
         self.cycle += 1
 
@@ -568,15 +607,23 @@ class Simulation:
         event applied already; the ``_step()`` that follows forwards from
         the walk and skips what was applied.
 
+        The loop advances one run at a time: the cycles up to the next
+        revert, interference hit or binade crossing of the data total, or
+        the stretch's end. A run's interference draws are taken in one loop
+        up to the first hit, and the data totals of its metrics-row cycles
+        are appended in bulk, from its one exact step a cycle. The cycle
+        that ends a run is an event and takes the per-cycle body, handed
+        the draw the run took for it; with the energy audit on, every cycle
+        does.
+
         The charges are not added one by one. The data total moves one exact
         step a cycle and each node's account a whole binade at a time, which
         gives the same floats as the plain additions for as long as round to
         nearest even keeps within a binade; the crossing cycle, ties and
         zero or subnormal totals take the plain additions (see the module
-        docstring and ``charging``). The loop keeps the data total of each
-        metrics-row cycle; the requests of all the cycles that ran are drawn
-        after it, and the cycles closed with those rows, by one call each
-        to ``_sample_requests()`` and ``_close()``."""
+        docstring and ``charging``). The requests of all the cycles that ran
+        are drawn after the loop, and the cycles closed with the data rows,
+        by one call each to ``_sample_requests()`` and ``_close()``."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
@@ -624,11 +671,39 @@ class Simulation:
         interfered = False
         cyc = start
         while cyc < stop:
+            # The run from cyc up to the next event: no revert, no hit and
+            # no binade crossing, so each of its cycles adds `step`.
+            run_end = cyc if audit else min(stop, cyc + left)
+            if reverts and min(reverts) < run_end:
+                run_end = min(reverts)
+            draw = None
+            if p_hit > 0.0:
+                for hit in range(cyc, run_end):
+                    draw = draw_interference()
+                    if draw < p_hit:
+                        run_end = hit   # the hit's cycle is an event
+                        break
+                else:
+                    draw = None
+            if run_end > cyc:
+                # After the run's cycle c the total is data + (c - cyc + 1) * step.
+                for rows in self._row_ranges(cyc, run_end):
+                    if rows:
+                        data_rows.extend(accumulate(
+                            repeat(step * rows.step, len(rows) - 1),
+                            initial=data + (rows.start - cyc + 1) * step))
+                data += step * (run_end - cyc)   # exact inside the binade
+                left -= run_end - cyc
+                cyc = run_end
+                if cyc == stop:
+                    break
+            # An event cycle, handed the interference draw the run took.
             changed = cyc in reverts
             if changed:
                 self._revert_interference(cyc)
             if p_hit > 0.0:
-                draw = draw_interference()
+                if draw is None:
+                    draw = draw_interference()
                 if draw < p_hit:
                     self._inject_interference(cyc, draw)
                     changed = True
@@ -662,7 +737,7 @@ class Simulation:
                     for amount in acct.amounts:
                         if amount > 0.0:
                             log.setdefault(acct.node.node, []).append((cyc, DATA, amount))
-            if cyc % stride == 0 or cyc == last:   # the rows _sample_requests() returns
+            if cyc % stride == 0 or cyc == last:   # a row cycle (_row_ranges)
                 data_rows.append(data)
             if changed:
                 self._settle_links()
@@ -673,9 +748,9 @@ class Simulation:
         ran = cyc - start
         if ran == 0:
             return walk, interfered
-        rows, worst = self._sample_requests(start, cyc)
+        served = self._sample_requests(start, cyc)
         self._data_energy = data
-        self._close(start, cyc, rows, (gen, dlv, lost), data_rows, worst)
+        self._close(start, cyc, (gen, dlv, lost), data_rows, served)
         self.cycle = cyc
         loss_causes = self.metrics.loss_causes
         for piece, status, _, cause, _ in entries:
@@ -872,18 +947,21 @@ class Simulation:
     def _protocol_phase(self, cyc: int, receivers: set[NodeId]) -> None:
         """Step, in id order, the alive nodes with protocol work: a non-empty
         inbox, a collector, pending route or pending splice, an out-link
-        whose cost changed this cycle, or no energy left.
+        that fires the trigger this cycle (``lifetime.link_fires``), or no
+        energy left.
 
         For any other node ``protocol.node_cycle`` does nothing, so this
-        equals stepping every node. A node whose changed out-links fire no
-        trigger does nothing either, which quiet stretches rely on; waking
-        it is wider than needed and changes nothing. No step creates such
-        work for another node within the cycle: a send is delivered next
-        cycle and charges only its sender.
+        equals stepping every node; quiet stretches rely on the same rule.
+        No step creates such work for another node within the cycle: a send
+        is delivered next cycle and charges only its sender, and a step
+        activates only its own node's out-links, so no link starts firing
+        after the wake set is taken.
         """
         wake = receivers | self._busy | self._drained
+        links, threshold = self.net.links, self.cfg.trigger_threshold
         for lk in self._dirty_links:
-            wake.add(lk[0])
+            if link_fires(links[lk], threshold):
+                wake.add(lk[0])
         nodes = self.net.nodes
         busy = self._busy
         for u in sorted(wake):
@@ -895,20 +973,31 @@ class Simulation:
             else:
                 busy.discard(u)
 
-    def _sample_requests(self, start: int, stop: int) -> tuple[list[int], list[float]]:
+    def _row_ranges(self, start: int, stop: int) -> list[range]:
+        """The cycles of [start, stop) that get a metrics row, in order, as
+        arithmetic progressions: every stride-th cycle, and the horizon's
+        last on its own when it is off that grid."""
+        stride, last = self._stride, self.cfg.horizon - 1
+        first = -(-start // stride) * stride
+        if start <= last < stop and last % stride:
+            return [range(first, last, stride), range(last, last + 1),
+                    range(last - last % stride + stride, stop, stride)]
+        return [range(first, stop, stride)]
+
+    def _sample_requests(self, start: int, stop: int) -> dict[int, float]:
         """Draw each cycle of [start, stop) one consumer request per piece,
-        in id order, and tally the requests. Returns the cycles that get a
-        metrics row (every stride-th and the horizon's last) and the worst
-        latency served in each (0.0 when none was). A piece's access latency
-        is sampled once, at its first request: nothing it reads changes
-        within a range, which is one step's cycle or a stretch, whose hits
-        and charges move only link costs and spend."""
+        in id order, and tally the requests. Returns the worst latency
+        served in each row cycle (``_row_ranges``) that served one; the
+        rows themselves are written by ``_close``, so a cycle with no
+        request costs only its draws. A piece's access latency is sampled
+        once, at its first request: nothing it reads changes within a
+        range, which is one step's cycle or a stretch, whose hits and
+        charges move only link costs and spend."""
         draw, p_req = self._rng_requests.random, self.cfg.request_prob
         piece_ids, stride, last = self._piece_ids, self._stride, self.cfg.horizon - 1
         hits = {}   # piece id -> [requests, latency, miss]
-        rows, worst = [], []
+        served = {}   # row cycle -> the worst latency served in it
         for cyc in range(start, stop):
-            served = 0.0
             for pid in piece_ids:
                 if draw() < p_req:
                     hit = hits.get(pid)
@@ -917,11 +1006,9 @@ class Simulation:
                             self.pieces_by_id[pid], self.table, self.net)]
                     hit[0] += 1
                     latency = hit[1]
-                    if latency is not None and latency > served:
-                        served = latency
-            if cyc % stride == 0 or cyc == last:
-                rows.append(cyc)
-                worst.append(served)
+                    if (latency is not None and (cyc % stride == 0 or cyc == last)
+                            and latency > served.get(cyc, 0.0)):
+                        served[cyc] = latency
         if hits:
             m = self.metrics
             for count, latency, miss in hits.values():
@@ -935,16 +1022,20 @@ class Simulation:
                     m.latency_violations += count
                 else:
                     m.requests_ok += count
-        return rows, worst
+        return served
 
-    def _close(self, start: int, stop: int, rows, counts: tuple[int, int, int],
-               data: list[float], worst: list[float]) -> None:
+    def _close(self, start: int, stop: int, counts: tuple[int, int, int],
+               data: list[float], served: dict[int, float]) -> None:
         """End the cycles [start, stop). Each adds ``counts``, the pieces it
         generated, delivered and lost, to the totals (a step's forwarding
         has added its own, so it passes none); then piece conservation is
-        checked, and each cycle of ``rows`` gets its metrics row, with
-        ``data`` and ``worst`` giving its data total and worst served
-        latency. The rows are extended onto the series in bulk."""
+        checked, and each row cycle (``_row_ranges``) gets its metrics row.
+        ``data`` holds the data total of each row cycle in order (a step
+        passes its cycle's, used when the cycle has a row), and ``served``
+        the worst latency served in a row cycle (``_sample_requests``), 0.0
+        when absent. A row's counter totals leave out the cycles of the
+        range after it, so along each progression of row cycles they are
+        progressions too. The rows are extended onto the series in bulk."""
         gen, dlv, lost = counts
         ran = stop - start
         generated = self._generated = self._generated + ran * gen
@@ -953,21 +1044,29 @@ class Simulation:
         m = self.metrics
         if gen != dlv + lost or generated != delivered + lost_total + m.in_transit:
             raise EngineError("piece conservation violated cumulatively")
-        if not rows:
-            return
-        k = len(rows)
-        m.cycles.extend(rows)
-        m.energy_data_j.extend(data)
-        m.energy_cfg_j.extend([self._cfg_energy] * k)
-        if ran == 1:   # its one row reads the totals as they stand
+        if ran == 1:   # its row, if it has one, reads the totals as they stand
+            if start % self._stride and start != self.cfg.horizon - 1:
+                return
+            segments, k = [range(start, stop)], 1
             m.generated.append(generated)
             m.delivered.append(delivered)
             m.lost.append(lost_total)
-        else:   # a row's totals leave out the cycles of the range after it
-            m.generated.extend([generated - gen * (stop - 1 - cyc) for cyc in rows])
-            m.delivered.extend([delivered - dlv * (stop - 1 - cyc) for cyc in rows])
-            m.lost.extend([lost_total - lost * (stop - 1 - cyc) for cyc in rows])
-        m.max_latency_ms.extend(worst)
+        else:
+            segments = self._row_ranges(start, stop)
+            k = sum(map(len, segments))
+            for series, total, count in ((m.generated, generated, gen),
+                                         (m.delivered, delivered, dlv),
+                                         (m.lost, lost_total, lost)):
+                for rows in segments:
+                    first = total - count * (stop - 1 - rows.start)
+                    inc = count * rows.step
+                    series.extend(range(first, first + inc * len(rows), inc)
+                                  if inc else repeat(first, len(rows)))
+        m.cycles.extend(chain.from_iterable(segments))
+        m.energy_data_j.extend(data)
+        m.energy_cfg_j.extend([self._cfg_energy] * k)
+        m.max_latency_ms.extend(map(served.get, chain.from_iterable(segments),
+                                    repeat(0.0)))
         m.reconfigurations.extend([self._reconfigs] * k)
         m.alive_nodes.extend([self._alive_count] * k)
 

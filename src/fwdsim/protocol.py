@@ -195,9 +195,10 @@ def node_cycle(ctx, cycle: int) -> None:
 def _trigger_scan(ctx) -> int:
     """Deactivate every outgoing edge whose cost ratio fired this cycle and
     alert the upstream node of each affected piece. Returns the number of
-    edges that triggered (for the exit guard)."""
+    edges that triggered (for the exit guard). Only an edge whose cost
+    changed this cycle can fire, so only those are scanned."""
     fired = 0
-    for v in ctx.out_neighbor_ids():
+    for v in ctx.changed_out_neighbor_ids():
         link = ctx.out_link(v)
         if not link_fires(link, ctx.trigger_threshold):
             continue

@@ -36,7 +36,7 @@ from fwdsim import (INFINITE_LIFETIME, DataPiece, EngineError, NetworkState,
                     NodeId, PathTable, PiecePlan, Plan, PlannerView, PlanningError,
                     ScenarioConfig, Simulation, bottleneck_path, install_path,
                     lifetime_from_spend, path_bottleneck, protocol)
-from fwdsim.engine import DATA
+from fwdsim.engine import DATA, NodeCtx
 from fwdsim.netmodel import PathReport, PathViolation
 
 from conftest import make_net
@@ -490,12 +490,28 @@ class SteppedSimulation(Simulation):
             raise EngineError("piece conservation violated within a cycle")
 
 
+class ScanEveryLinkCtx(NodeCtx):
+    """A node context whose trigger scan covers every out-link, as it did
+    before the scan was narrowed to the out-links whose cost changed this
+    cycle."""
+
+    __slots__ = ()
+
+    def changed_out_neighbor_ids(self):
+        return self.out_neighbor_ids()
+
+
 class PolledSimulation(SteppedSimulation):
     """``SteppedSimulation`` with the protocol phase as it stood before the
     engine stepped only the nodes with protocol work: every alive node, in
-    id order, every cycle. It checks the no-op contract of
-    ``protocol.node_cycle``, on which the engine's wake set and its quiet
-    stretches rely."""
+    id order, every cycle, each scanning every out-link for a trigger. It
+    checks the no-op contract of ``protocol.node_cycle``, on which the
+    engine's wake set, its narrowed trigger scan and its quiet stretches
+    rely."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ctx = {u: ScanEveryLinkCtx(self, u) for u in self._node_ids}
 
     def _protocol_phase(self, cyc, receivers) -> None:
         for u in self._node_ids:

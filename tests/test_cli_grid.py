@@ -68,16 +68,23 @@ def test_grid_writes_the_same_bytes_as_when_held_to_the_end(tmp_path, workers):
 
 
 def test_serial_grid_holds_one_finished_run_at_a_time(tmp_path, monkeypatch):
+    # With the cyclic garbage collector off, reference counting alone must
+    # free each finished run: its simulation holds no reference cycle.
     real = cli._run_one
     finished = []
 
     def tracked(cfg):
-        gc.collect()   # a run's simulation is cyclic garbage once it returns
         assert [ref for ref in finished if ref() is not None] == []
         metrics, trace = real(cfg)
         finished.append(weakref.ref(metrics))
         return metrics, trace
 
     monkeypatch.setattr(cli, "_run_one", tracked)
-    run_cli(tmp_path, workers=1)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run_cli(tmp_path, workers=1)
+    finally:
+        if collecting:
+            gc.enable()
     assert len(finished) == 4

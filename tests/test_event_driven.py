@@ -1,7 +1,8 @@
 """Event-driven cycle loop and bounded protocol state.
 
 The engine steps a node's protocol only when it has work: a message, a
-pending repair, an out-link whose cost changed this cycle, or no energy left.
+pending repair, an out-link that fires the trigger this cycle, or no energy
+left.
 These tests count ``protocol.node_cycle`` calls, check that state edits made
 between ``run()`` calls still take effect, and check that the per-node
 request-id memory stays bounded on a long, busy run.
@@ -56,9 +57,9 @@ def test_spiked_link_steps_exactly_its_tail(stepped):
 
 def test_spike_counts_as_a_change_for_one_cycle_only(stepped):
     sim = two_edge_node(horizon=20)
-    spike_link(sim, 0, 2)      # idle link: its tail steps once, nothing fires
+    spike_link(sim, 0, 2)      # idle link: it fires nothing, so its tail never steps
     sim.run(3)
-    assert stepped == [(0, 0)]
+    assert stepped == []
     link = sim.net.links[(0, 2)]
     assert link.eps_prev_j == link.eps_j
 
