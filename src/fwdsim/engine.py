@@ -55,15 +55,15 @@ walked once. Each quiet cycle still draws the interference event and one
 request per piece, so both random streams are consumed in the same order as
 by ``_step()``.
 
-A stretch advances one run at a time. A run is the cycles between two
-events: a revert, an interference hit, the data total leaving its binade
-(below) and the stretch's end. Every cycle of a run is alike: it changes no
-link cost and adds the same exact step to the data total. The run draws the
-interference stream in one loop up to its first hit, which ends the run;
-the hit's cycle is an event, handed the draw that found it. Each event
-cycle goes through the stretch's per-cycle body, which applies the revert
-and the hit and re-prices the hops they change. So does every cycle when
-the energy audit is on, since its log has an entry per cycle.
+A stretch goes from event to event. It draws the interference stream in
+one loop up to the next hit or revert, and applies that event as above.
+Only an event that re-prices a hop charges anything: it first brings the
+data total, and the accounts of the nodes that pay the re-priced hops, up
+to date at the old prices. The cycles between events cost nothing of their
+own, since the data total and every node's account are charged lazily, up
+to the events that re-price them and to the stretch's end. An energy audit
+writes a node's per-cycle entries as its account is brought up to date:
+the same entries, in the same per-node order, as stepping every cycle.
 
 A stretch charges in closed form, and its outputs are still bit-identical
 to stepping every cycle. The premise is IEEE-754 addition rounding to
@@ -73,16 +73,14 @@ there adds exactly R(a), a rounded to the nearest multiple of u, as long as
 the sum stays in the binade and a is not an exact tie (an odd multiple of
 u/2, which rounds by the parity of the sum). One cycle's in-order additions
 then add exactly D, the sum of the R(a), and k cycles add k * D, so an
-account crosses its binade in one step (``charging``). The cycle that
-leaves the binade is added amount by amount, and so is every cycle where
-the rule does not apply: a tie, or an account that is zero or subnormal.
-The data total is read by every metrics row. Inside its binade the total
-after j cycles of a run is exactly its value before the run plus j * D, so
-the totals at the run's row cycles are built in bulk, an exact progression
-along the stride grid; only row cycles are built, however long the run. A
-node's ``spent_j`` is read by no quiet cycle: it is brought up to date only
-when a hit or a revert changes what the node pays, and when the stretch
-ends. An energy audit only logs each charge; the charging is the same.
+account crosses its binade in one step (``charging.advance``). The cycle
+that leaves the binade is added amount by amount, and so is every cycle
+where the rule does not apply: a tie, or an account that is zero or
+subnormal. The data total is charged the same way, and it is read by every
+metrics row: inside its binade its value after each cycle is exact, its
+value before the jump plus a whole number of steps, so the totals of the
+row cycles are built in bulk, exact progressions along the stride grid,
+however long the stretch. A node's ``spent_j`` is read by no quiet cycle.
 
 Every cycle ends the same way, written once for a range of cycles
 [start, stop): ``Simulation._sample_requests`` draws the range's consumer
@@ -91,7 +89,7 @@ counts to the totals, checks piece conservation and extends the metrics
 series in bulk with the rows of its row cycles (``Simulation._row_ranges``:
 every stride-th cycle, and the horizon's last). A row's counter totals
 form progressions along the stride grid too. A step calls each with its
-one cycle; a stretch calls each once, after its charging loop, for every
+one cycle; a stretch calls each once, after its event loop, for every
 cycle it ran, and calls nothing per quiet cycle. The request stream is
 drawn apart from the interference stream, so drawing a stretch's requests
 after its hits draws the same values, and a stretch changes nothing that
@@ -115,16 +113,15 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
 from . import netmodel, planner, protocol
-from .charging import Account, binade
+from .charging import DATA, Account, advance
 from .lifetime import (lifetime_from_spend, link_fires, max_epoch_duration,
                        node_spend)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
 from .scenario import ScenarioConfig, sample_pieces
 
-DATA = "data"
 CFG = "cfg"
 
 
@@ -472,17 +469,18 @@ class Simulation:
             self.net, self.pieces, cfg.config_phase_energy_j)
 
     def __getstate__(self) -> dict:
-        # Each node context is saved as its protocol state and inbox, and
-        # rebuilt around the copy, since it holds its simulation weakly.
+        # Each node context is saved as its class, protocol state and inbox,
+        # and rebuilt around the copy, since it holds its simulation weakly.
         state = self.__dict__.copy()
-        state["_ctx"] = {u: (ctx.state, ctx._inbox) for u, ctx in self._ctx.items()}
+        state["_ctx"] = {u: (type(ctx), ctx.state, ctx._inbox)
+                         for u, ctx in self._ctx.items()}
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._ctx = {}
-        for u, (node_state, inbox) in state["_ctx"].items():
-            ctx = self._ctx[u] = NodeCtx(self, u)
+        for u, (cls, node_state, inbox) in state["_ctx"].items():
+            ctx = self._ctx[u] = cls(self, u)
             ctx.state, ctx._inbox = node_state, inbox
 
     # ------------------------------------------------------------- controller
@@ -607,23 +605,17 @@ class Simulation:
         event applied already; the ``_step()`` that follows forwards from
         the walk and skips what was applied.
 
-        The loop advances one run at a time: the cycles up to the next
-        revert, interference hit or binade crossing of the data total, or
-        the stretch's end. A run's interference draws are taken in one loop
-        up to the first hit, and the data totals of its metrics-row cycles
-        are appended in bulk, from its one exact step a cycle. The cycle
-        that ends a run is an event and takes the per-cycle body, handed
-        the draw the run took for it; with the energy audit on, every cycle
-        does.
-
-        The charges are not added one by one. The data total moves one exact
-        step a cycle and each node's account a whole binade at a time, which
-        gives the same floats as the plain additions for as long as round to
-        nearest even keeps within a binade; the crossing cycle, ties and
-        zero or subnormal totals take the plain additions (see the module
-        docstring and ``charging``). The requests of all the cycles that ran
-        are drawn after the loop, and the cycles closed with the data rows,
-        by one call each to ``_sample_requests()`` and ``_close()``."""
+        The loop goes from event to event: it draws the interference stream
+        up to the next hit or revert and applies it. Unless that ends the
+        stretch, the event brings the data total and the accounts of the
+        nodes it re-prices up to date, re-prices their hops and settles the
+        changed links; an event that re-prices no hop only settles them.
+        Nothing is done per quiet cycle: the data total and each node's
+        account are charged lazily, a binade at a time, and the data totals
+        of the metrics rows are built in bulk (``charging.advance``). The
+        requests of all the cycles that ran are drawn after the loop, and
+        the cycles closed with the data rows, by one call each to
+        ``_sample_requests()`` and ``_close()``."""
         start = self.cycle
         if (self._pending_msgs or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
@@ -638,6 +630,7 @@ class Simulation:
         entries, gen, dlv, lost, quiet = walk
         if not quiet:
             return walk, False
+        log = self.energy_log if self.cfg.audit_energy else None
         amounts = []   # every charge of a cycle, in piece and hop order
         accounts = {}   # node id -> Account
         hops = {}   # link -> [(index in amounts, account, index in its amounts, rate)]
@@ -645,7 +638,7 @@ class Simulation:
             for tx, link, rx, _ in sent:
                 acct = accounts.get(tx.node)
                 if acct is None:
-                    acct = accounts[tx.node] = Account(tx, start)
+                    acct = accounts[tx.node] = Account(tx, start, log)
                 hops.setdefault((tx.node, rx.node), []).append(
                     (len(amounts), acct, len(acct.amounts), piece.rate))
                 amount = link.eps_j * piece.rate
@@ -662,94 +655,65 @@ class Simulation:
         p_hit = cfg.interference.prob_per_cycle
         reverts, threshold = self._reverts, cfg.trigger_threshold
         reacts = cfg.strategy != "PDD"   # to a changed link that fires
-        audit, log = cfg.audit_energy, self.energy_log
         links, dirty = self.net.links, self._dirty_links
-        stride, last = self._stride, cfg.horizon - 1
         data_rows = []   # the data total of each metrics-row cycle
-        data = self._data_energy
-        step, left = binade(data, amounts)   # the data total's jump, for `left` cycles
+        data, synced = self._data_energy, start   # the data total, charged up to `synced`
         interfered = False
         cyc = start
         while cyc < stop:
-            # The run from cyc up to the next event: no revert, no hit and
-            # no binade crossing, so each of its cycles adds `step`.
-            run_end = cyc if audit else min(stop, cyc + left)
-            if reverts and min(reverts) < run_end:
-                run_end = min(reverts)
-            draw = None
+            # The next event: the next revert, or a hit up to and on its
+            # cycle, whose own draw is taken here too.
+            event = min(reverts) if reverts else stop
+            if event > stop:
+                event = stop
+            hit = None
             if p_hit > 0.0:
-                for hit in range(cyc, run_end):
+                for c in range(cyc, event + 1 if event < stop else stop):
                     draw = draw_interference()
                     if draw < p_hit:
-                        run_end = hit   # the hit's cycle is an event
+                        event, hit = c, draw
                         break
-                else:
-                    draw = None
-            if run_end > cyc:
-                # After the run's cycle c the total is data + (c - cyc + 1) * step.
-                for rows in self._row_ranges(cyc, run_end):
-                    if rows:
-                        data_rows.extend(accumulate(
-                            repeat(step * rows.step, len(rows) - 1),
-                            initial=data + (rows.start - cyc + 1) * step))
-                data += step * (run_end - cyc)   # exact inside the binade
-                left -= run_end - cyc
-                cyc = run_end
-                if cyc == stop:
-                    break
-            # An event cycle, handed the interference draw the run took.
-            changed = cyc in reverts
-            if changed:
+            cyc = event
+            if cyc == stop:
+                break
+            if cyc in reverts:
                 self._revert_interference(cyc)
-            if p_hit > 0.0:
-                if draw is None:
-                    draw = draw_interference()
-                if draw < p_hit:
-                    self._inject_interference(cyc, draw)
-                    changed = True
-            if changed:
-                if reacts and any(link_fires(links[lk], threshold) for lk in dirty):
-                    interfered = True   # the _step() of this cycle goes on from here
-                    break
-                moved = set()
+            if hit is not None:
+                self._inject_interference(cyc, hit)
+            if reacts and any(link_fires(links[lk], threshold) for lk in dirty):
+                interfered = True   # the _step() of this cycle goes on from here
+                break
+            moved = set()
+            for lk in dirty:
+                for _, acct, _, _ in hops.get(lk, ()):
+                    moved.add(acct)
+            if moved:
+                # Charge the cycles before this one at the old prices.
+                data = advance(data, amounts, synced, cyc,
+                               self._row_ranges(synced, cyc), data_rows)
+                synced = cyc
+                for acct in moved:
+                    acct.sync(cyc)
                 for lk in dirty:
                     for i, acct, j, rate in hops.get(lk, ()):
-                        acct.sync(cyc)   # before its amounts change
                         amounts[i] = acct.amounts[j] = links[lk].eps_j * rate
-                        moved.add(acct)
-                if moved:
-                    for acct in moved:
-                        acct.guard(cyc, event_stop)
-                    stop = min(acct.stop for acct in accounts.values())
-                    if stop <= cyc:
-                        interfered = True
-                        break
-                    step, left = binade(data, amounts)
-            if left:
-                data += step
-                left -= 1
-            else:   # the cycle that leaves the binade, or no jump applies
-                for amount in amounts:
-                    data += amount
-                step, left = binade(data, amounts)
-            if audit:
-                for acct in accounts.values():
-                    for amount in acct.amounts:
-                        if amount > 0.0:
-                            log.setdefault(acct.node.node, []).append((cyc, DATA, amount))
-            if cyc % stride == 0 or cyc == last:   # a row cycle (_row_ranges)
-                data_rows.append(data)
-            if changed:
-                self._settle_links()
+                for acct in moved:
+                    acct.guard(cyc, event_stop)
+                stop = min(acct.stop for acct in accounts.values())
+                if stop <= cyc:
+                    interfered = True
+                    break
+            self._settle_links()
             cyc += 1
 
-        for acct in accounts.values():
-            acct.sync(cyc)
         ran = cyc - start
         if ran == 0:
             return walk, interfered
+        self._data_energy = advance(data, amounts, synced, cyc,
+                                    self._row_ranges(synced, cyc), data_rows)
+        for acct in accounts.values():
+            acct.sync(cyc)
         served = self._sample_requests(start, cyc)
-        self._data_energy = data
         self._close(start, cyc, (gen, dlv, lost), data_rows, served)
         self.cycle = cyc
         loss_causes = self.metrics.loss_causes

@@ -7,7 +7,9 @@ that amount rounded to the ulp, unless the amount is an exact tie. The
 drawn accounts are zero, subnormal or normal; the drawn amounts are zero,
 below half an ulp, exact half-ulp ties, many ulps, a share of the account
 and larger than the account itself, so runs of cycles cross several
-binades. Results are compared by ``float.hex()``, bit for bit.
+binades. ``advance`` also reports the sum after each metrics-row cycle: on
+a stride grid of 1, 7 or 72 cycles, plus one row off the grid or on a
+crossing cycle. Results are compared by ``float.hex()``, bit for bit.
 """
 
 import math
@@ -61,20 +63,55 @@ def naive(s, amounts, n):
     return s
 
 
+def progressions(start, stop, stride, extra):
+    """The row cycles of [start, stop): the stride grid, and ``extra``
+    (None, or any cycle) on its own, as ascending progressions, in the form
+    the engine gives its metrics rows in."""
+    first = -(-start // stride) * stride
+    if extra is None or not start <= extra < stop or extra % stride == 0:
+        return [range(first, stop, stride)]
+    return [range(first, extra, stride), range(extra, extra + 1),
+            range(extra - extra % stride + stride, stop, stride)]
+
+
+def check_rows(s, amounts, start, n, stride, extra):
+    """``advance`` over n cycles from ``start`` against the plain loop,
+    which records the sum after each row cycle as it passes."""
+    want, want_rows = s, []
+    for c in range(start, start + n):
+        for a in amounts:
+            want += a
+        if c % stride == 0 or c == extra:
+            want_rows.append(want)
+    got_rows = []
+    got = advance(s, amounts, start, start + n,
+                  progressions(start, start + n, stride, extra), got_rows)
+    assert got.hex() == want.hex()
+    assert [x.hex() for x in got_rows] == [x.hex() for x in want_rows]
+
+
 @settings(deadline=None)
-@given(case=charging(), n=st.integers(0, 400))
-@example(case=(1.0, [0.3]), n=400)
-@example(case=(1.0, [0.1, 2.0 ** -53]), n=300)
-@example(case=(2.0 ** -1022, [2.0 ** -1075, 3e-308]), n=50)
-@example(case=(1.5, [0.25]), n=1)   # the jump ends exactly at n
-def test_advance_matches_adding_one_by_one(case, n):
+@given(case=charging(), n=st.integers(0, 400), start=st.integers(0, 100),
+       stride=st.sampled_from([1, 7, 72]), extra=st.none() | st.integers(0, 500))
+@example(case=(1.0, [0.3]), n=400, start=0, stride=1, extra=None)
+@example(case=(1.0, [0.1, 2.0 ** -53]), n=300, start=5, stride=7, extra=299)
+@example(case=(2.0 ** -1022, [2.0 ** -1075, 3e-308]), n=50, start=0, stride=72,
+         extra=None)
+@example(case=(1.5, [0.25]), n=1, start=0, stride=1, extra=None)   # the jump ends exactly at n
+@example(case=(0.0, [3e-5, 1e-5]), n=200, start=3, stride=7, extra=100)
+@example(case=(2.0 ** -1060, [1e-310]), n=80, start=1, stride=72, extra=40)
+def test_advance_matches_adding_one_by_one(case, n, start, stride, extra):
     s, amounts = case
-    assert advance(s, amounts, n).hex() == naive(s, amounts, n).hex()
-    # Around the end of the first jump, where the crossing cycle comes.
+    assert advance(s, amounts, start, start + n).hex() == naive(s, amounts, n).hex()
+    check_rows(s, amounts, start, n, stride, extra)
+    # Around the end of the first jump, where the crossing cycle comes, and
+    # with a row of its own on the crossing cycle.
     k = binade(s, amounts)[1]
     if 0 < k <= 2000:
         for m in (k, k + 1, k + 2):
-            assert advance(s, amounts, m).hex() == naive(s, amounts, m).hex()
+            assert advance(s, amounts, start, start + m).hex() == naive(s, amounts, m).hex()
+            check_rows(s, amounts, start, m, stride, extra)
+            check_rows(s, amounts, start, m, stride, start + k)
 
 
 @settings(deadline=None)

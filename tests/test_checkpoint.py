@@ -7,7 +7,9 @@ diagnostics of each with those of one unbroken ``run()``. The copy is a
 ``copy.deepcopy``, after which the original also runs on, or a pickle round
 trip. Either way no state may stay shared between the two objects, and none
 may live outside them. A Hypothesis property does the same over small
-random configurations, each cut at a random cycle.
+random configurations, each cut at a random cycle. A copy of the
+poll-every-node reference, ``PolledSimulation``, must stay one: its node
+contexts keep scanning every out-link.
 """
 
 import copy
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from fwdsim import STRATEGIES, InterferenceConfig, ScenarioConfig, Simulation
 
 from conftest import churn_config
+from oracles import PolledSimulation, ScanEveryLinkCtx
 
 CUT = 1700
 
@@ -55,6 +58,18 @@ def test_pickle_round_trip_runs_on_unbroken(case):
     restored = pickle.loads(pickle.dumps(sim))
     restored.run()
     assert result(restored) == want
+
+
+def test_polled_copies_keep_scanning_every_link():
+    cfg = churn_config(3, horizon=400, strategy="DistrDataFwd")
+    whole = PolledSimulation(cfg)
+    whole.run()
+    sim = PolledSimulation(cfg)
+    sim.run(50)
+    for twin in (copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))):
+        assert {type(ctx) for ctx in twin._ctx.values()} == {ScanEveryLinkCtx}
+        twin.run()
+        assert result(twin) == result(whole)
 
 
 @st.composite

@@ -9,11 +9,18 @@ scale) by four scales both energy totals by four and changes nothing else:
 every lifetime is a ratio of two scaled amounts. Both relations are
 checked bit for bit, so a hard-coded millisecond or joule constant
 anywhere in a run breaks them.
+
+When nothing fires the trigger and no node dies, the strategies agree: no
+strategy has cause to reconfigure, so PDD, PDD-CR and DistrDataFwd forward
+and serve the same pieces over the same start-up plan, and their data
+planes are byte-identical. A data plane is the CSV and the summary without
+the strategy and the configuration-energy and reconfiguration columns and
+lines.
 """
 
 from dataclasses import asdict, replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fwdsim import STRATEGIES, InterferenceConfig, ScenarioConfig, Simulation
@@ -75,3 +82,33 @@ def test_quadrupled_energies_quadruple_only_the_energy_outputs(cfg):
                          energy_scale=4 * cfg.energy_scale)
     assert outputs(quadrupled) == scaled(outputs(cfg), 4,
                                          ["energy_data_j", "energy_cfg_j"], [])
+
+
+# The CSV columns and summary lines of the control plane and the strategy.
+CONTROL = {"energy_cfg_J", "reconfigs", "strategy", "energy_total_J",
+           "reconfigurations", "epoch_boundaries"}
+
+
+def data_plane(metrics):
+    """The CSV and summary of a run without their ``CONTROL`` parts."""
+    rows = [line.split(",") for line in metrics.csv_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in CONTROL]
+    csv = [[row[i] for i in keep] for row in rows]
+    summary = [line for line in metrics.summary_text().splitlines()
+               if line.split(":")[0] not in CONTROL]
+    return csv, summary
+
+
+@settings(deadline=None)
+@given(configs(), st.sampled_from([1.0, 1.5, 2.0]))
+def test_strategies_agree_on_the_data_plane_when_nothing_fires(cfg, multiplier):
+    cfg = replace(cfg, forced_deaths=(), interference=replace(
+        cfg.interference, multiplier=multiplier))
+    # A hit raises a cost by the multiplier at most, too little to fire.
+    assert multiplier <= 1.0 / (1.0 - cfg.trigger_threshold)
+    planes = []
+    for strategy in STRATEGIES:
+        metrics = Simulation(replace(cfg, strategy=strategy)).run()
+        assume(not metrics.death_times)
+        planes.append(data_plane(metrics))
+    assert planes[0] == planes[1] == planes[2]

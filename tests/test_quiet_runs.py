@@ -1,11 +1,13 @@
-"""Quiet stretches advance run by run, against stepping every cycle.
+"""Quiet stretches go from event to event, against stepping every cycle.
 
-A run is the cycles of a stretch between two events: a revert, an
-interference hit, the data total leaving its binade, the stretch's end. A
-run draws its interference events in one loop up to the first hit and builds
-its metric rows in bulk, from arithmetic progressions over the stride grid.
-The energy audit keeps every cycle on the per-cycle path, so every case here
-runs with it off.
+An event is an interference hit or a revert. A stretch draws its
+interference events in one loop up to the next one, and charges the data
+total and the node accounts lazily, up to the events that re-price them and
+the stretch's end; the data totals of its metric rows are built in bulk,
+from arithmetic progressions over the stride grid. The energy audit writes
+its per-cycle entries as each account is brought up to date, and does not
+change which cycles a stretch visits, so every case runs with the audit on
+and off; the outputs compared include the energy log.
 
 Against ``SteppedSimulation`` (``oracles.py``), outputs and state must be
 identical after every ``run()`` call, at metrics strides 1, 7 and 72, with
@@ -38,8 +40,7 @@ def shared_relay(engine, **overrides):
     # fires nothing at threshold 0.9, so no strategy steps a cycle.
     net = make_net([(0, 1), (1, 2), (2, 3), (1, 4)],
                    {u: 100.0 for u in range(5)}, proxies={2}, eps=3e-5)
-    cfg = dict(horizon=3000, request_prob=0.5, seed=5, trigger_threshold=0.9,
-               audit_energy=False)
+    cfg = dict(horizon=3000, request_prob=0.5, seed=5, trigger_threshold=0.9)
     cfg.update(overrides)
     return mini_sim(net, [(0, 3, 2, 3, [0, 1, 2, 3]),
                           (4, 3, 2, 1, [4, 1, 2, 3])], engine=engine, **cfg)
@@ -50,8 +51,14 @@ def shared_relay(engine, **overrides):
 @pytest.mark.parametrize("p_hit, duration", [(0.01, 2), (0.3, 2), (0.3, 3)])
 def test_runs_match_stepping_every_cycle(monkeypatch, strategy, stride, p_hit,
                                          duration):
+    for audit in (False, True):
+        check_runs(monkeypatch, strategy, stride, p_hit, duration, audit)
+
+
+def check_runs(monkeypatch, strategy, stride, p_hit, duration, audit):
     def build(engine):
         return shared_relay(engine, strategy=strategy, metrics_stride=stride,
+                            audit_energy=audit,
                             interference=InterferenceConfig(
                                 prob_per_cycle=p_hit, multiplier=2.5,
                                 affected_links=2, duration_cycles=duration))
@@ -75,10 +82,11 @@ def test_runs_match_stepping_every_cycle(monkeypatch, strategy, stride, p_hit,
     assert steps == [] and fast.cycle == 3500   # every chunk one stretch
     off_grid = 2999 % stride > 0
     assert len(fast.metrics.cycles) == len(range(0, 3500, stride)) + off_grid
+    assert bool(fast.energy_log) == audit
 
     if p_hit > 0.1:
-        # A hit right after another event starts a run at its own cycle,
-        # and a hit can land on the cycle that reverts an earlier one.
+        # A hit on the cycle right after another event, and a hit on the
+        # cycle that reverts an earlier one.
         reverts = {cyc + duration for cyc in events}
         assert any(cyc - 1 in events or cyc - 1 in reverts for cyc in events)
         assert any(cyc in reverts for cyc in events)
@@ -96,13 +104,12 @@ def test_runs_match_stepping_every_cycle(monkeypatch, strategy, stride, p_hit,
 @settings(deadline=None)   # 100 examples, 1,000 under the ci profile
 @given(data=st.data())
 def test_random_runs_match_stepping_every_cycle(data):
-    # The random scenarios of test_quiet_stretches.py with the audit off,
+    # The random scenarios of test_quiet_stretches.py, the audit on or off,
     # interference lasting two or three cycles, the strides above, and a
     # last chunk that passes the horizon.
     cfg, chunks = random_case(data.draw, STRATEGIES)
     duration = data.draw(st.integers(2, 3), label="duration")
-    cfg = replace(cfg, audit_energy=False,
-                  metrics_stride=data.draw(st.sampled_from([1, 7, 72])),
+    cfg = replace(cfg, metrics_stride=data.draw(st.sampled_from([1, 7, 72])),
                   interference=replace(cfg.interference,
                                        duration_cycles=duration))
     past = data.draw(st.integers(1, 100), label="past the horizon")
