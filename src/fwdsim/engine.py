@@ -51,9 +51,9 @@ the forced deaths.
 The walk is made afresh at every ``run()`` entry and after every
 ``_step()``, so state edited between calls takes effect; the ``_step()``
 that ends a stretch forwards from the stretch's walk, so an event cycle is
-walked once. Each quiet cycle still draws the interference event and one
-request per piece, so both random streams are consumed in the same order as
-by ``_step()``.
+walked once. Both random streams are consumed in the same order as by
+stepping every cycle: one interference draw per cycle, and one request
+draw per piece per cycle, in piece id order.
 
 A stretch goes from event to event. It draws the interference stream in
 one loop up to the next hit or revert, and applies that event as above.
@@ -98,6 +98,24 @@ once per range. Every quiet cycle adds the same generated, delivered and
 lost counts, so one check covers a stretch: when each cycle's counts
 balance and the totals balanced before it, every cycle's totals do.
 
+A range's requests are drawn in bulk from the generator's words, and decide
+the same requests as one ``random()`` per draw. The premise is CPython's
+Mersenne Twister: ``random()`` takes two 32-bit outputs a and b, in order,
+and returns v * 2**-53 with v = (a >> 5) * 2**26 + (b >> 6), so
+``random() < p`` is v < ceil(p * 2**53) on integers; and
+``getrandbits(64 * k)`` returns the same 2k outputs in the same order, the
+first in the least significant bits, leaving the generator where k
+``random()`` calls would. A draw's top byte, a >> 24, is v >> 45, so it
+decides the draw unless it is the one byte whose 2**45 values straddle the
+threshold; those draws, one in 256 or none, are settled on v itself. The
+words are drawn in blocks of whole cycles, at most ``REQUEST_CHUNK`` draws
+each (one cycle, when a cycle has more), and every block is reduced to
+counts and row latencies before the next is drawn. A range's sampling then
+holds one block's words twice, as an integer and as bytes (64 KiB, unless
+one cycle alone has more draws), plus its rows, however many cycles it
+spans.
+``tests/test_request_draws.py`` checks the premise on each interpreter.
+
 Three strategies share the same initial centrally computed plan:
 
 * ``PDD``           static plan, never reconfigured;
@@ -109,11 +127,13 @@ Three strategies share the same initial centrally computed plan:
 
 from __future__ import annotations
 
+import math
 import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 from . import netmodel, planner, protocol
 from .charging import DATA, Account, advance
@@ -123,6 +143,9 @@ from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
 from .scenario import ScenarioConfig, sample_pieces
 
 CFG = "cfg"
+# Consumer-request draws per generator block: 8 bytes each, so a block
+# and its bytes hold 64 KiB at most (``Simulation._sample_requests``).
+REQUEST_CHUNK = 4096
 
 
 class EngineError(RuntimeError):
@@ -433,6 +456,10 @@ class Simulation:
 
         self._rng_interference = random.Random(f"{cfg.seed}:interference")
         self._rng_requests = random.Random(f"{cfg.seed}:requests")
+        # The request test on raw generator words (``_sample_requests``),
+        # and the cycles per block of at most REQUEST_CHUNK draws.
+        self._request_draws = (*request_classes(cfg.request_prob),
+                               max(1, REQUEST_CHUNK // max(1, len(self.pieces))))
         self._link_ids = sorted(self.net.links)
         # Links whose cost changed this cycle; only these can have
         # eps_prev_j != eps_j, and they settle at the end of the cycle.
@@ -948,58 +975,120 @@ class Simulation:
                     range(last - last % stride + stride, stop, stride)]
         return [range(first, stop, stride)]
 
-    def _sample_requests(self, start: int, stop: int) -> dict[int, float]:
+    def _sample_requests(self, start: int, stop: int) -> list[float]:
         """Draw each cycle of [start, stop) one consumer request per piece,
         in id order, and tally the requests. Returns the worst latency
-        served in each row cycle (``_row_ranges``) that served one; the
-        rows themselves are written by ``_close``, so a cycle with no
-        request costs only its draws. A piece's access latency is sampled
-        once, at its first request: nothing it reads changes within a
-        range, which is one step's cycle or a stretch, whose hits and
-        charges move only link costs and spend."""
-        draw, p_req = self._rng_requests.random, self.cfg.request_prob
-        piece_ids, stride, last = self._piece_ids, self._stride, self.cfg.horizon - 1
-        hits = {}   # piece id -> [requests, latency, miss]
-        served = {}   # row cycle -> the worst latency served in it
-        for cyc in range(start, stop):
-            for pid in piece_ids:
-                if draw() < p_req:
-                    hit = hits.get(pid)
-                    if hit is None:
-                        hit = hits[pid] = [0, *sample_access_latency(
-                            self.pieces_by_id[pid], self.table, self.net)]
-                    hit[0] += 1
-                    latency = hit[1]
-                    if (latency is not None and (cyc % stride == 0 or cyc == last)
-                            and latency > served.get(cyc, 0.0)):
-                        served[cyc] = latency
-        if hits:
-            m = self.metrics
-            for count, latency, miss in hits.values():
-                m.requests_total += count
-                if miss is not None:
-                    m.request_misses += count
-                    m.miss_causes[miss] += count
-                    continue
-                m.max_access_latency_ms = max(m.max_access_latency_ms, latency)
-                if latency > self.cfg.latency_budget_ms:
-                    m.latency_violations += count
-                else:
-                    m.requests_ok += count
+        served in each row cycle (``_row_ranges``) up to the last one that
+        served a request, in row order, 0.0 where none was served; the
+        rows themselves are written by ``_close``. A piece's access latency
+        is sampled once, when it is first requested: nothing it reads
+        changes within a range, which is one step's cycle or a stretch,
+        whose hits and charges move only link costs and spend.
+
+        The draws are taken as raw generator words (see the module
+        docstring), one ``getrandbits`` block per chunk of whole cycles of
+        at most ``REQUEST_CHUNK`` draws. ``bytes.translate`` maps each
+        draw's top byte to yes, no or maybe, and only the maybes are
+        settled one by one. A chunk with no yes costs no more. Otherwise
+        each piece's requests are counted on its own slice of the classes.
+        The worst latencies are built on one integer with a rank field per
+        cycle of the chunk, one byte wide, or wider when more than 255
+        pieces were served: each served piece, in ascending latency order,
+        writes its rank over the fields of the cycles it was requested in,
+        so each field ends with the rank of its cycle's worst latency, and
+        the row cycles' fields are read off by slices. No Python code runs
+        per draw, and the generator ends in the state the plain per-draw
+        loop leaves (``tests/test_request_draws.py``)."""
+        n = len(self._piece_ids)
+        getrandbits = self._rng_requests.getrandbits
+        bound, classes, span = self._request_draws
+        served = []   # the worst latency served in each row cycle before `filled`
+        filled = start
+        tallies = {}   # piece index -> [requests, latency, miss]
+        for lo in range(start, stop, span):
+            hi = lo + span if lo + span < stop else stop
+            draws = n * (hi - lo)
+            words = getrandbits(64 * draws).to_bytes(8 * draws, "little")
+            cls = words[3::8].translate(classes)
+            if 2 in cls:   # settle the straddling byte's draws exactly
+                cls = bytearray(cls)
+                k = cls.find(2)
+                while k >= 0:
+                    v = int.from_bytes(words[8 * k:8 * k + 8], "little")
+                    cls[k] = ((v & 0xFFFFFFFF) >> 5 << 26 | v >> 38) < bound
+                    k = cls.find(2, k + 1)
+            if 1 not in cls:
+                continue
+            counts = [cls[i::n].count(1) for i in range(n)]
+            ranked = []   # (latency, piece index) of the pieces served
+            for i in compress(range(n), counts):
+                tally = tallies.get(i)
+                if tally is None:
+                    tally = tallies[i] = [0, *sample_access_latency(
+                        self.pieces_by_id[self._piece_ids[i]], self.table,
+                        self.net)]
+                tally[0] += counts[i]
+                if tally[1] is not None:
+                    ranked.append((tally[1], i))
+            if not ranked:
+                continue
+            slices = [slice(r.start - lo, r.stop - lo, r.step)
+                      for r in self._row_ranges(lo, hi) if r]
+            if not slices:
+                continue
+            if filled < lo:
+                served += [0.0] * sum(map(len, self._row_ranges(filled, lo)))
+            filled = hi
+            ranked.sort()
+            ranks = [0.0, *map(itemgetter(0), ranked)]
+            width = (len(ranked).bit_length() + 7) // 8   # bytes per rank
+            full = (1 << 8 * width) - 1
+            code = 0
+            for rank, (_, i) in enumerate(ranked, 1):
+                hits = cls[i::n]
+                if width > 1:   # each cycle's 0 or 1 in its field's low byte
+                    spread = bytearray(len(hits) * width)
+                    spread[::width] = hits
+                    hits = spread
+                mask = int.from_bytes(hits, "little")
+                code += mask * rank - (code & mask * full)
+            codes = code.to_bytes((hi - lo) * width, "little")
+            if width > 1:
+                codes = [int.from_bytes(codes[j:j + width], "little")
+                         for j in range(0, len(codes), width)]
+            served.extend(map(ranks.__getitem__, chain.from_iterable(
+                map(codes.__getitem__, slices))))
+        if not tallies:
+            return served
+        m = self.metrics
+        for count, latency, miss in tallies.values():
+            m.requests_total += count
+            if miss is not None:
+                m.request_misses += count
+                m.miss_causes[miss] += count
+                continue
+            m.max_access_latency_ms = max(m.max_access_latency_ms, latency)
+            if latency > self.cfg.latency_budget_ms:
+                m.latency_violations += count
+            else:
+                m.requests_ok += count
         return served
 
     def _close(self, start: int, stop: int, counts: tuple[int, int, int],
-               data: list[float], served: dict[int, float]) -> None:
+               data: list[float], served: list[float]) -> None:
         """End the cycles [start, stop). Each adds ``counts``, the pieces it
         generated, delivered and lost, to the totals (a step's forwarding
         has added its own, so it passes none); then piece conservation is
         checked, and each row cycle (``_row_ranges``) gets its metrics row.
         ``data`` holds the data total of each row cycle in order (a step
         passes its cycle's, used when the cycle has a row), and ``served``
-        the worst latency served in a row cycle (``_sample_requests``), 0.0
-        when absent. A row's counter totals leave out the cycles of the
-        range after it, so along each progression of row cycles they are
-        progressions too. The rows are extended onto the series in bulk."""
+        the worst latency served in the first row cycles
+        (``_sample_requests``); the rows after them served none. A
+        one-cycle range appends its row, if it has one, from the totals as
+        they stand. In a longer range, a row's counter totals leave out the
+        cycles of the range after it, so along each progression of row
+        cycles they are progressions too, and the rows are extended onto
+        the series in bulk."""
         gen, dlv, lost = counts
         ran = stop - start
         generated = self._generated = self._generated + ran * gen
@@ -1008,29 +1097,34 @@ class Simulation:
         m = self.metrics
         if gen != dlv + lost or generated != delivered + lost_total + m.in_transit:
             raise EngineError("piece conservation violated cumulatively")
-        if ran == 1:   # its row, if it has one, reads the totals as they stand
+        if ran == 1:
             if start % self._stride and start != self.cfg.horizon - 1:
                 return
-            segments, k = [range(start, stop)], 1
+            m.cycles.append(start)
+            m.energy_data_j.append(data[0])
+            m.energy_cfg_j.append(self._cfg_energy)
             m.generated.append(generated)
             m.delivered.append(delivered)
             m.lost.append(lost_total)
-        else:
-            segments = self._row_ranges(start, stop)
-            k = sum(map(len, segments))
-            for series, total, count in ((m.generated, generated, gen),
-                                         (m.delivered, delivered, dlv),
-                                         (m.lost, lost_total, lost)):
-                for rows in segments:
-                    first = total - count * (stop - 1 - rows.start)
-                    inc = count * rows.step
-                    series.extend(range(first, first + inc * len(rows), inc)
-                                  if inc else repeat(first, len(rows)))
+            m.max_latency_ms.append(served[0] if served else 0.0)
+            m.reconfigurations.append(self._reconfigs)
+            m.alive_nodes.append(self._alive_count)
+            return
+        segments = self._row_ranges(start, stop)
+        k = sum(map(len, segments))
+        for series, total, count in ((m.generated, generated, gen),
+                                     (m.delivered, delivered, dlv),
+                                     (m.lost, lost_total, lost)):
+            for rows in segments:
+                first = total - count * (stop - 1 - rows.start)
+                inc = count * rows.step
+                series.extend(range(first, first + inc * len(rows), inc)
+                              if inc else repeat(first, len(rows)))
         m.cycles.extend(chain.from_iterable(segments))
         m.energy_data_j.extend(data)
         m.energy_cfg_j.extend([self._cfg_energy] * k)
-        m.max_latency_ms.extend(map(served.get, chain.from_iterable(segments),
-                                    repeat(0.0)))
+        m.max_latency_ms.extend(served)
+        m.max_latency_ms.extend(repeat(0.0, k - len(served)))
         m.reconfigurations.extend([self._reconfigs] * k)
         m.alive_nodes.extend([self._alive_count] * k)
 
@@ -1158,6 +1252,19 @@ def inject_interference(net: NetworkState, rng: random.Random,
         link.eps_j = link.eps_baseline_j * params.multiplier
         affected.append((lk, link_fires(link, trigger_threshold)))
     return affected
+
+
+def request_classes(p: float) -> tuple[int, bytes]:
+    """The integer form of a request draw's test ``random() < p``, on the
+    53-bit value v that ``random()`` scales by 2**-53: ``v < bound``. And
+    the class of each top byte t = v >> 45 of a draw: 1 when every v with
+    that byte passes, 0 when none does, 2 for the one byte that straddles
+    ``bound``, whose draws must be settled on v itself. So the bytes
+    below ``bound >> 45`` are 1, that byte is 2 unless ``bound`` falls on
+    its lower edge, and the rest are 0."""
+    bound = math.ceil(p * 2.0 ** 53)
+    full, part = divmod(min(bound, 2 ** 53), 2 ** 45)
+    return bound, (b"\x01" * full + b"\x02" * (part > 0)).ljust(256, b"\x00")
 
 
 def sample_access_latency(piece: DataPiece, table: PathTable,

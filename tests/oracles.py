@@ -23,6 +23,10 @@ the piece clear as they stood before ``node_spend``, and
 check that the single spend model and the schema-driven rendering change no
 result. ``reference_csv_text`` is the per-row f-string CSV renderer, kept to
 check that the one-format renderer writes the same bytes.
+``reference_sample_requests`` is the request sampler that drew one
+``random()`` per piece per cycle, kept to check that drawing the requests
+in bulk from the generator's words changes no tally, no row and no
+generator state.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 
+from fwdsim import engine
 from fwdsim import (INFINITE_LIFETIME, DataPiece, EngineError, NetworkState,
                     NodeId, PathTable, PiecePlan, Plan, PlannerView, PlanningError,
                     ScenarioConfig, Simulation, bottleneck_path, install_path,
@@ -606,6 +611,44 @@ def reference_sample_access_latency(piece: DataPiece, table: PathTable,
         seen.add(nxt)
         node = nxt
     return None, "consumer-segment-broken"
+
+
+def reference_sample_requests(sim: Simulation, start: int,
+                              stop: int) -> dict[int, float]:
+    """``Simulation._sample_requests`` as it stood before it drew in bulk,
+    verbatim but for ``sim`` and the module-qualified latency sampler: one
+    ``random()`` per piece per cycle. Returns the worst latency served in
+    each row cycle that served one."""
+    draw, p_req = sim._rng_requests.random, sim.cfg.request_prob
+    piece_ids, stride, last = sim._piece_ids, sim._stride, sim.cfg.horizon - 1
+    hits = {}   # piece id -> [requests, latency, miss]
+    served = {}   # row cycle -> the worst latency served in it
+    for cyc in range(start, stop):
+        for pid in piece_ids:
+            if draw() < p_req:
+                hit = hits.get(pid)
+                if hit is None:
+                    hit = hits[pid] = [0, *engine.sample_access_latency(
+                        sim.pieces_by_id[pid], sim.table, sim.net)]
+                hit[0] += 1
+                latency = hit[1]
+                if (latency is not None and (cyc % stride == 0 or cyc == last)
+                        and latency > served.get(cyc, 0.0)):
+                    served[cyc] = latency
+    if hits:
+        m = sim.metrics
+        for count, latency, miss in hits.values():
+            m.requests_total += count
+            if miss is not None:
+                m.request_misses += count
+                m.miss_causes[miss] += count
+                continue
+            m.max_access_latency_ms = max(m.max_access_latency_ms, latency)
+            if latency > sim.cfg.latency_budget_ms:
+                m.latency_violations += count
+            else:
+                m.requests_ok += count
+    return served
 
 
 def reference_validate_paths(net: NetworkState, table: PathTable,
