@@ -26,11 +26,11 @@ pieces. ``run()`` steps every cycle that has an event through ``_step()`` and
 advances the cycles between events in one loop (``Simulation._run_quiet``)
 over the (node, amount) charges of one forwarding walk of the current state
 (``Simulation._walk``), the walk ``_step()`` charges from too. A stretch
-starts only when no message is pending or sitting in an inbox, no link
-changed, no node is drained or busy with a repair, no PDD-CR replan is
-pending, and, under DistrDataFwd, every piece that fails to deliver is
-already broken (no transmission feedback is running) and no data-plane
-learning write is due.
+starts only when no message is in flight, no link changed, no node is
+drained or busy with a repair, no PDD-CR replan is pending, and, under
+DistrDataFwd, every piece that fails to deliver is already broken (no
+transmission feedback is running) and no data-plane learning write is
+due.
 
 A stretch ends at the next forced death, at the end of the ``run()`` call,
 and one cycle of spend before any charged node could run out (each node's
@@ -129,7 +129,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -140,7 +139,7 @@ from .charging import DATA, Account, advance
 from .lifetime import (lifetime_from_spend, link_fires, max_epoch_duration,
                        node_spend)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
-from .scenario import ScenarioConfig, sample_pieces
+from .scenario import STRATEGIES, ScenarioConfig, sample_pieces
 
 CFG = "cfg"
 # Consumer-request draws per generator block: 8 bytes each, so a block
@@ -259,19 +258,17 @@ class NodeCtx:
     beacon-carried neighbor information (adjacency, link metrics, projected
     lifetime, liveness within two hops), and its inbox/outbox.
 
-    It holds its simulation through a weak proxy, so a simulation and its
-    contexts form no reference cycle and a finished run is freed as soon as
-    its last reference goes. A context is copied and pickled with its
-    simulation only (``Simulation.__getstate__``).
+    A context is a view built for one protocol step (``Simulation._ctx``)
+    and owns nothing: the node's protocol state and mail belong to the
+    simulation, so a run is copied, pickled and freed like any object.
     """
 
-    __slots__ = ("_sim", "node", "state", "_inbox")
+    __slots__ = ("_sim", "node", "state")
 
     def __init__(self, sim: "Simulation", node: NodeId):
-        self._sim = weakref.proxy(sim)
+        self._sim = sim
         self.node = node
-        self.state = protocol.ProtocolState()
-        self._inbox: list[tuple[NodeId, object]] = []
+        self.state: protocol.ProtocolState = sim._states[node]
 
     # --- identity / timing -------------------------------------------------
     def cycle(self) -> int:
@@ -402,12 +399,7 @@ class NodeCtx:
         self._sim.send_message(self.node, dst, msg)
 
     def take_inbox(self) -> list[tuple[NodeId, object]]:
-        out = self._inbox
-        self._inbox = []
-        return out
-
-    def deliver(self, src: NodeId, msg) -> None:
-        self._inbox.append((src, msg))
+        return self._sim._inboxes.pop(self.node, [])
 
     def report_broken(self, piece: int, cause: str) -> None:
         self._sim.mark_broken(piece, cause)
@@ -432,6 +424,11 @@ class Simulation:
         if cfg.interference.duration_cycles < 1:
             # A hit's revert would fall in a cycle already past.
             raise ValueError("interference.duration_cycles: must be >= 1")
+        if cfg.strategy not in STRATEGIES:
+            # The steps test the strategy by name, so an unknown one would
+            # run as PDD under its own label.
+            raise ValueError(f"strategy: unknown strategy {cfg.strategy!r}; "
+                             f"expected one of {', '.join(STRATEGIES)}")
         self.cfg = cfg
         self.cycle = 0
         self.diagnostics: list[str] = []
@@ -469,8 +466,11 @@ class Simulation:
         for cyc, node in cfg.forced_deaths:
             self._forced.setdefault(cyc, []).append(node)
 
-        self._pending_msgs: list[tuple[NodeId, NodeId, object]] = []
-        self._ctx = {u: NodeCtx(self, u) for u in self._node_ids}
+        self._states = {u: protocol.ProtocolState() for u in self._node_ids}
+        # Mail by receiver, as (sender, message) in send order: sent this
+        # cycle, and delivered this cycle (``_deliver_messages``).
+        self._outboxes: dict[NodeId, list[tuple[NodeId, object]]] = {}
+        self._inboxes: dict[NodeId, list[tuple[NodeId, object]]] = {}
         # Alive nodes whose energy reached zero, awaiting the death sweep.
         self._drained: set[NodeId] = set()
         # Nodes holding a collector, pending route or pending splice.
@@ -495,20 +495,9 @@ class Simulation:
         self.metrics.initial_epoch_bound = max_epoch_duration(
             self.net, self.pieces, cfg.config_phase_energy_j)
 
-    def __getstate__(self) -> dict:
-        # Each node context is saved as its class, protocol state and inbox,
-        # and rebuilt around the copy, since it holds its simulation weakly.
-        state = self.__dict__.copy()
-        state["_ctx"] = {u: (type(ctx), ctx.state, ctx._inbox)
-                         for u, ctx in self._ctx.items()}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ctx = {}
-        for u, (cls, node_state, inbox) in state["_ctx"].items():
-            ctx = self._ctx[u] = cls(self, u)
-            ctx.state, ctx._inbox = node_state, inbox
+    def _ctx(self, node: NodeId) -> NodeCtx:
+        """The view of ``node`` that its protocol step is handed."""
+        return NodeCtx(self, node)
 
     # ------------------------------------------------------------- controller
 
@@ -585,8 +574,8 @@ class Simulation:
                          if st.alive and st.energy_j <= 0.0}
         self._dirty_links = {lk for lk, link in self.net.links.items()
                              if link.eps_j != link.eps_prev_j}
-        self._busy = {u for u, ctx in self._ctx.items()
-                      if ctx.state.has_pending_work()}
+        self._busy = {u for u, state in self._states.items()
+                      if state.has_pending_work()}
         end = self.cycle + max(0, remaining)
         while self.cycle < end:
             walk, interfered = self._run_quiet(end)
@@ -600,7 +589,7 @@ class Simulation:
         stretch has already applied this cycle's reverts and interference
         event."""
         cyc = self.cycle
-        receivers = self._deliver_messages()
+        self._deliver_messages()
         if not interfered:
             self._revert_interference(cyc)
             self._inject_interference(cyc)
@@ -611,7 +600,7 @@ class Simulation:
                 self._drained.add(node)
         self._generate_and_forward(walk)
         if self.cfg.strategy == "DistrDataFwd":
-            self._protocol_phase(cyc, receivers)
+            self._protocol_phase(cyc)
         served = self._sample_requests(cyc, cyc + 1)
         if self.cfg.strategy == "PDD-CR":
             self._central_reconfiguration_hook()
@@ -644,14 +633,14 @@ class Simulation:
         the cycles closed with the data rows, by one call each to
         ``_sample_requests()`` and ``_close()``."""
         start = self.cycle
-        if (self._pending_msgs or self._dirty_links or self._drained
+        if (self._outboxes or self._dirty_links or self._drained
                 or self._busy or self._replan_due):
             return None, False
         event_stop = end
         for due in self._forced:
             if start <= due < event_stop:
                 event_stop = due
-        if event_stop <= start or any(ctx._inbox for ctx in self._ctx.values()):
+        if event_stop <= start:
             return None, False
         walk = self._walk()
         entries, gen, dlv, lost, quiet = walk
@@ -810,17 +799,13 @@ class Simulation:
 
     # ------------------------------------------------------------- sub-steps
 
-    def _deliver_messages(self) -> set[NodeId]:
-        """Hand last cycle's messages to their alive receivers, and return
-        the receivers."""
-        pending = self._pending_msgs
-        self._pending_msgs = []
-        receivers = set()
-        for src, dst, msg in pending:
-            if self.net.nodes[dst].alive:
-                self._ctx[dst].deliver(src, msg)
-                receivers.add(dst)
-        return receivers
+    def _deliver_messages(self) -> None:
+        """Last cycle's mail becomes this cycle's inboxes, but for the
+        receivers that are dead by now."""
+        nodes = self.net.nodes
+        self._inboxes = {dst: mail for dst, mail in self._outboxes.items()
+                         if nodes[dst].alive}
+        self._outboxes = {}
 
     def _revert_interference(self, cyc: int) -> None:
         for lk in self._reverts.pop(cyc, ()):
@@ -895,7 +880,7 @@ class Simulation:
         one replans wholesale)."""
         if self.cfg.strategy != "DistrDataFwd" or status.broken:
             return
-        if self._ctx[blocked_at].state.repairing(piece.id):
+        if self._states[blocked_at].repairing(piece.id):
             status.stuck_cycles = 0
             return
         status.stuck_cycles += 1
@@ -935,11 +920,11 @@ class Simulation:
         self._chains[piece.id] = (ver, hops, complete)
         return hops, complete
 
-    def _protocol_phase(self, cyc: int, receivers: set[NodeId]) -> None:
-        """Step, in id order, the alive nodes with protocol work: a non-empty
-        inbox, a collector, pending route or pending splice, an out-link
-        that fires the trigger this cycle (``lifetime.link_fires``), or no
-        energy left.
+    def _protocol_phase(self, cyc: int) -> None:
+        """Step, in id order, the alive nodes with protocol work: mail
+        delivered this cycle, a collector, pending route or pending splice,
+        an out-link that fires the trigger this cycle
+        (``lifetime.link_fires``), or no energy left.
 
         For any other node ``protocol.node_cycle`` does nothing, so this
         equals stepping every node; quiet stretches rely on the same rule.
@@ -948,18 +933,18 @@ class Simulation:
         activates only its own node's out-links, so no link starts firing
         after the wake set is taken.
         """
-        wake = receivers | self._busy | self._drained
+        wake = {*self._inboxes, *self._busy, *self._drained}
         links, threshold = self.net.links, self.cfg.trigger_threshold
         for lk in self._dirty_links:
             if link_fires(links[lk], threshold):
                 wake.add(lk[0])
         nodes = self.net.nodes
         busy = self._busy
+        states = self._states
         for u in sorted(wake):
-            ctx = self._ctx[u]
             if nodes[u].alive:
-                protocol.node_cycle(ctx, cyc)
-            if nodes[u].alive and ctx.state.has_pending_work():
+                protocol.node_cycle(self._ctx(u), cyc)
+            if nodes[u].alive and states[u].has_pending_work():
                 busy.add(u)
             else:
                 busy.discard(u)
@@ -1162,13 +1147,13 @@ class Simulation:
         if link is None:
             raise EngineError(f"message over non-existent link {src}->{dst}")
         self._charge(self.net.nodes[src], link.eps_j, CFG)
-        self._pending_msgs.append((src, dst, msg))
+        self._outboxes.setdefault(dst, []).append((src, msg))
         if self.cfg.trace:
             self._trace(src, dst, msg)
 
     def pending_message_count(self) -> int:
-        return len(self._pending_msgs) + sum(
-            len(ctx._inbox) for ctx in self._ctx.values())
+        return sum(len(mail) for box in (self._outboxes, self._inboxes)
+                   for mail in box.values())
 
     def _trace(self, src: NodeId, dst: NodeId, msg) -> None:
         piece = getattr(msg, "piece", "")

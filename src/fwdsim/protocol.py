@@ -1,10 +1,11 @@
 """Per-node distributed forwarding logic.
 
-Every handler in this module sees the network through a node-local context
-object (``ctx``) owned by the engine. The surface is deliberately narrow: a
-node reads only its own pointer rows, its own links, what its neighbors
-advertise (adjacency, link metrics, projected lifetime, liveness), and its
-inbox. Messages queued with ``ctx.send`` are delivered one hop per cycle.
+Every handler in this module sees the network through a node-local view
+(``ctx``) that the engine builds for each protocol step. The surface is
+deliberately narrow: a node reads only its own pointer rows, its own links,
+what its neighbors advertise (adjacency, link metrics, projected lifetime,
+liveness), and its inbox. Messages queued with ``ctx.send`` are delivered
+one hop per cycle.
 
 Path repair happens in two tiers. When an upstream node learns that its next
 hop failed (or that a link's energy cost spiked), it first tries a one-node
@@ -168,15 +169,16 @@ def node_cycle(ctx, cycle: int) -> None:
     route-discovery timeouts, and the exit guard that disconnects a node that
     ran out of energy or saw most of its links spike at once.
 
-    No-op contract: the step changes nothing for a node with an empty inbox,
-    no collector, pending route or pending splice, no out-link that fires
-    the trigger (``lifetime.link_fires``), and energy left. The engine steps
+    No-op contract: the step changes nothing for a node with no mail
+    delivered this cycle, no collector, pending route or pending splice, no
+    out-link that fires the trigger (``lifetime.link_fires``), and energy
+    left. The engine steps
     only nodes outside that case, so a change here that adds per-cycle work
     under other conditions must extend the engine's wake set
     (``Simulation._protocol_phase``) to match. It must also end a quiet
     stretch under the same conditions, since a stretch steps no node at all:
     the early returns of ``Simulation._run_quiet`` and the quiet flag of
-    ``Simulation._walk`` cover the inbox, repair and energy cases, and a
+    ``Simulation._walk`` cover the mail, repair and energy cases, and a
     stretch ends in any cycle in which a changed link fires the trigger.
     """
     if not ctx.alive():

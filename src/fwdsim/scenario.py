@@ -1,10 +1,10 @@
 """Scenario configuration: typed config, scenario-file parsing, validation.
 
 Scenario files are flat ``[section]`` / ``key = value`` text. Unknown
-sections or keys are errors (fail-closed), as are malformed values; the
-parser reports line numbers. ``validate_config`` performs the full constraint
-check, including topology connectivity and plan-time latency feasibility,
-without running a simulation.
+sections or keys are errors (fail-closed), as are malformed values and a
+key given twice; the parser reports line numbers. ``validate_config``
+performs the full constraint check, including topology connectivity and
+plan-time latency feasibility, without running a simulation.
 """
 
 from __future__ import annotations
@@ -200,10 +200,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 def parse_scenario(text: str, origin: str = "<scenario>") -> ScenarioConfig:
     """Parse a scenario document. Raises ScenarioParseError naming the line
-    and field on the first problem (unknown key, bad value, stray text)."""
+    and field on the first problem (unknown key, bad value, repeated key,
+    stray text)."""
     cfg = ScenarioConfig()
     interference = InterferenceConfig()
     section: str | None = None
+    given: dict[str, int] = {}   # section.key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,6 +229,11 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> ScenarioConfig:
         if entry is None:
             raise ScenarioParseError(
                 f"{origin}:{lineno}: unknown key {key!r} in [{section}]")
+        name = f"{section}.{key}"
+        if name in given:
+            raise ScenarioParseError(
+                f"{origin}:{lineno}: {name} repeats line {given[name]}")
+        given[name] = lineno
         attr, conv = entry
         try:
             parsed = conv(value)

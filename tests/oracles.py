@@ -434,8 +434,8 @@ class SteppedSimulation(Simulation):
                          if st.alive and st.energy_j <= 0.0}
         self._dirty_links = {lk for lk, link in self.net.links.items()
                              if link.eps_j != link.eps_prev_j}
-        self._busy = {u for u, ctx in self._ctx.items()
-                      if ctx.state.has_pending_work()}
+        self._busy = {u for u, state in self._states.items()
+                      if state.has_pending_work()}
         for _ in range(max(0, remaining)):
             self._step()
         return self.metrics
@@ -514,14 +514,13 @@ class PolledSimulation(SteppedSimulation):
     engine's wake set, its narrowed trigger scan and its quiet stretches
     rely."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._ctx = {u: ScanEveryLinkCtx(self, u) for u in self._node_ids}
+    def _ctx(self, node):
+        return ScanEveryLinkCtx(self, node)
 
-    def _protocol_phase(self, cyc, receivers) -> None:
+    def _protocol_phase(self, cyc) -> None:
         for u in self._node_ids:
             if self.net.nodes[u].alive:
-                protocol.node_cycle(self._ctx[u], cyc)
+                protocol.node_cycle(self._ctx(u), cyc)
 
 
 def reference_walk_chain(table: PathTable, piece_id: int, start: NodeId,

@@ -7,9 +7,10 @@ diagnostics of each with those of one unbroken ``run()``. The copy is a
 ``copy.deepcopy``, after which the original also runs on, or a pickle round
 trip. Either way no state may stay shared between the two objects, and none
 may live outside them. A Hypothesis property does the same over small
-random configurations, each cut at a random cycle. A copy of the
-poll-every-node reference, ``PolledSimulation``, must stay one: its node
-contexts keep scanning every out-link.
+random configurations, each cut at a random cycle. One more case cuts a
+DistrDataFwd run while messages are in flight and a repair is underway. A
+copy of the poll-every-node reference, ``PolledSimulation``, must stay one:
+its node contexts keep scanning every out-link.
 """
 
 import copy
@@ -60,6 +61,26 @@ def test_pickle_round_trip_runs_on_unbroken(case):
     assert result(restored) == want
 
 
+def test_copies_cut_with_mail_in_flight_run_on_unbroken():
+    cfg = churn_config(3, horizon=3500, strategy="DistrDataFwd")
+    whole = Simulation(cfg)
+    whole.run()
+    sim = Simulation(cfg)
+    sim.run(1)
+    while not (sim.pending_message_count() and any(
+            state.has_pending_work() for state in sim._states.values())):
+        assert sim.cycle < cfg.horizon
+        sim.run(1)
+    in_flight = sim.pending_message_count()
+    twins = [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))]
+    for twin in twins:
+        assert twin.cycle == sim.cycle
+        assert twin.pending_message_count() == in_flight
+    for run in (sim, *twins):
+        run.run()
+        assert result(run) == result(whole)
+
+
 def test_polled_copies_keep_scanning_every_link():
     cfg = churn_config(3, horizon=400, strategy="DistrDataFwd")
     whole = PolledSimulation(cfg)
@@ -67,7 +88,7 @@ def test_polled_copies_keep_scanning_every_link():
     sim = PolledSimulation(cfg)
     sim.run(50)
     for twin in (copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))):
-        assert {type(ctx) for ctx in twin._ctx.values()} == {ScanEveryLinkCtx}
+        assert {type(twin._ctx(u)) for u in twin._node_ids} == {ScanEveryLinkCtx}
         twin.run()
         assert result(twin) == result(whole)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from fwdsim import (InterferenceConfig, ScenarioConfig, Simulation,
+from fwdsim import (STRATEGIES, InterferenceConfig, ScenarioConfig, Simulation,
                     inject_interference, run_simulation,
                     sample_access_latency, walk_chain)
 
@@ -24,6 +24,13 @@ def calm_scenario(**overrides) -> ScenarioConfig:
 
 
 class TestStaticBehavior:
+    def test_unknown_strategy_is_rejected(self):
+        # A misspelled strategy used to run as PDD under its own label.
+        with pytest.raises(ValueError, match=r"^strategy: unknown strategy "
+                                             r"'DistrDataFWD'") as err:
+            Simulation(calm_scenario(strategy="DistrDataFWD"))
+        assert all(name in str(err.value) for name in STRATEGIES)
+
     def test_calm_network_loses_nothing_and_never_reconfigures(self):
         for strategy in ("PDD", "PDD-CR", "DistrDataFwd"):
             m = run_simulation(calm_scenario(strategy=strategy))

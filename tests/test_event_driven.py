@@ -109,7 +109,7 @@ def test_request_memory_stays_bounded_and_outputs_unchanged():
     largest = 0
     while sim.cycle < cfg.horizon:
         sim.run(1000)
-        held = sum(len(ctx.state.seen) for ctx in sim._ctx.values())
+        held = sum(len(state.seen) for state in sim._states.values())
         largest = max(largest, held)
     assert largest <= 50
     m = sim.metrics

@@ -218,7 +218,7 @@ class TestRouteReplyCases:
         sim = mini_sim(net, [(0, 5, 1, 0, chain)], horizon=20, trace=True)
         for node in dead:
             sim.mark_dead(node)
-        sim._ctx[origin].state.pending_route[0] = protocol.PendingRoute(
+        sim._ctx(origin).state.pending_route[0] = protocol.PendingRoute(
             req_id=0, target=target, deadline=15)
         target_row = sim.table.row(0, target)
         sim.write_row(0, target, hops[-2], target_row.next, target_row.order_key)
@@ -375,7 +375,7 @@ class TestRequestMemory:
         net = make_net([(0, 1), (1, 2), (2, 3)], {u: 50.0 for u in range(4)},
                        proxies={2})
         sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], route_ttl=ttl)
-        ctx = sim._ctx[1]
+        ctx = sim._ctx(1)
         seen = ctx.state.seen
 
         def copies_relayed(req_id, cycle):
@@ -421,9 +421,9 @@ class TestDisconnect:
     def test_double_disconnect_is_idempotent(self):
         net = make_net([(0, 1), (1, 2)], {u: 5.0 for u in range(3)})
         sim = mini_sim(net, [(0, 2, 1, 1, [0, 1, 2])], horizon=10, trace=True)
-        protocol.disconnect(sim._ctx[1])
+        protocol.disconnect(sim._ctx(1))
         first = len(sim.trace_lines)
-        protocol.disconnect(sim._ctx[1])
+        protocol.disconnect(sim._ctx(1))
         assert len(sim.trace_lines) == first
 
 

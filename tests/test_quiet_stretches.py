@@ -46,7 +46,7 @@ def outputs(sim):
              for _, link in sorted(sim.net.links.items())]
     rows = {pid: sorted(sim.table.rows_for_piece(pid).items())
             for pid in sim.pieces_by_id}
-    protocol = [ctx.state for _, ctx in sorted(sim._ctx.items())]
+    protocol = [state for _, state in sorted(sim._states.items())]
     return (sim.cycle, m.csv_text(), m.summary_text(), dict(m.death_times),
             sim.energy_log, sim.trace_lines, sim.diagnostics, nodes, links,
             rows, sim.piece_status, protocol)

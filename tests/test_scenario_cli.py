@@ -57,6 +57,18 @@ class TestScenarioFiles:
             parse_scenario("rows = 3\n")
         assert "outside any [section]" in str(err.value)
 
+    @pytest.mark.parametrize("text", [
+        "[data]\nrequest_prob = 0.05\nrequest_prob = 0.5\n",
+        "[data]\nrequest_prob = 0.05\n[run]\nseed = 2\n[data]\nrequest_prob = 0.5\n",
+    ])
+    def test_repeated_key_names_both_lines(self, text):
+        # A later value used to override the earlier one silently.
+        second = text.count("\n")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text, origin="f.scenario")
+        assert str(err.value) == (f"f.scenario:{second}: data.request_prob "
+                                  f"repeats line 2")
+
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n[run]\nseed = 5   # inline\n"
         assert parse_scenario(text).seed == 5

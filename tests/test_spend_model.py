@@ -106,12 +106,12 @@ def spend_cases(draw):
         elif kind == "clear_row":
             sim.clear_row(pid, u)
         elif kind == "off" and net.neighbors[u]:
-            sim._ctx[u].deactivate_edge(pid, draw(st.sampled_from(net.neighbors[u])))
+            sim._ctx(u).deactivate_edge(pid, draw(st.sampled_from(net.neighbors[u])))
         elif kind == "off_link" and net.neighbors[u]:
-            sim._ctx[u].deactivate_edge_all_pieces(
+            sim._ctx(u).deactivate_edge_all_pieces(
                 draw(st.sampled_from(net.neighbors[u])))
         elif kind == "off_node":
-            sim._ctx[u].deactivate_all_edges()
+            sim._ctx(u).deactivate_all_edges()
         elif kind == "install":
             chain = draw(simple_path(net.neighbors, u))
             if len(chain) > 1:
@@ -136,7 +136,7 @@ def test_spend_model_matches_the_replaced_sums(sim, rate):
         shared = any(len(net.links[(u, v)].active_pieces) > 1
                      for v in net.neighbors[u])
         for v in net.neighbors[u] + (u,):          # (u, u) is no link
-            ctx = sim._ctx[u]
+            ctx = sim._ctx(u)
             got = ctx.projected_lifetime_of(u, v, rate, ctx.load_of(u))
             want = reference_projected_lifetime(sim, u, v, rate)
             if not shared or math.isinf(want):
@@ -241,7 +241,7 @@ def fan_out_copies(monkeypatch, fan_out):
 
 def test_route_request_flood_sums_the_load_once(monkeypatch):
     summed, copies = fan_out_copies(
-        monkeypatch, lambda sim: protocol.local_aodv_plus(sim._ctx[1], 0, 3, 2))
+        monkeypatch, lambda sim: protocol.local_aodv_plus(sim._ctx(1), 0, 3, 2))
     assert summed == [1]
     assert len(copies) == 4 and len({got for got, _ in copies}) == 4
     assert all(got == want for got, want in copies)
@@ -251,7 +251,7 @@ def test_route_request_relay_sums_the_load_once(monkeypatch):
     msg = RouteRequest(piece=0, origin=0, target=3, req_id=7, ttl=2,
                        min_lifetime=float("inf"), hops=(0,), origin_key=0.0)
     summed, copies = fan_out_copies(
-        monkeypatch, lambda sim: protocol._handle_route_request(sim._ctx[1], msg))
+        monkeypatch, lambda sim: protocol._handle_route_request(sim._ctx(1), msg))
     assert summed == [1]
     assert len(copies) == 3 and len({got for got, _ in copies}) == 3
     assert all(got == want for got, want in copies)
