@@ -29,8 +29,14 @@ over the (node, amount) charges of one forwarding walk of the current state
 starts only when no message is in flight, no link changed, no node is
 drained or busy with a repair, no PDD-CR replan is pending, and, under
 DistrDataFwd, every piece that fails to deliver is already broken (no
-transmission feedback is running) and no data-plane learning write is
-due.
+transmission feedback is running) and the cycle's data-plane learning
+writes, if any, would leave every row and activation as they are. Writes
+apply in hop order, so a receiver's row ends with the sender of its last
+learning hop as its previous pointer; a write keeps the row's next pointer
+and order key and activates its next link. A looped broken chain such as
+a -> b -> c -> b writes b's previous pointer and writes it back every
+cycle, and runs quiet. Only the table's version numbers would move, and no
+output reads them; the ``_step()`` that ends the stretch does the writes.
 
 A stretch ends at the next forced death, at the end of the ``run()`` call,
 and one cycle of spend before any charged node could run out (each node's
@@ -139,7 +145,8 @@ from .charging import DATA, Account, advance
 from .lifetime import (lifetime_from_spend, link_fires, max_epoch_duration,
                        node_spend)
 from .netmodel import DataPiece, NetworkState, NodeId, PathRow, PathTable
-from .scenario import STRATEGIES, ScenarioConfig, sample_pieces
+from .scenario import (STRATEGIES, ScenarioConfig, run_rule_errors,
+                       sample_pieces)
 
 CFG = "cfg"
 # Consumer-request draws per generator block: 8 bytes each, so a block
@@ -298,7 +305,10 @@ class NodeCtx:
     def changed_out_neighbor_ids(self) -> list[NodeId]:
         """The out-neighbors whose link's cost changed this cycle, in
         neighbor order: the only out-links that can fire the trigger."""
-        return sorted(v for u, v in self._sim._dirty_links if u == self.node)
+        dirty = self._sim._dirty_links
+        if not dirty:
+            return []
+        return sorted(v for u, v in dirty if u == self.node)
 
     def link_latency(self, v: NodeId) -> float:
         link = self._sim.net.links.get((self.node, v))
@@ -421,9 +431,8 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, *, net: NetworkState | None = None,
                  table: PathTable | None = None,
                  pieces: list[DataPiece] | None = None):
-        if cfg.interference.duration_cycles < 1:
-            # A hit's revert would fall in a cycle already past.
-            raise ValueError("interference.duration_cycles: must be >= 1")
+        for key, message in run_rule_errors(cfg):
+            raise ValueError(f"{key}: {message}")
         if cfg.strategy not in STRATEGIES:
             # The steps test the strategy by name, so an unknown one would
             # run as PDD under its own label.
@@ -745,8 +754,12 @@ class Simulation:
         generating piece in id order (piece, status, the hops it transmits
         over, its loss cause or None, the node it stops at); the generated,
         delivered and lost counts, each tallied on its own; and whether the
-        cycle can be quiet (no learning write due and, under DistrDataFwd,
-        every failing piece already broken, so no transmission feedback).
+        cycle can be quiet: under DistrDataFwd, every failing piece already
+        broken, so no transmission feedback, and no learning write that
+        changes state. For each receiver of a learning hop the write that
+        counts is the last one, from the last sender; it changes nothing
+        when the receiver's previous pointer is that sender already and its
+        next link, if any, already carries the piece.
 
         It reads liveness, chains and activations, which no phase of
         ``_step()`` before forwarding changes, so a stretch's walk holds for
@@ -756,7 +769,7 @@ class Simulation:
         the hop after a learning hop is active even if it was not.
         """
         local_repair = self.cfg.strategy == "DistrDataFwd"
-        nodes = self.net.nodes
+        nodes, links = self.net.nodes, self.net.links
         entries = []
         gen = dlv = lost = 0
         quiet = True
@@ -771,6 +784,7 @@ class Simulation:
             blocked_at = piece.source
             sent = 0
             learned = False
+            writes = {}   # receiver -> the sender of its last learning write
             # Each transmitter is the source or the last receiver, both alive.
             for tx, link, rx, learn in hops:
                 if not (learned or pid in link.active_pieces):
@@ -781,12 +795,21 @@ class Simulation:
                     cause = "node-dead"
                     break
                 if learn:
-                    quiet = False
+                    writes[rx.node] = tx.node
                 learned = learn
                 blocked_at = rx.node
             else:
                 if not complete:
                     cause = "path-broken"
+            if writes and quiet:
+                rows = self.table.rows_for_piece(pid)
+                for u, prev in writes.items():
+                    row = rows[u]
+                    link = links.get((u, row.next))
+                    if row.prev != prev or (link is not None
+                                            and pid not in link.active_pieces):
+                        quiet = False
+                        break
             if cause is None:
                 dlv += piece.rate
             else:

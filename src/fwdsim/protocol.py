@@ -180,16 +180,24 @@ def node_cycle(ctx, cycle: int) -> None:
     the early returns of ``Simulation._run_quiet`` and the quiet flag of
     ``Simulation._walk`` cover the mail, repair and energy cases, and a
     stretch ends in any cycle in which a changed link fires the trigger.
+
+    A deadline table that is empty is not scanned, and alive neighbors are
+    counted for the exit guard only when a link fired: with none fired,
+    the spike clause is false whatever the count.
     """
     if not ctx.alive():
         return
     triggered = _trigger_scan(ctx)
     for src, msg in ctx.take_inbox():
         _dispatch(ctx, src, msg)
-    _expire_collectors(ctx)
-    _expire_pending_routes(ctx)
-    _check_pending_splices(ctx)
-    operational = len(ctx.alive_neighbor_ids())
+    state = ctx.state
+    if state.collectors:
+        _expire_collectors(ctx)
+    if state.pending_route:
+        _expire_pending_routes(ctx)
+    if state.pending_splice:
+        _check_pending_splices(ctx)
+    operational = len(ctx.alive_neighbor_ids()) if triggered else 0
     if ctx.energy_j() <= 0.0 or (operational and triggered > 0.5 * operational):
         disconnect(ctx)
 

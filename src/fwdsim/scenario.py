@@ -273,6 +273,28 @@ def render_scenario(cfg: ScenarioConfig) -> str:
     return "\n".join(sections)
 
 
+# The ranges a run is defined on, as (key, test, message): reported by
+# ``validate_config`` and raised by ``Simulation`` on the library path,
+# where a run outside them would otherwise go on to its end without a word.
+RUN_RULES = (
+    ("data.request_prob", lambda cfg: 0.0 <= cfg.request_prob <= 1.0,
+     "must lie in [0, 1]"),
+    ("protocol.trigger_threshold",
+     lambda cfg: 0.0 < cfg.trigger_threshold < 1.0, "must lie in (0, 1)"),
+    ("protocol.route_ttl", lambda cfg: cfg.route_ttl >= 1, "must be >= 1"),
+    ("interference.duration_cycles",
+     lambda cfg: cfg.interference.duration_cycles >= 1, "must be >= 1"),
+    ("run.horizon", lambda cfg: cfg.horizon >= 1, "must be >= 1"),
+)
+
+
+def run_rule_errors(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+    """The key and message of every one of ``RUN_RULES`` that ``cfg``
+    breaks, in table order."""
+    return [(key, message) for key, holds, message in RUN_RULES
+            if not holds(cfg)]
+
+
 def validate_config(cfg: ScenarioConfig) -> list[Finding]:
     """Full constraint report without running: ranges, connectivity, and
     plan-time feasibility of the latency budget."""
@@ -284,6 +306,8 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
     def warn(fieldname: str, message: str) -> None:
         findings.append(Finding("warning", fieldname, message))
 
+    for key, message in run_rule_errors(cfg):
+        err(key, message)
     if cfg.rows * cfg.cols < 2:
         err("topology.rows/cols", "need at least two nodes")
     if cfg.spacing_m <= 0 or cfg.range_m <= 0:
@@ -326,15 +350,9 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
         err("data.consumer_fraction", "must lie in (0, 1]")
     if cfg.rate_min < 0 or cfg.rate_max < cfg.rate_min:
         err("data.rate_min/max", "need 0 <= min <= max")
-    if not 0.0 <= cfg.request_prob <= 1.0:
-        err("data.request_prob", "must lie in [0, 1]")
 
     if not 0 < cfg.latency_budget_ms < math.inf:
         err("protocol.latency_budget_ms", "must be positive and finite")
-    if not 0.0 < cfg.trigger_threshold < 1.0:
-        err("protocol.trigger_threshold", "must lie in (0, 1)")
-    if cfg.route_ttl < 1:
-        err("protocol.route_ttl", "must be >= 1")
 
     inter = cfg.interference
     if not 0.0 <= inter.prob_per_cycle <= 1.0:
@@ -343,15 +361,11 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
         err("interference.multiplier", "must be >= 1")
     if inter.affected_links < 1:
         err("interference.affected_links", "must be >= 1")
-    if inter.duration_cycles < 1:
-        err("interference.duration_cycles", "must be >= 1")
     if (inter.prob_per_cycle > 0 and 0 < cfg.trigger_threshold < 1
             and inter.multiplier <= 1.0 / (1.0 - cfg.trigger_threshold)):
         warn("interference.multiplier",
              "too small to ever fire the trigger at this threshold")
 
-    if cfg.horizon < 1:
-        err("run.horizon", "must be >= 1")
     if cfg.metrics_stride < 0:
         err("run.metrics_stride", "must be >= 0")
     if cfg.strategy not in STRATEGIES:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,24 @@ class TestStaticBehavior:
                                              r"'DistrDataFWD'") as err:
             Simulation(calm_scenario(strategy="DistrDataFWD"))
         assert all(name in str(err.value) for name in STRATEGIES)
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("protocol.trigger_threshold", dict(trigger_threshold=1.5)),
+        ("protocol.trigger_threshold", dict(trigger_threshold=0.0)),
+        ("data.request_prob", dict(request_prob=1.5)),
+        ("data.request_prob", dict(request_prob=-0.1)),
+        ("protocol.route_ttl", dict(route_ttl=0)),
+        ("run.horizon", dict(horizon=0))])
+    def test_config_outside_its_range_is_rejected_before_building(
+            self, monkeypatch, key, overrides):
+        # These used to run: every draw a request, no repair flood, or
+        # empty series. The check comes before the network and the plan.
+        def unbuilt(cfg):
+            raise AssertionError("network built")
+
+        monkeypatch.setattr(ScenarioConfig, "network", unbuilt)
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: must "):
+            Simulation(calm_scenario(**overrides))
 
     def test_calm_network_loses_nothing_and_never_reconfigures(self):
         for strategy in ("PDD", "PDD-CR", "DistrDataFwd"):

@@ -58,6 +58,46 @@ class TestTriggerScanAndGuard:
         assert len(trace_types(sim, "Alert")) == 2
         assert sim.metrics.death_times[1] == 0
 
+    def four_neighbor_hub(self):
+        # hub 1 has alive neighbors 0, 2, 3 and 4, and forwards piece k - 2
+        # from 0 to k for k = 2, 3, 4, each on to consumer 5
+        net = make_net([(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+                       {u: 50.0 for u in range(6)}, proxies={2, 3, 4})
+        return mini_sim(net, [(0, 5, k, 1, [0, 1, k, 5]) for k in (2, 3, 4)],
+                        horizon=30, trace=True)
+
+    @pytest.mark.parametrize("fired, alive", [(0, True), (1, True), (2, True),
+                                              (3, False)])
+    def test_exit_guard_needs_more_than_half_the_alive_neighbors(self, fired,
+                                                                 alive):
+        sim = self.four_neighbor_hub()
+        for k in range(2, 2 + fired):
+            spike_link(sim, 1, k, 2.5)
+        sim.run(1)
+        assert sim.net.nodes[1].alive == alive
+        assert len(sim.diagnostics) == 0
+
+    def test_exit_guard_disconnects_an_empty_node_with_none_fired(self):
+        sim = self.four_neighbor_hub()
+        node = sim.net.nodes[1]
+        node.spent_j = node.initial_energy_j
+        sim.run(1)
+        assert not node.alive and sim.metrics.death_times[1] == 0
+        # disconnected, not just swept: each piece's predecessor is alerted
+        assert len(trace_types(sim, "Alert")) == 3
+        assert sim.table.pieces_at(1) == []
+
+    def test_exit_guard_keeps_a_node_with_fired_links_and_no_alive_neighbor(self):
+        # Every neighbor of the hub is dead when its link to 2 fires: one
+        # fired link, no alive neighbor to count it against.
+        sim = self.four_neighbor_hub()
+        for u in (0, 2, 3, 4):
+            sim.net.nodes[u].alive = False
+        spike_link(sim, 1, 2, 2.5)
+        sim.run(1)
+        assert sim.net.nodes[1].alive
+        assert 0 not in sim.net.links[(1, 2)].active_pieces
+
     def test_idle_node_spends_nothing(self):
         net = make_net([(0, 1), (1, 2)], {0: 5.0, 1: 5.0, 2: 5.0})
         sim = mini_sim(net, [(0, 1, None, 0, [0, 1])], horizon=20)

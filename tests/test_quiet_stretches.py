@@ -329,6 +329,82 @@ def test_learning_write_reactivates_the_next_hop_before_it_is_checked():
     assert not sim.metrics.loss_causes
 
 
+class CountedSimulation(Simulation):
+    """The engine, recording the cycle of every ``_step()``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = []
+
+    def _step(self, *args):
+        self.steps.append(self.cycle)
+        super()._step(*args)
+
+
+def looped_broken_piece(engine, shape, audit, seed, horizon):
+    """Piece 0 of 0 -> 1 -> 2 -> 3, marked repair-failed, with its rows
+    looped 0 -> 1 -> 2 -> 1: the shape of the default scenario's
+    full-horizon DistrDataFwd seed 2 (6 -> 13 -> 7 -> 13). Each cycle hop
+    0-1 writes prev(1) = 0 and hop 2-1 writes it back to 2. ``shape``
+    varies it: "loop" as it is; "cut", link 1-2 no longer carries the
+    piece, so the first cycle's write re-activates it; "moved", prev(1)
+    starts at 0, so the first cycle's write really changes it. Piece 1,
+    4 -> 2 -> 3, is delivered throughout, and interference hits below the
+    trigger re-price hops but fire nothing."""
+    net = make_net([(0, 1), (1, 2), (2, 3), (2, 4)],
+                   {u: 1.0 for u in range(5)}, proxies={2}, eps=3e-5)
+    sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3]), (4, 3, 2, 2, [4, 2, 3])],
+                   engine=engine, horizon=horizon, request_prob=0.5, seed=seed,
+                   audit_energy=audit,
+                   interference=InterferenceConfig(
+                       prob_per_cycle=0.05, multiplier=1.5, affected_links=2,
+                       duration_cycles=2))
+    sim.write_row(0, 2, 1, 1, 2.0)
+    sim.table.set_row(0, 1, PathRow(prev=0 if shape == "moved" else 2, next=2,
+                                    order_key=1.0))
+    if shape == "cut":
+        sim.net.deactivate(0, 1, 2)
+    sim.mark_broken(0, "repair-failed")
+    return sim
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(["loop", "cut", "moved"]), audit=st.booleans(),
+       seed=st.integers(0, 10_000),
+       splits=st.lists(st.integers(1, 120), max_size=5))
+def test_looped_broken_piece_matches_stepping_and_polling(shape, audit, seed,
+                                                          splits):
+    # A cycle whose learning writes leave every row and activation as they
+    # were is quiet; one whose writes change a row or an activation steps.
+    chunks = [(n, "none", 0, 0) for n in splits]
+    for oracle in (SteppedSimulation, PolledSimulation):
+        fast = looped_broken_piece(CountedSimulation, shape, audit, seed, 300)
+        run_in_step(fast, looped_broken_piece(oracle, shape, audit, seed, 300),
+                    chunks)
+        assert fast.steps == ([] if shape == "loop" else [0])
+
+
+@pytest.mark.parametrize("shape, writes", [("loop", 0), ("cut", 2),
+                                           ("moved", 1)])
+def test_looped_broken_piece_steps_only_where_a_write_changes_state(shape,
+                                                                   writes):
+    # 5,000 cycles with about 250 interference hits, none of which fires.
+    # The oracle writes prev(1) in every cycle; the engine steps only the
+    # first cycle of a shape whose writes change state, and writes there
+    # only. The rows, the activations and every output still match.
+    fast = looped_broken_piece(CountedSimulation, shape, False, 7, 5000)
+    stepped = looped_broken_piece(SteppedSimulation, shape, False, 7, 5000)
+    version = fast.table.version[0]
+    fast.run()
+    stepped.run()
+    assert outputs(fast) == outputs(stepped)
+    assert fast.steps == ([0] if writes else [])
+    assert fast.table.version[0] == version + writes
+    assert stepped.table.version[0] > version + 2 * 4999
+    assert fast.table.row(0, 1).prev == 2
+    assert 0 in fast.net.links[(1, 2)].active_pieces
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("extra_generated, extra_delivered, offset",
                          [(1, 0, 0), (0, 1, 1)])
