@@ -247,6 +247,29 @@ def install_path(net: NetworkState, table: PathTable, piece: DataPiece,
             net.activate(piece.id, node, nxt)
 
 
+def path_installed(net: NetworkState, table: PathTable, piece_id: int,
+                   chain: list[NodeId]) -> bool:
+    """Whether the piece's rows are exactly the ones ``install_path`` writes
+    for ``chain`` and every traversed link is active for the piece: then
+    installing the chain again would change nothing but the table version."""
+    rows = table.rows_for_piece(piece_id)
+    if len(rows) != len(chain):
+        return False
+    prev = None
+    for k, node in enumerate(chain):
+        nxt = chain[k + 1] if k + 1 < len(chain) else None
+        row = rows.get(node)
+        if (row is None or row.prev != prev or row.next != nxt
+                or row.order_key != k * ORDER_KEY_GAP):
+            return False
+        if nxt is not None:
+            link = net.links.get((node, nxt))
+            if link is None or piece_id not in link.active_pieces:
+                return False
+        prev = node
+    return True
+
+
 def clear_piece_paths(net: NetworkState, table: PathTable, piece_id: int) -> None:
     """Drop the piece's rows and deactivate the link under each. A link is
     only activated under a row whose next pointer names it, and rewriting or

@@ -7,26 +7,29 @@ lifetime of their transmitting nodes, subject to the round-trip access
 latency budget on the consumer side. Planning is greedy in descending rate
 order and fully deterministic under the documented tie-breaking.
 
-Segments come from a Pareto label search (Martins 1984) over the view's
-adjacency index. A view numbers its directed edges once, at construction,
-and every index entry carries its edge's id, so a search reads and fills
-per-edge data by list position rather than by a (u, v) key. Three kinds of
-work are reused, each exact by construction, so no plan depends on the
+Segments come from a Pareto label search (Martins 1984) over the
+topology's adjacency index. A ``Topology`` numbers the directed edges once,
+and every index entry carries its edge's id, so a search reads per-edge data
+by list position rather than by a (u, v) key; its search state (label
+buckets, widths, distances) lives in lists indexed by node id. Three kinds
+of work are reused, each exact by construction, so no plan depends on the
 reuse:
 
 * Edge lifetimes. A view's spend changes only at ``PlannerView.commit``,
-  between two pieces, so ``compute_plan`` keeps one lifetime table per piece,
-  a list indexed by edge id and filled on first use, shared by both
-  widest-path runs, every label search and every candidate's bottleneck. A
-  search called without a table fills its own.
+  between two pieces, so ``compute_plan`` fills one lifetime table per
+  piece, a list indexed by edge id, in one pass (``PlannerView.lifetimes``)
+  and shares it between both widest-path runs, every label search and every
+  candidate's bottleneck. A search called without a table fills its own.
 * Incumbents. A label search may start from a floor, the (bottleneck, hops)
   a segment must reach for its candidate to tie the best one found so far;
   the labels the floor drops could only have led to candidates that lose.
-* Topology. Round-trip distances to a consumer, BFS hop counts and the
-  hop-only searches without exclusions read only the node set and the link
-  latencies. They live on a ``Topology``, which ``compute_plan`` hands back
-  with its plan; the next plan reuses it when its reports have the same
-  node set and latencies, and builds a new one otherwise.
+* Topology. The edge numbering and the adjacency indexes, round-trip
+  distances to a consumer, BFS hop counts and the hop-only searches without
+  exclusions read only the node set and the link latencies. They live on a
+  ``Topology``, which ``compute_plan`` hands back with its plan; the next
+  plan reuses it, indexes and all, when its reports have the same node set
+  and latencies, and builds a new one otherwise. A view then keeps only
+  the reported energies, costs and its spend.
 
 Proxies are searched branch-and-bound. Per piece, one widest-path (max-min,
 Pollack 1960) Dijkstra from the source and one toward the consumer bound
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lifetime import lifetime_from_spend
 from .netmodel import NetworkState, NodeId
@@ -90,48 +94,76 @@ class Plan:
         return "\n".join(out) + "\n"
 
 
-# One latency index entry: (v, one-way latency, round-trip latency). The
-# round-trip latency is infinite when (v, u) is missing.
-LatencyEdge = tuple[NodeId, float, float]
-# One adjacency index entry of u: a latency index entry plus the eps_j and
-# the edge id of (u, v).
-OutEdge = tuple[NodeId, float, float, float, int]
-# One in-edge index entry of u: (v, eps_j, edge id) of (v, u).
-InEdge = tuple[NodeId, float, int]
+# One out-edge index entry of u: (v, edge id, one-way latency, round-trip
+# latency) of (u, v). The round-trip latency is infinite when (v, u) is
+# missing.
+OutEdge = tuple[NodeId, int, float, float]
+# One in-edge index entry of u: (v, edge id) of (v, u), whose reverse edge
+# (u, v) exists.
+InEdge = tuple[NodeId, int]
 
 
 class Topology:
     """The node set and the link latencies of a view, and what is computed
-    from them alone: the latency index (each node's out-edges sorted by
-    neighbor id), least round-trip latencies to a node, BFS hop counts and
-    hop-only label searches without exclusions. Energies, costs and spend
-    are no part of it, so one Topology serves every view with the same node
-    set and latencies."""
+    from them alone. Construction numbers the directed edges 0, 1, ... in
+    (u, v) order (``edge_ids``, ``tails``, ``latency``) and builds two
+    indexes: ``out_edges``, each node's out-edges sorted by neighbor id, and
+    ``in_edges``, for each node u in the same order, the edges (v, u) whose
+    reverse edge (u, v) exists. Least round-trip latencies to a node, BFS
+    hop counts and hop-only label searches without exclusions are computed
+    on first use. Energies, costs and spend are no part of it, so one
+    Topology, its indexes included, serves every view with the same node set
+    and latencies."""
 
     def __init__(self, nodes, latencies: dict[tuple[NodeId, NodeId], float]):
         self.nodes = frozenset(nodes)
-        self.latencies = latencies
-        out: dict[NodeId, list[LatencyEdge]] = {u: [] for u in nodes}
-        for (u, v), lat in latencies.items():
-            back = latencies.get((v, u))
-            round_trip = INFINITY if back is None else lat + back
-            out.setdefault(u, []).append((v, lat, round_trip))
-        self.out_edges = {u: tuple(sorted(es)) for u, es in out.items()}
-        self._to_go: dict[tuple[NodeId, float], dict[NodeId, float]] = {}
+        self.size = max(self.nodes, default=-1) + 1    # search lists by node id
+        keys = sorted(latencies)
+        self.edge_ids = {key: eid for eid, key in enumerate(keys)}
+        self.tails = [u for u, _ in keys]
+        self.latency = [latencies[key] for key in keys]
+        out: dict[NodeId, list[OutEdge]] = {u: [] for u in sorted(self.nodes)}
+        into: dict[NodeId, list[InEdge]] = {u: [] for u in out}
+        for eid, (u, v) in enumerate(keys):
+            lat, back = self.latency[eid], latencies.get((v, u))
+            out[u].append((v, eid, lat, INFINITY if back is None else lat + back))
+            if back is not None:
+                into[v].append((u, eid))
+        self.out_edges = {u: tuple(es) for u, es in out.items()}
+        self.in_edges = {u: tuple(es) for u, es in into.items()}
+        self._to_go: dict[tuple[NodeId, float], list[float]] = {}
         self._hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = {}
         self._hop_paths: dict[tuple, tuple[NodeId, ...] | None] = {}
 
-    def fits(self, nodes, latencies: dict[tuple[NodeId, NodeId], float]) -> bool:
-        """Whether a view with these nodes and latencies may reuse this."""
-        return self.nodes == frozenset(nodes) and self.latencies == latencies
+    def read_eps(self, reports: list[StatusReport]) -> list[float] | None:
+        """Each edge's eps_j by edge id, read from status reports whose links
+        to reporting nodes are the edges, or None when the reports do not fit
+        this topology: their node set or a latency differs."""
+        nodes, ids, latency = self.nodes, self.edge_ids, self.latency
+        if len(reports) != len(nodes):
+            return None
+        eps = [0.0] * len(latency)
+        seen = 0
+        for rep in reports:
+            u = rep.node
+            if u not in nodes:
+                return None
+            for v, (cost, lat) in rep.links.items():
+                if v in nodes:
+                    eid = ids.get((u, v))
+                    if eid is None or latency[eid] != lat:
+                        return None
+                    eps[eid] = cost
+                    seen += 1
+        return eps if seen == len(latency) else None
 
-    def round_trip_to_go(self, dst: NodeId, limit: float) -> dict[NodeId, float]:
-        """Least round-trip latency from each node to dst, for the nodes
-        within ``limit`` of it; computed once per (dst, limit)."""
+    def round_trip_to_go(self, dst: NodeId, limit: float) -> list[float]:
+        """Least round-trip latency from each node to dst by node id, infinite
+        beyond ``limit``; computed once per (dst, limit)."""
         key = (dst, limit)
         dist = self._to_go.get(key)
         if dist is None:
-            dist = self._to_go[key] = _round_trip_to_go(self.out_edges, dst, limit)
+            dist = self._to_go[key] = _round_trip_to_go(self, dst, limit)
         return dist
 
     def hop_counts(self, root: NodeId, round_trip: bool = False) -> dict[NodeId, int]:
@@ -164,84 +196,76 @@ class Topology:
 class PlannerView:
     """Controller-side picture of the alive network built from status reports.
 
-    Construction numbers the directed edges 0, 1, ... (``edge_ids``) and
-    builds two indexes from the topology's latency index. ``out_edges`` is
-    the adjacency index: each node's out-edges sorted by neighbor id.
-    ``in_edges`` lists, for each node u and in the same order, the edges
-    (v, u) whose reverse edge (u, v) exists. Energies and edges stay fixed
-    for the view's life; only ``spend`` changes, so nothing derived from it
-    is stored here. ``topology`` holds what depends on the node set and
-    latencies only; a given one is reused when it fits the view, and a new
-    one is built otherwise.
+    The edges and their latencies are the ``topology``'s, which also numbers
+    and indexes them; a given topology is reused when the reports fit it
+    (``Topology.read_eps``), and a new one is built otherwise. The view
+    keeps the energies, ``eps`` (each edge's eps_j by edge id) and the
+    spend. Energies and costs stay fixed for the view's life; only
+    ``spend`` changes, so nothing derived from it is stored here.
     """
 
     energy: dict[NodeId, float]
-    edges: dict[tuple[NodeId, NodeId], tuple[float, float]]  # (eps_j, latency_ms)
     spend: dict[NodeId, float]                               # accumulated J/cycle
     config_phase_energy_j: float
-    topology: Topology | None = field(default=None, repr=False, compare=False)
-    edge_ids: dict[tuple[NodeId, NodeId], int] = field(
-        init=False, repr=False, compare=False)
-    out_edges: dict[NodeId, tuple[OutEdge, ...]] = field(
-        init=False, repr=False, compare=False)
-    in_edges: dict[NodeId, tuple[InEdge, ...]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        latencies = {key: lat for key, (_, lat) in self.edges.items()}
-        if self.topology is None or not self.topology.fits(self.energy, latencies):
-            self.topology = Topology(self.energy, latencies)
-        edges, index = self.edges, self.topology.out_edges
-        ids = self.edge_ids = {}
-        for u, es in index.items():
-            for v, _, _ in es:
-                ids[(u, v)] = len(ids)
-        self.out_edges = {
-            u: tuple((v, lat, rt, edges[(u, v)][0], ids[(u, v)]) for v, lat, rt in es)
-            for u, es in index.items()}
-        self.in_edges = {
-            u: tuple((v, edges[(v, u)][0], ids[(v, u)]) for v, _, rt in es
-                     if rt < INFINITY)
-            for u, es in index.items()}
+    topology: Topology = field(repr=False, compare=False)
+    eps: list[float] = field(repr=False)                     # by edge id
 
     @classmethod
     def from_status(cls, reports: list[StatusReport], config_phase_energy_j: float,
                     topology: Topology | None = None) -> "PlannerView":
+        """A view of the links between reporting nodes; ``topology`` is
+        reused when the reports fit it."""
         ordered = sorted(reports, key=lambda r: r.node)
         energy = {rep.node: rep.energy_j for rep in ordered}
-        edges = {}
-        for rep in ordered:
-            for v, (eps, lat) in sorted(rep.links.items()):
-                if v in energy:                      # both endpoints reported alive
-                    edges[(rep.node, v)] = (eps, lat)
-        return cls(energy=energy, edges=edges,
-                   spend={u: 0.0 for u in energy},
+        eps = None if topology is None else topology.read_eps(ordered)
+        if eps is None:
+            topology = Topology(energy, {(rep.node, v): lat for rep in ordered
+                                         for v, (_, lat) in rep.links.items()
+                                         if v in energy})
+            eps = topology.read_eps(ordered)
+        return cls(energy=energy, spend={u: 0.0 for u in energy},
                    config_phase_energy_j=config_phase_energy_j,
-                   topology=topology)
+                   topology=topology, eps=eps)
+
+    @cached_property
+    def edges(self) -> dict[tuple[NodeId, NodeId], tuple[float, float]]:
+        """(eps_j, latency_ms) of every edge, keyed by (u, v)."""
+        eps, latency = self.eps, self.topology.latency
+        return {key: (eps[eid], latency[eid])
+                for key, eid in self.topology.edge_ids.items()}
 
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
-        return [edge[0] for edge in self.out_edges.get(u, ())]
+        return [edge[0] for edge in self.topology.out_edges.get(u, ())]
 
-    def new_lifetimes(self) -> Lifetimes:
-        """An empty lifetime table: one unfilled slot per edge id."""
-        return [None] * len(self.edge_ids)
+    def lifetimes(self, rate: float) -> Lifetimes:
+        """The lifetime table for one rate under the current spend: the
+        ``edge_lifetime`` of every edge, by edge id. Only the special cases
+        of ``lifetime_from_spend`` (an empty node, one at or under the
+        configuration-phase energy, zero spend) call it; every other edge's
+        lifetime is the same quotient, computed inline."""
+        energy, spend = self.energy, self.spend
+        phase_j = self.config_phase_energy_j
+        regular = phase_j if phase_j > 0.0 else 0.0  # above it: no special case
+        return [e / s if (e := energy[u]) > regular and (s := spend[u] + cost * rate)
+                else lifetime_from_spend(e, spend[u] + cost * rate, phase_j)
+                for u, cost in zip(self.topology.tails, self.eps)]
 
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
-        eps, _ = self.edges[(u, v)]
-        return lifetime_from_spend(self.energy[u], self.spend[u] + eps * rate,
+        cost = self.eps[self.topology.edge_ids[(u, v)]]
+        return lifetime_from_spend(self.energy[u], self.spend[u] + cost * rate,
                                    self.config_phase_energy_j)
 
     def commit(self, chain: list[NodeId], rate: float) -> None:
-        for u, v in zip(chain, chain[1:]):
-            eps, _ = self.edges[(u, v)]
-            self.spend[u] += eps * rate
+        ids, eps = self.topology.edge_ids, self.eps
+        for edge in zip(chain, chain[1:]):
+            self.spend[edge[0]] += eps[ids[edge]] * rate
 
 
-# Edge id of (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate,
-# None until first use. Valid until the view's spend next changes:
-# ``compute_plan`` keeps one per piece, since it only commits between pieces.
-Lifetimes = list[float | None]
+# Edge id of (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate.
+# Valid until the view's spend next changes: ``compute_plan`` fills one per
+# piece, since it only commits between pieces.
+Lifetimes = list[float]
 
 
 def status_from_network(net: NetworkState) -> list[StatusReport]:
@@ -280,18 +304,20 @@ def bottleneck_path(
     criterion is ignored and the search simply minimizes hops within the
     budget (used to generate low-blocking candidate segments).
 
-    Expansion reads ``view.out_edges``, taking the one-way or the round-trip
-    latency by position. Edge lifetimes come from ``lifetimes``, a table for
-    this rate under the view's current spend, at the edge's id; without one
-    the search fills a table of its own. A node's first label enters its
-    bucket without a dominance scan. Two bounds drop labels that cannot win:
-    a label whose best possible terminal already loses to the incumbent,
-    and, under a round-trip budget, a label that cannot reach dst within the
-    budget. The labels such a label would dominate cannot win either, so
-    dropping it changes no result, tied paths included. The incumbent is the
-    best terminal label pushed so far, or from the start ``floor`` when
-    given, a (bottleneck, hops) pair: then the result is the unfloored one
-    if that is not strictly worse than the floor, and None otherwise.
+    Expansion reads the topology's ``out_edges``, taking the one-way or the
+    round-trip latency. Edge lifetimes come from ``lifetimes``, the table
+    for this rate under the view's current spend (``PlannerView.lifetimes``),
+    filled here when not given. Label buckets sit in a list by node id, and
+    each label carries a bit mask of the nodes its path holds, excluded
+    nodes included. A node's first label enters its bucket without a
+    dominance scan. Two bounds drop labels that cannot win: a label whose
+    best possible terminal already loses to the incumbent, and, under a
+    round-trip budget, a label that cannot reach dst within the budget. The
+    labels such a label would dominate cannot win either, so dropping it
+    changes no result, tied paths included. The incumbent is the best
+    terminal label pushed so far, or from the start ``floor`` when given, a
+    (bottleneck, hops) pair: then the result is the unfloored one if that
+    is not strictly worse than the floor, and None otherwise.
     """
     if src == dst:
         raise PlanningError("source and target must differ")
@@ -300,26 +326,34 @@ def bottleneck_path(
     if src in excluded or dst in excluded:
         return None
     budget = INFINITY if latency_budget_ms is None else latency_budget_ms
-    weight = 2 if round_trip else 1              # latency position in an OutEdge
-    out_edges, energy, spend, phase_j = (view.out_edges, view.energy,
-                                         view.spend, view.config_phase_energy_j)
-    if lifetimes is None:
-        lifetimes = view.new_lifetimes()
+    topology = view.topology
+    out_edges = topology.out_edges
+    if hop_only:                                 # every label's bottleneck stays infinite
+        lifetimes = [INFINITY] * len(topology.tails)
+    elif lifetimes is None:
+        lifetimes = view.lifetimes(rate)
 
-    labels: dict[NodeId, list[tuple[float, float, int]]] = {src: [(0.0, INFINITY, 0)]}
+    labels: list[list[tuple[float, float, int]] | None] = [None] * topology.size
+    labels[src] = [(0.0, INFINITY, 0)]
+    mask = 1 << src
+    for x in excluded:
+        mask |= 1 << x
     best_terminal: tuple[float, int, tuple[NodeId, ...]] | None = None  # (-bot, hops, path)
-    heap: list[tuple[float, float, int, tuple[NodeId, ...]]] = [(-INFINITY, 0.0, 0, (src,))]
+    # (-bottleneck, latency, hops, path, mask of path and excluded nodes);
+    # paths differ, so the heap never compares masks.
+    heap: list[tuple[float, float, int, tuple[NodeId, ...], int]] = [
+        (-INFINITY, 0.0, 0, (src,), mask)]
     # (bottleneck, hops) of the best terminal label pushed so far, or the
     # floor; the final answer is at least this good.
     inc_bot, inc_hops = (-INFINITY, 0) if floor is None else floor
     # Least round-trip latency from each node on to dst. The slack keeps
     # float rounding from pruning a path that fits the budget exactly.
     limit = budget * (1.0 + 1e-9)
-    to_go = (view.topology.round_trip_to_go(dst, limit)
+    to_go = (topology.round_trip_to_go(dst, limit)
              if round_trip and budget < INFINITY else None)
 
     while heap:
-        neg_bot, lat, hops, path = heapq.heappop(heap)
+        neg_bot, lat, hops, path, mask = heapq.heappop(heap)
         bot = -neg_bot
         if bot < inc_bot:
             # Bottlenecks only shrink along a path and the heap pops them in
@@ -334,30 +368,23 @@ def bottleneck_path(
         nhops = hops + 1
         if bot == inc_bot and nhops > inc_hops:
             continue
-        for edge in out_edges[u]:
-            v = edge[0]
-            if v in excluded or v in path:
+        for v, eid, one_way, both_ways in out_edges[u]:
+            if mask >> v & 1:
                 continue
-            nlat = lat + edge[weight]
+            nlat = lat + (both_ways if round_trip else one_way)
             if nlat > budget:
                 continue
-            if to_go is not None and nlat + to_go.get(v, INFINITY) > limit:
+            if to_go is not None and nlat + to_go[v] > limit:
                 continue
-            if hop_only:
-                nbot = INFINITY
-            else:
-                life = lifetimes[edge[4]]
-                if life is None:
-                    life = lifetimes[edge[4]] = lifetime_from_spend(
-                        energy[u], spend[u] + edge[3] * rate, phase_j)
-                nbot = life if life < bot else bot
+            life = lifetimes[eid]
+            nbot = life if life < bot else bot
             # A label that can only end in a terminal worse than the
             # incumbent is dropped before it enters a bucket: any label it
             # would keep out is no better, so cannot win either.
             if nbot < inc_bot or (nbot == inc_bot
                                   and nhops + (v != dst) > inc_hops):
                 continue
-            bucket = labels.get(v)
+            bucket = labels[v]
             if bucket is None:                   # v's first label
                 labels[v] = [(nlat, nbot, nhops)]
             else:
@@ -373,33 +400,34 @@ def bottleneck_path(
                     continue
             if v == dst and (nbot > inc_bot or nhops < inc_hops):
                 inc_bot, inc_hops = nbot, nhops
-            heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,)))
+            heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,), mask | 1 << v))
 
     if best_terminal is None:
         return None
     return list(best_terminal[2])
 
 
-def _round_trip_to_go(out_edges: dict[NodeId, tuple[LatencyEdge, ...]],
-                      dst: NodeId, limit: float) -> dict[NodeId, float]:
-    """Least round-trip latency from each node to dst, for the nodes within
-    ``limit`` of it (Dijkstra). Round-trip weights are symmetric, so searching
-    outward from dst gives the distances toward it."""
-    dist = {dst: 0.0}
+def _round_trip_to_go(topology: Topology, dst: NodeId, limit: float) -> list[float]:
+    """Least round-trip latency from each node to dst, by node id, for the
+    nodes within ``limit`` of it and infinite for the rest (Dijkstra).
+    Round-trip weights are symmetric, so searching outward from dst gives
+    the distances toward it."""
+    dist = [INFINITY] * topology.size
+    dist[dst] = 0.0
     heap = [(0.0, dst)]
     while heap:
         d, x = heapq.heappop(heap)
         if d > dist[x]:
             continue
-        for edge in out_edges[x]:
-            nd = d + edge[2]
-            if nd <= limit and nd < dist.get(edge[0], INFINITY):
-                dist[edge[0]] = nd
-                heapq.heappush(heap, (nd, edge[0]))
+        for v, _, _, both_ways in topology.out_edges[x]:
+            nd = d + both_ways
+            if nd <= limit and nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
-def _hop_counts(out_edges: dict[NodeId, tuple[LatencyEdge, ...]], root: NodeId,
+def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
                 round_trip: bool) -> dict[NodeId, int]:
     hops = {root: 0}
     frontier = [root]
@@ -408,7 +436,7 @@ def _hop_counts(out_edges: dict[NodeId, tuple[LatencyEdge, ...]], root: NodeId,
         depth += 1
         reached = []
         for x in frontier:
-            for v, _, rt in out_edges[x]:
+            for v, _, _, rt in out_edges[x]:
                 if v not in hops and (rt < INFINITY or not round_trip):
                     hops[v] = depth
                     reached.append(v)
@@ -416,19 +444,19 @@ def _hop_counts(out_edges: dict[NodeId, tuple[LatencyEdge, ...]], root: NodeId,
     return hops
 
 
-def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
-            targets: list[NodeId], toward: bool) -> dict[NodeId, float]:
+def _widest(view: PlannerView, root: NodeId, lifetimes: Lifetimes,
+            targets: list[NodeId], toward: bool) -> list[float]:
     """Widest-path (max-min) lifetime from root to each target, or with
-    ``toward`` from each target to root over edges that have a reverse edge
-    (Dijkstra, stopped once every target is settled; targets left out are
-    unreachable). Edge weights are read from and filled into the piece's
-    lifetime table, the one its label searches read, so they compare exactly
-    with the bottlenecks of candidates. Going toward root, the search walks
-    the in-edge index: v transmits over (v, x)."""
-    energy, spend = view.energy, view.spend
-    phase_j = view.config_phase_energy_j
-    index = view.in_edges if toward else view.out_edges
-    width = {root: INFINITY}
+    ``toward`` from each target to root over edges that have a reverse edge,
+    by node id (Dijkstra, stopped once every target is settled; a target
+    left at minus infinity is unreachable). Edge weights are read from the
+    piece's lifetime table, the one its label searches read, so they compare
+    exactly with the bottlenecks of candidates. Going toward root, the
+    search walks the in-edge index: v transmits over (v, x)."""
+    topology = view.topology
+    index = topology.in_edges if toward else topology.out_edges
+    width = [-INFINITY] * topology.size
+    width[root] = INFINITY
     heap = [(-INFINITY, root)]
     left = set(targets)
     while heap and left:
@@ -437,15 +465,11 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
         if w < width[x]:
             continue
         left.discard(x)
-        for edge in index[x]:                    # both end in (eps_j, edge id)
+        for edge in index[x]:                    # both start (v, edge id)
             v = edge[0]
-            life = lifetimes[edge[-1]]
-            if life is None:
-                u = v if toward else x
-                life = lifetimes[edge[-1]] = lifetime_from_spend(
-                    energy[u], spend[u] + edge[-2] * rate, phase_j)
+            life = lifetimes[edge[1]]
             nw = life if life < w else w
-            if nw > width.get(v, -INFINITY):
+            if nw > width[v]:
                 width[v] = nw
                 heapq.heappush(heap, (-nw, v))
     return width
@@ -454,16 +478,13 @@ def _widest(view: PlannerView, root: NodeId, rate: float, lifetimes: Lifetimes,
 def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float,
                     lifetimes: Lifetimes | None = None) -> float:
     """Minimum projected lifetime over a chain's transmitting nodes, read
-    from and filled into ``lifetimes`` when given."""
+    from ``lifetimes`` when given."""
     if lifetimes is None:
-        lifetimes = view.new_lifetimes()
-    ids = view.edge_ids
+        lifetimes = view.lifetimes(rate)
+    ids = view.topology.edge_ids
     bot = INFINITY
     for edge in zip(chain, chain[1:]):
-        eid = ids[edge]
-        life = lifetimes[eid]
-        if life is None:
-            life = lifetimes[eid] = view.edge_lifetime(*edge, rate)
+        life = lifetimes[ids[edge]]
         if life < bot:
             bot = life
     return bot
@@ -522,13 +543,11 @@ def compute_plan(
         hops_c = topology.hop_counts(piece.consumer, round_trip=True)
         to_go = topology.round_trip_to_go(piece.consumer, limit)
         reachable = [p for p in alive_proxies
-                     if p in hops_s and p in to_go
+                     if p in hops_s and to_go[p] < INFINITY
                      and p not in (piece.source, piece.consumer)]
-        lifetimes = view.new_lifetimes()
-        width_s = _widest(view, piece.source, piece.rate, lifetimes, reachable,
-                          toward=False)
-        width_c = _widest(view, piece.consumer, piece.rate, lifetimes, reachable,
-                          toward=True)
+        lifetimes = view.lifetimes(piece.rate)
+        width_s = _widest(view, piece.source, lifetimes, reachable, toward=False)
+        width_c = _widest(view, piece.consumer, lifetimes, reachable, toward=True)
         bounds = sorted((-min(width_s[p], width_c[p]), hops_s[p] + hops_c[p], p)
                         for p in reachable)
         best = None   # ((-bottleneck, hops, chain, proxy), proxy, s_seg, c_seg)

@@ -285,6 +285,10 @@ RUN_RULES = (
     ("interference.duration_cycles",
      lambda cfg: cfg.interference.duration_cycles >= 1, "must be >= 1"),
     ("run.horizon", lambda cfg: cfg.horizon >= 1, "must be >= 1"),
+    # The engine tests the strategy by name, so an unknown one would run as
+    # PDD under its own label.
+    ("run.strategy", lambda cfg: cfg.strategy in STRATEGIES,
+     f"unknown strategy; expected one of {', '.join(STRATEGIES)}"),
 )
 
 
@@ -368,9 +372,6 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
 
     if cfg.metrics_stride < 0:
         err("run.metrics_stride", "must be >= 0")
-    if cfg.strategy not in STRATEGIES:
-        err("run.strategy", f"unknown strategy {cfg.strategy!r}; "
-                            f"expected one of {', '.join(STRATEGIES)}")
     for cycle, node in cfg.forced_deaths:
         if cycle < 0 or cycle >= cfg.horizon:
             err("events.forced_deaths", f"cycle {cycle} outside the horizon")

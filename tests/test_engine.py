@@ -27,8 +27,7 @@ def calm_scenario(**overrides) -> ScenarioConfig:
 class TestStaticBehavior:
     def test_unknown_strategy_is_rejected(self):
         # A misspelled strategy used to run as PDD under its own label.
-        with pytest.raises(ValueError, match=r"^strategy: unknown strategy "
-                                             r"'DistrDataFWD'") as err:
+        with pytest.raises(ValueError, match=r"^run\.strategy: unknown strategy") as err:
             Simulation(calm_scenario(strategy="DistrDataFWD"))
         assert all(name in str(err.value) for name in STRATEGIES)
 

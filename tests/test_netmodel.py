@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fwdsim import (DataPiece, LinkState, NetworkState, NodeState, PathRow,
                     PathTable, Simulation, TopologyError, install_path,
                     sample_access_latency, validate_paths, walk_chain)
-from fwdsim.netmodel import PathViolation
+from fwdsim.netmodel import PathViolation, path_installed
 
 from conftest import grid, make_net, quiet_config
 from oracles import (reference_chain, reference_sample_access_latency,
@@ -191,6 +191,42 @@ class TestValidatePaths:
         net, table, piece = line_fixture()
         table.drop_row(0, 2)
         assert walk_chain(table, 0, 0) == [0, 1, 2]
+
+
+class TestPathInstalled:
+    """``path_installed`` holds exactly when the rows are the chain's, with
+    the chain's order keys, and every traversed link is active."""
+
+    def test_holds_after_install(self):
+        net, table, _ = line_fixture()
+        assert path_installed(net, table, 0, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("chain", [[0, 1, 2], [0, 1, 2, 3, 2], [3, 2, 1, 0]])
+    def test_another_chain_is_not_installed(self, chain):
+        net, table, _ = line_fixture()
+        assert not path_installed(net, table, 0, chain)
+
+    @pytest.mark.parametrize("row", [PathRow(prev=0, next=2, order_key=1.5),
+                                     PathRow(prev=None, next=2, order_key=1.0),
+                                     PathRow(prev=0, next=None, order_key=1.0)])
+    def test_a_changed_row_is_not_installed(self, row):
+        net, table, _ = line_fixture()
+        table.set_row(0, 1, row)
+        assert not path_installed(net, table, 0, [0, 1, 2, 3])
+
+    def test_an_extra_row_is_not_installed(self):
+        net = make_net([(0, 1), (1, 2), (2, 3), (1, 4)],
+                       {u: 1.0 for u in range(5)})
+        table = PathTable()
+        install_path(net, table, DataPiece(id=0, source=0, consumer=3, rate=1),
+                     [0, 1, 2, 3])
+        table.set_row(0, 4, PathRow(prev=1, next=None, order_key=5.0))
+        assert not path_installed(net, table, 0, [0, 1, 2, 3])
+
+    def test_an_inactive_link_is_not_installed(self):
+        net, table, _ = line_fixture()
+        net.deactivate(0, 1, 2)
+        assert not path_installed(net, table, 0, [0, 1, 2, 3])
 
 
 @settings(max_examples=50, deadline=None)

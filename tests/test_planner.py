@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwdsim import planner
+from fwdsim import netmodel, planner
 from fwdsim import (DataPiece, PlannerView, PlanningError, ScenarioConfig,
                     Simulation, StatusReport, bottleneck_path, compute_plan,
                     install_path, path_bottleneck, sample_access_latency,
                     status_from_network, validate_paths, walk_chain, PathTable)
 
-from conftest import grid, make_net, quiet_config
+from conftest import grid, make_net, mini_sim, quiet_config
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
                      random_planner_graph, reference_bottleneck_path,
                      reference_compute_plan)
@@ -151,37 +151,46 @@ class TestMatchesReferenceSearch:
             assert bottleneck_path(view, src, dst, **kwargs) == want
         assert len(view.topology._to_go) == 1
 
-    def test_direct_construction_builds_the_index(self):
+    def test_topology_builds_the_index(self):
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
         links[(2, 3)] = (40e-6, 4.0)                 # no way back from 3
-        view = PlannerView(energy={u: 5.0 for u in range(4)}, edges=links,
-                           spend={u: 0.0 for u in range(4)},
-                           config_phase_energy_j=PARAMS)
-        ids = view.edge_ids
+        view = view_from(links, {u: 5.0 for u in range(4)})
+        topology = view.topology
+        ids = topology.edge_ids
+        assert list(ids) == sorted(links)
         assert sorted(ids.values()) == list(range(len(links)))
-        assert set(ids) == set(links)
+        assert topology.tails == [u for u, _ in sorted(links)]
         assert view.out_neighbors(1) == [0, 2]
-        assert view.out_edges[2] == ((1, 7.0, 14.0, 50e-6, ids[(2, 1)]),
-                                     (3, 4.0, float("inf"), 40e-6, ids[(2, 3)]))
-        assert view.out_edges[3] == ()
+        assert topology.out_edges[2] == ((1, ids[(2, 1)], 7.0, 14.0),
+                                         (3, ids[(2, 3)], 4.0, float("inf")))
+        assert topology.out_edges[3] == ()
         # (2, 3) has no reverse edge, so it is in no in-edge list.
-        assert view.in_edges[2] == ((1, 50e-6, ids[(1, 2)]),)
-        assert view.in_edges[3] == ()
-        assert len(view.new_lifetimes()) == len(links)
-        reports = [StatusReport(node=u, energy_j=5.0,
-                                links={v: lk for (a, v), lk in links.items() if a == u})
-                   for u in range(4)]
-        built = PlannerView.from_status(reports, PARAMS)
-        assert built.edge_ids == ids
-        assert built.out_edges == view.out_edges
-        assert built.in_edges == view.in_edges
+        assert topology.in_edges[2] == ((1, ids[(1, 2)]),)
+        assert topology.in_edges[3] == ()
+        assert view.eps == [links[key][0] for key in sorted(links)]
+        assert view.edges == links
+
+    def test_views_that_fit_share_the_index(self):
+        # Other energies and costs, and a link to a node that did not
+        # report: the same node set and latencies, so the same index objects.
+        links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0), (0, 2): (50e-6, 9.0)})
+        first = view_from(links, {u: 5.0 for u in range(3)})
+        costlier = {key: (eps * 3.0, lat) for key, (eps, lat) in links.items()}
+        reports = [StatusReport(node=u, energy_j=2.0,
+                                links={**{v: lk for (a, v), lk in costlier.items() if a == u},
+                                       7: (50e-6, 1.0)})
+                   for u in range(3)]
+        second = PlannerView.from_status(reports, PARAMS, first.topology)
+        assert second.topology is first.topology
+        assert second.edges == costlier
+        assert first.edges == links
 
 
 class TestFloor:
     """A search started from a floor returns the unfloored path whenever
     that path is not strictly worse than the floor, and otherwise None or a
-    path strictly worse than the floor; a lifetime table shared with an
-    earlier search changes nothing."""
+    path strictly worse than the floor; a filled lifetime table shared with
+    an earlier search changes nothing."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -203,7 +212,7 @@ class TestFloor:
         lives = sorted({view.edge_lifetime(u, v, rate) for u, v in view.edges})
         floor = (data.draw(st.sampled_from(lives + [0.0, math.inf])),
                  data.draw(st.integers(-1, len(nodes))))
-        table = view.new_lifetimes()
+        table = view.lifetimes(rate)
         assert bottleneck_path(view, src, dst, lifetimes=table, **kwargs) == want
         got = bottleneck_path(view, src, dst, floor=floor, lifetimes=table, **kwargs)
 
@@ -215,6 +224,29 @@ class TestFloor:
             assert got == want
         else:
             assert got is None or key(got) > target
+
+
+class TestLifetimeTable:
+    """A filled lifetime table holds every edge's ``edge_lifetime`` at its
+    edge id, the special cases of ``lifetime_from_spend`` included: an
+    empty node, one at or under the configuration-phase energy, zero
+    spend."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_slot_is_the_edge_lifetime(self, seed, data):
+        rng = random.Random(seed)
+        view, nodes = random_planner_graph(rng, max_nodes=7, one_way=0.3)
+        levels = [0.0, PARAMS / 2, PARAMS, 2 * PARAMS, 5.0]
+        for u in nodes:
+            view.energy[u] = data.draw(st.sampled_from(levels))
+            view.spend[u] = data.draw(st.sampled_from([0.0, 1e-4]))
+        rate = data.draw(st.sampled_from([0, 1, 8]))
+        table = view.lifetimes(rate)
+        ids = view.topology.edge_ids
+        assert len(table) == len(ids)
+        for (u, v), eid in ids.items():
+            assert table[eid] == view.edge_lifetime(u, v, rate)
 
 
 class TestWidest:
@@ -248,10 +280,10 @@ class TestWidest:
         for _ in range(40):
             view, nodes = random_planner_graph(rng, one_way=0.3)
             for u in nodes:
-                want = tuple((v, view.edges[(v, u)][0], view.edge_ids[(v, u)])
+                want = tuple((v, view.topology.edge_ids[(v, u)])
                              for v in sorted(nodes)
                              if (v, u) in view.edges and (u, v) in view.edges)
-                assert view.in_edges[u] == want
+                assert view.topology.in_edges[u] == want
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -263,15 +295,15 @@ class TestWidest:
         others = [u for u in nodes if u != root]
         targets = data.draw(st.lists(st.sampled_from(others), unique=True))
         rate = data.draw(st.sampled_from([0, 1, 2, 8]))
-        table = view.new_lifetimes()          # shared, as compute_plan does
+        table = view.lifetimes(rate)          # shared, as compute_plan does
         for toward in data.draw(st.permutations([False, True])):
-            width = planner._widest(view, root, rate, table, targets, toward)
+            width = planner._widest(view, root, table, targets, toward)
             want = self.best_widths(view, root, rate, toward)
             assert width[root] == math.inf
             for t in targets:
-                assert width.get(t) == want.get(t)
-            for u, w in width.items():        # settled or not, a real path's
-                assert u == root or w <= want[u]
+                assert width[t] == want.get(t, -math.inf)
+            for u, w in enumerate(width):     # settled or not, a real path's
+                assert u == root or w == -math.inf or w <= want[u]
 
 
 def five_node_reports(dying=1):
@@ -497,23 +529,25 @@ class TestBranchAndBound:
                      cfg.latency_budget_ms, cfg.config_phase_energy_j)
         assert calls <= 133
 
-    def test_replan_grid_shares_edge_lifetimes(self, monkeypatch):
-        # The same plan as above. One lifetime table per piece, shared by
-        # the widest-path bounds and every label search, makes 5,740
-        # lifetime evaluations; one table per search made 13,940.
+    def test_replan_grid_fills_one_table_per_piece(self, monkeypatch):
+        # The same plan as above. Each piece's lifetime table is filled once,
+        # with one slot per edge, and shared by the widest-path bounds and
+        # every label search; no search fills one of its own.
         cfg, net, pieces = plan_instance(8, 8, 1)
-        calls = 0
-        lifetime = planner.lifetime_from_spend
+        sizes = []
+        fill = PlannerView.lifetimes
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return lifetime(*args, **kwargs)
+        def counting(view, rate):
+            table = fill(view, rate)
+            sizes.append((len(table), len(view.topology.edge_ids)))
+            return table
 
-        monkeypatch.setattr(planner, "lifetime_from_spend", counting)
-        compute_plan(status_from_network(net), pieces, net.proxies,
-                     cfg.latency_budget_ms, cfg.config_phase_energy_j)
-        assert calls == 5740
+        monkeypatch.setattr(PlannerView, "lifetimes", counting)
+        plan = compute_plan(status_from_network(net), pieces, net.proxies,
+                            cfg.latency_budget_ms, cfg.config_phase_energy_j)
+        assert len(plan.pieces) == len(pieces) == 15
+        assert len(sizes) == len(pieces)
+        assert all(slots == edges > 0 for slots, edges in sizes)
 
     @settings(max_examples=100, deadline=None)
     @given(instance=tie_heavy_plans(), data=st.data())
@@ -641,6 +675,53 @@ class TestRecompute:
         assert walk_chain(sim.table, 0, 0) == [0, 4, 3]
         assert not sim.piece_status[0].broken
         assert sim.metrics.delivered == [2, 2, 2, 4]   # restored at cycle 3
+
+    def test_round_rewrites_only_the_chains_it_changes(self, monkeypatch):
+        """Piece 0 is installed on the chain the round plans for it and
+        piece 1 on another one. The round leaves piece 0's rows, links,
+        table version and cached hops alone and rewrites piece 1's; both end
+        as a full install of the planned chain leaves them."""
+        edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4)]
+        energies = {0: 5.0, 1: 50.0, 2: 5.0, 3: 5.0, 4: 50.0}
+        pieces = [DataPiece(id=0, source=0, consumer=3, rate=2),
+                  DataPiece(id=1, source=2, consumer=0, rate=1)]
+        cfg = quiet_config(strategy="PDD-CR")
+        net = make_net(edges, energies, proxies={1, 4})
+        want = compute_plan(status_from_network(net), pieces, net.proxies,
+                            cfg.latency_budget_ms, cfg.config_phase_energy_j)
+        kept = want.pieces[0]
+        moved = next(chain for chain in ([2, 1, 0], [2, 3, 4, 0], [2, 1, 4, 0])
+                     if chain != want.pieces[1].chain)
+        sim = mini_sim(net, [(0, 3, kept.proxy, 2, kept.chain),
+                             (2, 0, 1 if 1 in moved else 4, 1, moved)],
+                       strategy="PDD-CR")
+        sim.run(1)                                   # caches both pieces' hops
+        rows = dict(sim.table.rows_for_piece(0))
+        versions = dict(sim.table.version)
+        hops = sim._chains[0][1]
+        plans = []
+        plan = planner.compute_plan
+
+        def recording(*args, **kwargs):
+            plans.append(plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(planner, "compute_plan", recording)
+        sim._controller_round()
+        assert plans[0].to_text() == want.to_text()
+        assert sim.table.version[0] == versions[0]
+        assert all(sim.table.rows_for_piece(0)[u] is row for u, row in rows.items())
+        assert sim._chain(sim.pieces[0])[0] is hops
+        assert sim.table.version[1] > versions[1]
+        fresh, table = make_net(edges, energies, proxies={1, 4}), PathTable()
+        for piece in pieces:
+            install_path(fresh, table, piece, want.pieces[piece.id].chain)
+        for piece in pieces:
+            assert sim.table.rows_for_piece(piece.id) == table.rows_for_piece(piece.id)
+            assert netmodel.path_installed(sim.net, sim.table, piece.id,
+                                           want.pieces[piece.id].chain)
+        assert ({key: link.active_pieces for key, link in sim.net.links.items()}
+                == {key: link.active_pieces for key, link in fresh.links.items()})
 
     def test_traced_rounds_match_charges_and_survivors(self):
         """One ``StatusMsg`` per charged node and one ``PlanMsg`` per
