@@ -509,8 +509,10 @@ class Simulation:
         every alive node with energy left pays one exchange
         (``controller_energy_j``) for its status upload, every alive node now
         empty dies, and the plan computed over the survivors is installed.
-        The planner gets the previous round's topology back and reuses it
-        when the reported nodes and link latencies are the same. The trace
+        The planner gets the network and the previous round's topology, and
+        when the alive nodes and link latencies are the same it reuses the
+        topology and reads the uploads' energies and costs from the network
+        directly. The trace
         shows each upload and each plan download, with -1 standing for the
         controller."""
         cost = self.cfg.controller_energy_j
@@ -524,8 +526,7 @@ class Simulation:
             node = self.net.nodes[u]
             if node.alive and node.energy_j <= 0.0:
                 self.mark_dead(u)
-        reports = planner.status_from_network(self.net)
-        plan = planner.compute_plan(reports, self.pieces, self.net.proxies,
+        plan = planner.compute_plan(self.net, self.pieces, self.net.proxies,
                                     self.cfg.latency_budget_ms,
                                     self.cfg.config_phase_energy_j,
                                     self._topology)

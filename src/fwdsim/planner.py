@@ -11,25 +11,34 @@ Segments come from a Pareto label search (Martins 1984) over the
 topology's adjacency index. A ``Topology`` numbers the directed edges once,
 and every index entry carries its edge's id, so a search reads per-edge data
 by list position rather than by a (u, v) key; its search state (label
-buckets, widths, distances) lives in lists indexed by node id. Three kinds
+buckets, widths, distances) lives in lists indexed by node id. Four kinds
 of work are reused, each exact by construction, so no plan depends on the
 reuse:
 
 * Edge lifetimes. A view's spend changes only at ``PlannerView.commit``,
-  between two pieces, so ``compute_plan`` fills one lifetime table per
-  piece, a list indexed by edge id, in one pass (``PlannerView.lifetimes``)
-  and shares it between both widest-path runs, every label search and every
-  candidate's bottleneck. A search called without a table fills its own.
+  between two pieces, and only for the committed chain's transmitters.
+  ``compute_plan`` fills a lifetime table, a list indexed by edge id, in one
+  pass (``PlannerView.lifetimes``) when the rate changes; pieces come in
+  rate order, so the next piece of the same rate carries the table on,
+  copied with only those transmitters' out-edges refilled. Both widest-path
+  runs, every label search and every candidate's bottleneck share the
+  piece's table. A search called without a table fills its own.
 * Incumbents. A label search may start from a floor, the (bottleneck, hops)
   a segment must reach for its candidate to tie the best one found so far;
   the labels the floor drops could only have led to candidates that lose.
-* Topology. The edge numbering and the adjacency indexes, round-trip
-  distances to a consumer, BFS hop counts and the hop-only searches without
-  exclusions read only the node set and the link latencies. They live on a
-  ``Topology``, which ``compute_plan`` hands back with its plan; the next
-  plan reuses it, indexes and all, when its reports have the same node set
-  and latencies, and builds a new one otherwise. A view then keeps only
-  the reported energies, costs and its spend.
+* Topology. The edge numbering and the adjacency indexes, the latency
+  caps of a search (from round-trip distances to a consumer), BFS hop
+  counts and the hop-only searches without exclusions read only the node
+  set and the link latencies. They live on a ``Topology``, which
+  ``compute_plan`` hands back with its plan; the next plan reuses it,
+  indexes and all, when its reports have the same node set and latencies,
+  and builds a new one otherwise. A view then keeps only the reported
+  energies, costs and its spend.
+* Status. A controller round hands ``compute_plan`` the network itself.
+  When the previous topology fits it, the view reads the energies and each
+  edge's cost from the network in edge-id order
+  (``PlannerView.from_network``), with no status reports built and read
+  back; otherwise it is built from ``status_from_network``'s reports.
 
 Proxies are searched branch-and-bound. Per piece, one widest-path (max-min,
 Pollack 1960) Dijkstra from the source and one toward the consumer bound
@@ -44,6 +53,7 @@ proxy gives.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,10 +104,11 @@ class Plan:
         return "\n".join(out) + "\n"
 
 
-# One out-edge index entry of u: (v, edge id, one-way latency, round-trip
-# latency) of (u, v). The round-trip latency is infinite when (v, u) is
-# missing.
-OutEdge = tuple[NodeId, int, float, float]
+# One entry of u's edge index: (v, edge id, 1 << v, latency) of (u, v),
+# where 1 << v is v's bit in a label's path mask. ``Topology.out_edges``
+# holds the one-way latency, ``Topology.round_trips`` the round-trip one,
+# infinite when (v, u) is missing.
+IndexEdge = tuple[NodeId, int, int, float]
 # One in-edge index entry of u: (v, edge id) of (v, u), whose reverse edge
 # (u, v) exists.
 InEdge = tuple[NodeId, int]
@@ -106,12 +117,13 @@ InEdge = tuple[NodeId, int]
 class Topology:
     """The node set and the link latencies of a view, and what is computed
     from them alone. Construction numbers the directed edges 0, 1, ... in
-    (u, v) order (``edge_ids``, ``tails``, ``latency``) and builds two
-    indexes: ``out_edges``, each node's out-edges sorted by neighbor id, and
+    (u, v) order (``edge_ids``, ``tails``, ``latency``) and builds three
+    indexes: ``out_edges`` and ``round_trips``, each node's out-edges sorted
+    by neighbor id with their one-way and round-trip latencies, and
     ``in_edges``, for each node u in the same order, the edges (v, u) whose
-    reverse edge (u, v) exists. Least round-trip latencies to a node, BFS
-    hop counts and hop-only label searches without exclusions are computed
-    on first use. Energies, costs and spend are no part of it, so one
+    reverse edge (u, v) exists. The latency caps of a search, BFS hop counts
+    and hop-only label searches without exclusions are computed on first
+    use. Energies, costs and spend are no part of it, so one
     Topology, its indexes included, serves every view with the same node set
     and latencies."""
 
@@ -122,16 +134,19 @@ class Topology:
         self.edge_ids = {key: eid for eid, key in enumerate(keys)}
         self.tails = [u for u, _ in keys]
         self.latency = [latencies[key] for key in keys]
-        out: dict[NodeId, list[OutEdge]] = {u: [] for u in sorted(self.nodes)}
+        out: dict[NodeId, list[IndexEdge]] = {u: [] for u in sorted(self.nodes)}
+        both: dict[NodeId, list[IndexEdge]] = {u: [] for u in out}
         into: dict[NodeId, list[InEdge]] = {u: [] for u in out}
         for eid, (u, v) in enumerate(keys):
             lat, back = self.latency[eid], latencies.get((v, u))
-            out[u].append((v, eid, lat, INFINITY if back is None else lat + back))
+            out[u].append((v, eid, 1 << v, lat))
+            both[u].append((v, eid, 1 << v, INFINITY if back is None else lat + back))
             if back is not None:
                 into[v].append((u, eid))
         self.out_edges = {u: tuple(es) for u, es in out.items()}
+        self.round_trips = {u: tuple(es) for u, es in both.items()}
         self.in_edges = {u: tuple(es) for u, es in into.items()}
-        self._to_go: dict[tuple[NodeId, float], list[float]] = {}
+        self._caps: dict[tuple[NodeId | None, float], list[float]] = {}
         self._hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = {}
         self._hop_paths: dict[tuple, tuple[NodeId, ...] | None] = {}
 
@@ -157,14 +172,26 @@ class Topology:
                     seen += 1
         return eps if seen == len(latency) else None
 
-    def round_trip_to_go(self, dst: NodeId, limit: float) -> list[float]:
-        """Least round-trip latency from each node to dst by node id, infinite
-        beyond ``limit``; computed once per (dst, limit)."""
-        key = (dst, limit)
-        dist = self._to_go.get(key)
-        if dist is None:
-            dist = self._to_go[key] = _round_trip_to_go(self, dst, limit)
-        return dist
+    def latency_caps(self, dst: NodeId, budget: float,
+                     round_trip: bool) -> list[float]:
+        """The most latency a label of a search for dst may carry into each
+        node, by node id: the budget, and under a finite round-trip budget
+        also the slack limit less the node's least round-trip latency to
+        dst, so a label that cannot reach dst within the budget is dropped,
+        and minus infinity at a node that cannot reach dst at all. Computed
+        once per (dst, budget) for a finite round-trip budget and once per
+        budget otherwise."""
+        round_trip = round_trip and budget < INFINITY
+        key = (dst if round_trip else None, budget)
+        caps = self._caps.get(key)
+        if caps is None:
+            # The slack keeps float rounding from pruning a path that fits
+            # the budget exactly.
+            limit = budget * (1.0 + 1e-9)
+            caps = self._caps[key] = (
+                [min(budget, limit - d) for d in _round_trip_to_go(self, dst, limit)]
+                if round_trip else [budget] * self.size)
+        return caps
 
     def hop_counts(self, root: NodeId, round_trip: bool = False) -> dict[NodeId, int]:
         """Fewest hops from root to each node it reaches (BFS); computed once
@@ -174,7 +201,7 @@ class Topology:
         key = (root, round_trip)
         hops = self._hops.get(key)
         if hops is None:
-            hops = self._hops[key] = _hop_counts(self.out_edges, root, round_trip)
+            hops = self._hops[key] = _hop_counts(self.round_trips, root, round_trip)
         return hops
 
     def hop_path(self, view: PlannerView, src: NodeId, dst: NodeId,
@@ -194,11 +221,12 @@ class Topology:
 
 @dataclass
 class PlannerView:
-    """Controller-side picture of the alive network built from status reports.
+    """Controller-side picture of the alive network built from status reports
+    or read from the network.
 
     The edges and their latencies are the ``topology``'s, which also numbers
-    and indexes them; a given topology is reused when the reports fit it
-    (``Topology.read_eps``), and a new one is built otherwise. The view
+    and indexes them; a given topology is reused when the reports or the
+    network fit it, and a new one is built otherwise. The view
     keeps the energies, ``eps`` (each edge's eps_j by edge id) and the
     spend. Energies and costs stay fixed for the view's life; only
     ``spend`` changes, so nothing derived from it is stored here.
@@ -227,6 +255,28 @@ class PlannerView:
                    config_phase_energy_j=config_phase_energy_j,
                    topology=topology, eps=eps)
 
+    @classmethod
+    def from_network(cls, net: NetworkState, config_phase_energy_j: float,
+                     topology: Topology | None = None) -> "PlannerView":
+        """``from_status(status_from_network(net), ...)``, read from the
+        network without status reports when ``topology`` fits it: its nodes
+        are the alive ones with energy left, and each of its edges has the
+        latency of the network's link. A network's links are fixed at
+        construction, so ``topology`` is one made from this network's
+        reports."""
+        if topology is not None:
+            energy = {u: node.energy_j for u, node in net.nodes.items()
+                      if node.alive and node.energy_j > 0.0}
+            if energy.keys() == topology.nodes:
+                links = [net.links[key] for key in topology.edge_ids]
+                if [link.latency_ms for link in links] == topology.latency:
+                    return cls(energy=energy, spend=dict.fromkeys(energy, 0.0),
+                               config_phase_energy_j=config_phase_energy_j,
+                               topology=topology,
+                               eps=[link.eps_j for link in links])
+        return cls.from_status(status_from_network(net), config_phase_energy_j,
+                               topology)
+
     @cached_property
     def edges(self) -> dict[tuple[NodeId, NodeId], tuple[float, float]]:
         """(eps_j, latency_ms) of every edge, keyed by (u, v)."""
@@ -237,18 +287,37 @@ class PlannerView:
     def out_neighbors(self, u: NodeId) -> list[NodeId]:
         return [edge[0] for edge in self.topology.out_edges.get(u, ())]
 
-    def lifetimes(self, rate: float) -> Lifetimes:
+    def lifetimes(self, rate: float, carried: Lifetimes | None = None,
+                  changed: Sequence[NodeId] = ()) -> Lifetimes:
         """The lifetime table for one rate under the current spend: the
         ``edge_lifetime`` of every edge, by edge id. Only the special cases
         of ``lifetime_from_spend`` (an empty node, one at or under the
         configuration-phase energy, zero spend) call it; every other edge's
-        lifetime is the same quotient, computed inline."""
+        lifetime is the same quotient, computed inline.
+
+        ``carried`` is the table for this rate before the spend of the
+        ``changed`` nodes last changed; the result is then a copy of it with
+        only their out-edges filled afresh, and ``carried`` is left as it
+        is."""
         energy, spend = self.energy, self.spend
         phase_j = self.config_phase_energy_j
         regular = phase_j if phase_j > 0.0 else 0.0  # above it: no special case
-        return [e / s if (e := energy[u]) > regular and (s := spend[u] + cost * rate)
-                else lifetime_from_spend(e, spend[u] + cost * rate, phase_j)
-                for u, cost in zip(self.topology.tails, self.eps)]
+        tails, eps = self.topology.tails, self.eps
+        if carried is None:
+            eids, edges = None, zip(tails, eps)
+        else:
+            out_edges = self.topology.out_edges
+            eids = [edge[1] for u in changed for edge in out_edges[u]]
+            edges = [(tails[eid], eps[eid]) for eid in eids]
+        fresh = [e / s if (e := energy[u]) > regular and (s := spend[u] + cost * rate)
+                 else lifetime_from_spend(e, spend[u] + cost * rate, phase_j)
+                 for u, cost in edges]
+        if eids is None:
+            return fresh
+        table = carried.copy()
+        for eid, life in zip(eids, fresh):
+            table[eid] = life
+        return table
 
     def edge_lifetime(self, u: NodeId, v: NodeId, rate: float) -> float:
         """Projected lifetime of u if it also forwards this piece over (u, v)."""
@@ -263,8 +332,8 @@ class PlannerView:
 
 
 # Edge id of (u, v) -> ``PlannerView.edge_lifetime(u, v, rate)`` for one rate.
-# Valid until the view's spend next changes: ``compute_plan`` fills one per
-# piece, since it only commits between pieces.
+# Valid until the view's spend next changes, at a commit between two pieces,
+# when ``PlannerView.lifetimes`` carries it on for the changed nodes.
 Lifetimes = list[float]
 
 
@@ -288,7 +357,7 @@ def bottleneck_path(
     latency_budget_ms: float | None,
     rate: float,
     round_trip: bool = False,
-    excluded: frozenset[NodeId] | set[NodeId] = frozenset(),
+    excluded: Collection[NodeId] = (),
     hop_only: bool = False,
     floor: tuple[float, int] | None = None,
     lifetimes: Lifetimes | None = None,
@@ -304,20 +373,25 @@ def bottleneck_path(
     criterion is ignored and the search simply minimizes hops within the
     budget (used to generate low-blocking candidate segments).
 
-    Expansion reads the topology's ``out_edges``, taking the one-way or the
-    round-trip latency. Edge lifetimes come from ``lifetimes``, the table
-    for this rate under the view's current spend (``PlannerView.lifetimes``),
-    filled here when not given. Label buckets sit in a list by node id, and
-    each label carries a bit mask of the nodes its path holds, excluded
-    nodes included. A node's first label enters its bucket without a
-    dominance scan. Two bounds drop labels that cannot win: a label whose
-    best possible terminal already loses to the incumbent, and, under a
-    round-trip budget, a label that cannot reach dst within the budget. The
-    labels such a label would dominate cannot win either, so dropping it
-    changes no result, tied paths included. The incumbent is the best
-    terminal label pushed so far, or from the start ``floor`` when given, a
-    (bottleneck, hops) pair: then the result is the unfloored one if that
-    is not strictly worse than the floor, and None otherwise.
+    Expansion reads the topology's ``out_edges`` or ``round_trips``
+    index, whichever latency the budget counts. Edge lifetimes come from
+    ``lifetimes``, the table for this rate under the view's current spend
+    (``PlannerView.lifetimes``), filled here when not given. Label buckets
+    sit in a list by node id, and each label carries a bit mask of the
+    nodes its path holds, excluded nodes included. A node's first label
+    enters its bucket without a dominance scan. Two bounds drop labels that
+    cannot win: a label whose best possible terminal already loses to the
+    incumbent, and one over its node's latency cap
+    (``Topology.latency_caps``), which under a round-trip budget drops a
+    label that cannot reach dst within the budget. The labels such a label
+    would dominate cannot win either, so dropping it changes no result,
+    tied paths included. The tests on an edge have no side effects, so the
+    one that drops most runs first. The incumbent is the best terminal label
+    found so far, or from the start ``floor`` when given, a (bottleneck,
+    hops) pair: then the result is the unfloored one if that is not
+    strictly worse than the floor, and None otherwise. A terminal label is
+    recorded, not pushed: any one the heap would never pop loses to one it
+    pops.
     """
     if src == dst:
         raise PlanningError("source and target must differ")
@@ -327,7 +401,7 @@ def bottleneck_path(
         return None
     budget = INFINITY if latency_budget_ms is None else latency_budget_ms
     topology = view.topology
-    out_edges = topology.out_edges
+    index = topology.round_trips if round_trip else topology.out_edges
     if hop_only:                                 # every label's bottleneck stays infinite
         lifetimes = [INFINITY] * len(topology.tails)
     elif lifetimes is None:
@@ -343,39 +417,24 @@ def bottleneck_path(
     # paths differ, so the heap never compares masks.
     heap: list[tuple[float, float, int, tuple[NodeId, ...], int]] = [
         (-INFINITY, 0.0, 0, (src,), mask)]
-    # (bottleneck, hops) of the best terminal label pushed so far, or the
+    # (bottleneck, hops) of the best terminal label found so far, or the
     # floor; the final answer is at least this good.
     inc_bot, inc_hops = (-INFINITY, 0) if floor is None else floor
-    # Least round-trip latency from each node on to dst. The slack keeps
-    # float rounding from pruning a path that fits the budget exactly.
-    limit = budget * (1.0 + 1e-9)
-    to_go = (topology.round_trip_to_go(dst, limit)
-             if round_trip and budget < INFINITY else None)
+    caps = topology.latency_caps(dst, budget, round_trip)
 
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        neg_bot, lat, hops, path, mask = heapq.heappop(heap)
+        neg_bot, lat, hops, path, mask = pop(heap)
         bot = -neg_bot
         if bot < inc_bot:
             # Bottlenecks only shrink along a path and the heap pops them in
             # descending order, so no remaining label can beat the incumbent.
             break
         u = path[-1]
-        if u == dst:
-            cand = (neg_bot, hops, path)
-            if best_terminal is None or cand < best_terminal:
-                best_terminal = cand
-            continue
         nhops = hops + 1
         if bot == inc_bot and nhops > inc_hops:
             continue
-        for v, eid, one_way, both_ways in out_edges[u]:
-            if mask >> v & 1:
-                continue
-            nlat = lat + (both_ways if round_trip else one_way)
-            if nlat > budget:
-                continue
-            if to_go is not None and nlat + to_go[v] > limit:
-                continue
+        for v, eid, bit, edge_lat in index[u]:
             life = lifetimes[eid]
             nbot = life if life < bot else bot
             # A label that can only end in a terminal worse than the
@@ -383,6 +442,11 @@ def bottleneck_path(
             # would keep out is no better, so cannot win either.
             if nbot < inc_bot or (nbot == inc_bot
                                   and nhops + (v != dst) > inc_hops):
+                continue
+            nlat = lat + edge_lat
+            if nlat > caps[v]:
+                continue
+            if mask & bit:
                 continue
             bucket = labels[v]
             if bucket is None:                   # v's first label
@@ -398,9 +462,15 @@ def bottleneck_path(
                     bucket = None                # the label is in
                 if bucket is not None:           # dominated: dropped
                     continue
-            if v == dst and (nbot > inc_bot or nhops < inc_hops):
+            if v != dst:
+                push(heap, (-nbot, nlat, nhops, path + (v,), mask | bit))
+                continue
+            # A terminal label is final: it is recorded, not pushed.
+            if nbot > inc_bot or nhops < inc_hops:
                 inc_bot, inc_hops = nbot, nhops
-            heapq.heappush(heap, (-nbot, nlat, nhops, path + (v,), mask | 1 << v))
+            cand = (-nbot, nhops, path + (v,))
+            if best_terminal is None or cand < best_terminal:
+                best_terminal = cand
 
     if best_terminal is None:
         return None
@@ -419,7 +489,7 @@ def _round_trip_to_go(topology: Topology, dst: NodeId, limit: float) -> list[flo
         d, x = heapq.heappop(heap)
         if d > dist[x]:
             continue
-        for v, _, _, both_ways in topology.out_edges[x]:
+        for v, _, _, both_ways in topology.round_trips[x]:
             nd = d + both_ways
             if nd <= limit and nd < dist[v]:
                 dist[v] = nd
@@ -427,7 +497,7 @@ def _round_trip_to_go(topology: Topology, dst: NodeId, limit: float) -> list[flo
     return dist
 
 
-def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
+def _hop_counts(round_trips: dict[NodeId, tuple[IndexEdge, ...]], root: NodeId,
                 round_trip: bool) -> dict[NodeId, int]:
     hops = {root: 0}
     frontier = [root]
@@ -436,7 +506,7 @@ def _hop_counts(out_edges: dict[NodeId, tuple[OutEdge, ...]], root: NodeId,
         depth += 1
         reached = []
         for x in frontier:
-            for v, _, _, rt in out_edges[x]:
+            for v, _, _, rt in round_trips[x]:
                 if v not in hops and (rt < INFINITY or not round_trip):
                     hops[v] = depth
                     reached.append(v)
@@ -459,8 +529,9 @@ def _widest(view: PlannerView, root: NodeId, lifetimes: Lifetimes,
     width[root] = INFINITY
     heap = [(-INFINITY, root)]
     left = set(targets)
+    pop, push = heapq.heappop, heapq.heappush
     while heap and left:
-        neg_w, x = heapq.heappop(heap)
+        neg_w, x = pop(heap)
         w = -neg_w
         if w < width[x]:
             continue
@@ -471,7 +542,7 @@ def _widest(view: PlannerView, root: NodeId, lifetimes: Lifetimes,
             nw = life if life < w else w
             if nw > width[v]:
                 width[v] = nw
-                heapq.heappush(heap, (-nw, v))
+                push(heap, (-nw, v))
     return width
 
 
@@ -491,7 +562,7 @@ def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float,
 
 
 def compute_plan(
-    reports: list[StatusReport],
+    status: list[StatusReport] | NetworkState,
     pieces,
     proxies: set[NodeId],
     latency_budget_ms: float,
@@ -519,19 +590,26 @@ def compute_plan(
     an infinite one would let the consumer segment take one-way links (their
     round-trip latency is infinite), which the bound does not cover.
 
-    ``topology`` is the previous plan's ``Plan.topology``; it is reused when
-    the reports have its node set and latencies. The plan carries the
-    topology it was made on.
+    ``status`` is the uploaded status reports or, in a controller round,
+    the network itself (``PlannerView.from_network``). ``topology`` is the
+    previous plan's ``Plan.topology``; it is reused when the reports or the
+    network have its node set and latencies. The plan carries the topology
+    it was made on.
     """
     if not 0 < latency_budget_ms < INFINITY:
         raise PlanningError("latency budget must be positive and finite")
-    view = PlannerView.from_status(reports, config_phase_energy_j, topology)
+    view = (PlannerView.from_network(status, config_phase_energy_j, topology)
+            if isinstance(status, NetworkState) else
+            PlannerView.from_status(status, config_phase_energy_j, topology))
     topology = view.topology
     plan = Plan(topology=topology)
     alive_proxies = sorted(p for p in proxies if p in view.energy)
-    # The same slack and cache key as the consumer searches' own pruning.
-    limit = latency_budget_ms * (1.0 + 1e-9)
 
+    # The lifetime table of the last planned rate, and the nodes whose spend
+    # changed since it was filled. Pieces come in rate order, and a commit
+    # changes only its chain's transmitters' spend, so the next piece of the
+    # same rate refills only their out-edges.
+    rate, lifetimes, changed = None, None, ()
     for piece in sorted(pieces, key=lambda p: (-p.rate, p.id)):
         if piece.source not in view.energy:
             plan.infeasible[piece.id] = "source not alive"
@@ -541,11 +619,16 @@ def compute_plan(
             continue
         hops_s = topology.hop_counts(piece.source)
         hops_c = topology.hop_counts(piece.consumer, round_trip=True)
-        to_go = topology.round_trip_to_go(piece.consumer, limit)
+        # The consumer searches' own caps: minus infinity beyond the budget.
+        caps = topology.latency_caps(piece.consumer, latency_budget_ms, True)
         reachable = [p for p in alive_proxies
-                     if p in hops_s and to_go[p] < INFINITY
+                     if p in hops_s and caps[p] > -INFINITY
                      and p not in (piece.source, piece.consumer)]
-        lifetimes = view.lifetimes(piece.rate)
+        if piece.rate != rate:
+            rate, lifetimes = piece.rate, view.lifetimes(piece.rate)
+        elif changed:
+            lifetimes = view.lifetimes(rate, lifetimes, changed)
+        changed = ()
         width_s = _widest(view, piece.source, lifetimes, reachable, toward=False)
         width_c = _widest(view, piece.consumer, lifetimes, reachable, toward=True)
         bounds = sorted((-min(width_s[p], width_c[p]), hops_s[p] + hops_c[p], p)
@@ -562,7 +645,9 @@ def compute_plan(
         _, proxy, s_seg, c_seg = best
         plan.pieces[piece.id] = PiecePlan(proxy=proxy, source_segment=s_seg,
                                           consumer_segment=c_seg)
-        view.commit(s_seg + c_seg[1:], piece.rate)
+        chain = s_seg + c_seg[1:]
+        view.commit(chain, rate)
+        changed = chain[:-1]
     return plan
 
 
@@ -621,7 +706,7 @@ def _best_candidate(view: PlannerView, piece, proxy: NodeId, budget_ms: float,
             continue
         tried.append(c_seg)
         offer(bottleneck_path(view, piece.source, proxy, None, rate,
-                              excluded=frozenset(c_seg) - {proxy},
+                              excluded=c_seg[1:],
                               floor=floor(len(c_seg) - 1), lifetimes=lifetimes),
               c_seg)
     tried = []
@@ -635,7 +720,7 @@ def _best_candidate(view: PlannerView, piece, proxy: NodeId, budget_ms: float,
         tried.append(s_seg)
         offer(s_seg, bottleneck_path(view, proxy, piece.consumer, budget_ms, rate,
                                      round_trip=True,
-                                     excluded=frozenset(s_seg) - {proxy},
+                                     excluded=s_seg[:-1],
                                      floor=floor(len(s_seg) - 1),
                                      lifetimes=lifetimes))
     return best

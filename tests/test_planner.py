@@ -1,16 +1,18 @@
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwdsim import netmodel, planner
-from fwdsim import (DataPiece, PlannerView, PlanningError, ScenarioConfig,
-                    Simulation, StatusReport, bottleneck_path, compute_plan,
-                    install_path, path_bottleneck, sample_access_latency,
-                    status_from_network, validate_paths, walk_chain, PathTable)
+from fwdsim import (DataPiece, InterferenceConfig, PlannerView, PlanningError,
+                    ScenarioConfig, Simulation, StatusReport, bottleneck_path,
+                    compute_plan, install_path, path_bottleneck,
+                    sample_access_latency, status_from_network, validate_paths,
+                    walk_chain, PathTable)
 
 from conftest import grid, make_net, mini_sim, quiet_config
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
@@ -72,6 +74,17 @@ class TestBottleneckPath:
         view = view_from(links, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0})
         path = bottleneck_path(view, 0, 3, None, rate=1.0, excluded={1})
         assert path == [0, 2, 3]
+
+    def test_round_trip_without_budget_crosses_a_one_way_edge(self):
+        # 2 -> 3 has no way back, so its round-trip latency is infinite. No
+        # budget admits it; the detour through the weak node 4 is taken
+        # only under a finite budget.
+        links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0),
+                     (0, 4): (50e-6, 5.0), (4, 3): (50e-6, 5.0)})
+        links[(2, 3)] = (50e-6, 4.0)
+        view = view_from(links, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0, 4: 0.5})
+        assert bottleneck_path(view, 0, 3, None, 1, round_trip=True) == [0, 1, 2, 3]
+        assert bottleneck_path(view, 0, 3, 1000.0, 1, round_trip=True) == [0, 4, 3]
 
     @pytest.mark.parametrize("round_trip", [False, True])
     def test_matches_exhaustive_enumeration(self, round_trip):
@@ -135,7 +148,7 @@ class TestMatchesReferenceSearch:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_same_consumer_twice_across_a_commit(self, seed, data):
-        # The second search reuses the view's round-trip distances to dst.
+        # The second search reuses the view's latency caps toward dst.
         rng = random.Random(seed)
         view, nodes = random_planner_graph(rng, max_nodes=9,
                                            latencies=(5.0, 10.0, 20.0))
@@ -149,7 +162,7 @@ class TestMatchesReferenceSearch:
         for src in (first, second):
             want = reference_bottleneck_path(view, src, dst, **kwargs)
             assert bottleneck_path(view, src, dst, **kwargs) == want
-        assert len(view.topology._to_go) == 1
+        assert len(view.topology._caps) == 1
 
     def test_topology_builds_the_index(self):
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0)})
@@ -161,9 +174,12 @@ class TestMatchesReferenceSearch:
         assert sorted(ids.values()) == list(range(len(links)))
         assert topology.tails == [u for u, _ in sorted(links)]
         assert view.out_neighbors(1) == [0, 2]
-        assert topology.out_edges[2] == ((1, ids[(2, 1)], 7.0, 14.0),
-                                         (3, ids[(2, 3)], 4.0, float("inf")))
-        assert topology.out_edges[3] == ()
+        assert topology.out_edges[2] == ((1, ids[(2, 1)], 1 << 1, 7.0),
+                                         (3, ids[(2, 3)], 1 << 3, 4.0))
+        # (2, 3) stays in the round-trip index, at an infinite latency.
+        assert topology.round_trips[2] == ((1, ids[(2, 1)], 1 << 1, 14.0),
+                                           (3, ids[(2, 3)], 1 << 3, float("inf")))
+        assert topology.out_edges[3] == topology.round_trips[3] == ()
         # (2, 3) has no reverse edge, so it is in no in-edge list.
         assert topology.in_edges[2] == ((1, ids[(1, 2)]),)
         assert topology.in_edges[3] == ()
@@ -529,25 +545,40 @@ class TestBranchAndBound:
                      cfg.latency_budget_ms, cfg.config_phase_energy_j)
         assert calls <= 133
 
-    def test_replan_grid_fills_one_table_per_piece(self, monkeypatch):
-        # The same plan as above. Each piece's lifetime table is filled once,
-        # with one slot per edge, and shared by the widest-path bounds and
-        # every label search; no search fills one of its own.
-        cfg, net, pieces = plan_instance(8, 8, 1)
-        sizes = []
-        fill = PlannerView.lifetimes
+    @settings(deadline=None)
+    @given(instance=tie_heavy_plans())
+    def test_carried_tables_equal_fresh_fills(self, instance):
+        # Every piece that gets as far as its widest-path bounds is handed a
+        # lifetime table equal to a fresh fill under the spend of the
+        # moment, whether it was filled for its rate or carried on from the
+        # piece before it. Only a change of rate fills a table afresh, and
+        # no table changes after its piece is planned.
+        reports, pieces, proxies, budget = instance
+        reported = {rep.node for rep in reports}
+        planned = [p for p in sorted(pieces, key=lambda p: (-p.rate, p.id))
+                   if p.source in reported and p.consumer in reported]
+        fill, widest = PlannerView.lifetimes, planner._widest
+        fills, tables = [], []
 
-        def counting(view, rate):
-            table = fill(view, rate)
-            sizes.append((len(table), len(view.topology.edge_ids)))
-            return table
+        def counting(view, rate, carried=None, changed=()):
+            if carried is None:
+                fills.append(rate)
+            return fill(view, rate, carried, changed)
 
-        monkeypatch.setattr(PlannerView, "lifetimes", counting)
-        plan = compute_plan(status_from_network(net), pieces, net.proxies,
-                            cfg.latency_budget_ms, cfg.config_phase_energy_j)
-        assert len(plan.pieces) == len(pieces) == 15
-        assert len(sizes) == len(pieces)
-        assert all(slots == edges > 0 for slots, edges in sizes)
+        def checking(view, root, lifetimes, targets, toward):
+            if not toward:
+                assert lifetimes == fill(view, planned[len(tables)].rate)
+                tables.append((lifetimes, list(lifetimes)))
+            return widest(view, root, lifetimes, targets, toward)
+
+        with mock.patch.object(PlannerView, "lifetimes", counting), \
+                mock.patch.object(planner, "_widest", checking):
+            got = compute_plan(reports, pieces, proxies, budget, PARAMS)
+        assert len(tables) == len(planned)
+        assert fills == sorted({p.rate for p in planned}, reverse=True)
+        assert all(table == snapshot for table, snapshot in tables)
+        want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
+        assert got.to_text() == want.to_text()
 
     @settings(max_examples=100, deadline=None)
     @given(instance=tie_heavy_plans(), data=st.data())
@@ -586,6 +617,81 @@ class TestBranchAndBound:
         slower = replace(first, links={**first.links,
                                        v: (first.links[v][0], first.links[v][1] + 1.0)})
         assert plan([slower] + drained[1:], topology).topology is not topology
+
+
+class TestNetworkView:
+    """``PlannerView.from_network`` is the view ``from_status`` builds from
+    the network's status reports, and reuses the topology exactly when
+    those reports fit it."""
+
+    @settings(deadline=None)
+    @given(seed=st.integers(1, 4), data=st.data())
+    def test_same_view_as_from_status_reports(self, seed, data):
+        _, net, _ = plan_instance(5, 5, seed)
+        topology = PlannerView.from_status(status_from_network(net), PARAMS).topology
+        nodes, links = sorted(net.nodes), sorted(net.links)
+        for u in data.draw(st.sets(st.sampled_from(nodes), max_size=8)):
+            node = net.nodes[u]
+            node.spent_j = node.initial_energy_j * data.draw(
+                st.sampled_from([0.5, 1 - 1e-3, 1 - 1e-6]))
+        for key in data.draw(st.sets(st.sampled_from(links), max_size=8)):
+            net.links[key].eps_j *= 3.0
+        change = data.draw(st.sampled_from(["none", "death", "drained", "latency"]))
+        u = data.draw(st.sampled_from(nodes))
+        if change == "death":
+            net.nodes[u].alive = False
+        elif change == "drained":                  # alive, exactly empty
+            net.nodes[u].spent_j = net.nodes[u].initial_energy_j
+        elif change == "latency":
+            net.links[data.draw(st.sampled_from(links))].latency_ms += 2.5
+        got = PlannerView.from_network(net, PARAMS, topology)
+        want = PlannerView.from_status(status_from_network(net), PARAMS, topology)
+        assert got.energy == want.energy
+        assert got.spend == want.spend
+        assert got.eps == want.eps
+        assert ((got.topology is topology) == (want.topology is topology)
+                == (change == "none"))
+        rebuilt = got.topology
+        assert rebuilt.nodes == want.topology.nodes
+        assert rebuilt.edge_ids == want.topology.edge_ids
+        assert rebuilt.latency == want.topology.latency
+        assert PlannerView.from_network(net, PARAMS, rebuilt).topology is rebuilt
+
+    def test_rounds_rebuild_after_a_latency_edit_between_runs(self, monkeypatch):
+        # Interference hits a link every cycle, and a hit that fires the
+        # trigger calls for a replan. Each round plans what a plan from fresh
+        # status reports plans; the first round after a caller slows a link
+        # builds a topology with the new latency, and the rounds after it
+        # reuse that one.
+        edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4)]
+        net = make_net(edges, {0: 5.0, 1: 50.0, 2: 5.0, 3: 5.0, 4: 50.0},
+                       proxies={1, 4})
+        pieces = [DataPiece(id=0, source=0, consumer=3, rate=2)]
+        cfg = quiet_config(strategy="PDD-CR",
+                           interference=InterferenceConfig(1.0, 3.0, 1, 1))
+        sim = Simulation(cfg, net=net, table=PathTable(), pieces=pieces)
+        plan = planner.compute_plan
+        rounds = []
+
+        def checking(status, pieces, proxies, budget, phase_j, topology):
+            got = plan(status, pieces, proxies, budget, phase_j, topology)
+            fresh = plan(status_from_network(sim.net), pieces, proxies, budget, phase_j)
+            assert got.to_text() == fresh.to_text()
+            rounds.append((topology, got.topology))
+            return got
+
+        monkeypatch.setattr(planner, "compute_plan", checking)
+        sim._controller_round()
+        sim.run(8)
+        before = len(rounds)
+        sim.net.links[(1, 2)].latency_ms += 2.5
+        sim.run(8)
+        assert before >= 3 and len(rounds) >= before + 2
+        for i, (given_, made) in enumerate(rounds[1:], start=1):
+            assert given_ is rounds[i - 1][1]
+            assert (made is given_) == (i != before)
+        made = rounds[before][1]
+        assert made.latency[made.edge_ids[(1, 2)]] == 12.5
 
 
 class TestRecompute:
