@@ -11,9 +11,8 @@ from .lifetime import (INFINITE_LIFETIME, lifetime_from_spend, max_epoch_duratio
 from .netmodel import (DataPiece, LinkState, NetworkState, NodeId, NodeState,
                        PathRow, PathTable, TopologyError, build_grid_topology,
                        install_path, validate_paths, walk_chain)
-from .planner import (Plan, PiecePlan, PlannerView, PlanningError, StatusReport,
-                      bottleneck_path, compute_plan, path_bottleneck,
-                      status_from_network)
+from .planner import (Plan, PiecePlan, PlannerView, PlanningError,
+                      bottleneck_path, compute_plan, path_bottleneck)
 from .protocol import (Alert, Join, ModifyPath, PlanMsg, ProtocolState,
                        RouteReply, RouteRequest, StatusMsg, disconnect,
                        handle_alert, join_path, local_aodv_plus,
@@ -29,7 +28,7 @@ __all__ = [
     "NetworkState", "NodeId", "NodeState", "PathRow", "PathTable", "Plan",
     "PlanMsg", "PiecePlan", "PlannerView", "PlanningError", "ProtocolState",
     "RouteReply", "RouteRequest", "STRATEGIES", "ScenarioConfig",
-    "ScenarioParseError", "Simulation", "StatusMsg", "StatusReport",
+    "ScenarioParseError", "Simulation", "StatusMsg",
     "TopologyError", "bottleneck_path",
     "build_grid_topology", "compute_plan", "disconnect",
     "handle_alert", "inject_interference", "install_path", "is_valid", "join_path",
@@ -37,7 +36,7 @@ __all__ = [
     "max_epoch_duration", "modify_path", "node_cycle",
     "node_spend", "parse_scenario", "path_bottleneck", "protocol",
     "render_scenario", "run_simulation", "sample_access_latency",
-    "sample_pieces", "status_from_network", "trigger_check", "validate_config",
+    "sample_pieces", "trigger_check", "validate_config",
     "validate_paths", "walk_chain",
 ]
 

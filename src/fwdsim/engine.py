@@ -509,12 +509,10 @@ class Simulation:
         every alive node with energy left pays one exchange
         (``controller_energy_j``) for its status upload, every alive node now
         empty dies, and the plan computed over the survivors is installed.
-        The planner gets the network and the previous round's topology, and
-        when the alive nodes and link latencies are the same it reuses the
-        topology and reads the uploads' energies and costs from the network
-        directly. The trace
-        shows each upload and each plan download, with -1 standing for the
-        controller."""
+        The planner reads the uploads' energies and costs from the network,
+        and reuses the previous round's topology when the alive nodes and
+        link latencies are the same. The trace shows each upload and each
+        plan download, with -1 standing for the controller."""
         cost = self.cfg.controller_energy_j
         for u in self._node_ids:
             node = self.net.nodes[u]

@@ -1,17 +1,18 @@
-"""Centralized controller: forwarding plans from node status reports.
+"""Centralized controller: forwarding plans from the network's node status.
 
-The controller assembles node status reports into a view of the alive
-network, then assigns each piece a caching proxy plus a source segment and a
-consumer segment. Segments are chosen to maximize the minimum projected
-lifetime of their transmitting nodes, subject to the round-trip access
-latency budget on the consumer side. Planning is greedy in descending rate
-order and fully deterministic under the documented tie-breaking.
+The controller reads the status its nodes upload, their energies and link
+costs, from the network into a view of the alive nodes, then assigns each
+piece a caching proxy plus a source segment and a consumer segment.
+Segments are chosen to maximize the minimum projected lifetime of their
+transmitting nodes, subject to the round-trip access latency budget on the
+consumer side. Planning is greedy in descending rate order and fully
+deterministic under the documented tie-breaking.
 
 Segments come from a Pareto label search (Martins 1984) over the
 topology's adjacency index. A ``Topology`` numbers the directed edges once,
 and every index entry carries its edge's id, so a search reads per-edge data
 by list position rather than by a (u, v) key; its search state (label
-buckets, widths, distances) lives in lists indexed by node id. Four kinds
+buckets, widths, distances) lives in lists indexed by node id. Three kinds
 of work are reused, each exact by construction, so no plan depends on the
 reuse:
 
@@ -31,14 +32,9 @@ reuse:
   counts and the hop-only searches without exclusions read only the node
   set and the link latencies. They live on a ``Topology``, which
   ``compute_plan`` hands back with its plan; the next plan reuses it,
-  indexes and all, when its reports have the same node set and latencies,
-  and builds a new one otherwise. A view then keeps only the reported
-  energies, costs and its spend.
-* Status. A controller round hands ``compute_plan`` the network itself.
-  When the previous topology fits it, the view reads the energies and each
-  edge's cost from the network in edge-id order
-  (``PlannerView.from_network``), with no status reports built and read
-  back; otherwise it is built from ``status_from_network``'s reports.
+  indexes and all, when the network has the same alive nodes and
+  latencies, and builds a new one otherwise. A view then keeps only the
+  energies, each edge's cost (read in edge-id order) and its spend.
 
 Proxies are searched branch-and-bound. Per piece, one widest-path (max-min,
 Pollack 1960) Dijkstra from the source and one toward the consumer bound
@@ -65,13 +61,6 @@ INFINITY = float("inf")
 
 class PlanningError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class StatusReport:
-    node: NodeId
-    energy_j: float
-    links: dict[NodeId, tuple[float, float]]   # neighbor -> (eps_j, latency_ms)
 
 
 @dataclass
@@ -150,28 +139,6 @@ class Topology:
         self._hops: dict[tuple[NodeId, bool], dict[NodeId, int]] = {}
         self._hop_paths: dict[tuple, tuple[NodeId, ...] | None] = {}
 
-    def read_eps(self, reports: list[StatusReport]) -> list[float] | None:
-        """Each edge's eps_j by edge id, read from status reports whose links
-        to reporting nodes are the edges, or None when the reports do not fit
-        this topology: their node set or a latency differs."""
-        nodes, ids, latency = self.nodes, self.edge_ids, self.latency
-        if len(reports) != len(nodes):
-            return None
-        eps = [0.0] * len(latency)
-        seen = 0
-        for rep in reports:
-            u = rep.node
-            if u not in nodes:
-                return None
-            for v, (cost, lat) in rep.links.items():
-                if v in nodes:
-                    eid = ids.get((u, v))
-                    if eid is None or latency[eid] != lat:
-                        return None
-                    eps[eid] = cost
-                    seen += 1
-        return eps if seen == len(latency) else None
-
     def latency_caps(self, dst: NodeId, budget: float,
                      round_trip: bool) -> list[float]:
         """The most latency a label of a search for dst may carry into each
@@ -221,15 +188,15 @@ class Topology:
 
 @dataclass
 class PlannerView:
-    """Controller-side picture of the alive network built from status reports
-    or read from the network.
+    """Controller-side picture of the alive network, read from the network
+    (``from_network``).
 
     The edges and their latencies are the ``topology``'s, which also numbers
-    and indexes them; a given topology is reused when the reports or the
-    network fit it, and a new one is built otherwise. The view
-    keeps the energies, ``eps`` (each edge's eps_j by edge id) and the
-    spend. Energies and costs stay fixed for the view's life; only
-    ``spend`` changes, so nothing derived from it is stored here.
+    and indexes them; a given topology is reused when the network fits it,
+    and a new one is built otherwise. The view keeps the energies, ``eps``
+    (each edge's eps_j by edge id) and the spend. Energies and costs stay
+    fixed for the view's life; only ``spend`` changes, so nothing derived
+    from it is stored here.
     """
 
     energy: dict[NodeId, float]
@@ -239,43 +206,26 @@ class PlannerView:
     eps: list[float] = field(repr=False)                     # by edge id
 
     @classmethod
-    def from_status(cls, reports: list[StatusReport], config_phase_energy_j: float,
-                    topology: Topology | None = None) -> "PlannerView":
-        """A view of the links between reporting nodes; ``topology`` is
-        reused when the reports fit it."""
-        ordered = sorted(reports, key=lambda r: r.node)
-        energy = {rep.node: rep.energy_j for rep in ordered}
-        eps = None if topology is None else topology.read_eps(ordered)
-        if eps is None:
-            topology = Topology(energy, {(rep.node, v): lat for rep in ordered
-                                         for v, (_, lat) in rep.links.items()
-                                         if v in energy})
-            eps = topology.read_eps(ordered)
-        return cls(energy=energy, spend={u: 0.0 for u in energy},
-                   config_phase_energy_j=config_phase_energy_j,
-                   topology=topology, eps=eps)
-
-    @classmethod
     def from_network(cls, net: NetworkState, config_phase_energy_j: float,
                      topology: Topology | None = None) -> "PlannerView":
-        """``from_status(status_from_network(net), ...)``, read from the
-        network without status reports when ``topology`` fits it: its nodes
-        are the alive ones with energy left, and each of its edges has the
-        latency of the network's link. A network's links are fixed at
-        construction, so ``topology`` is one made from this network's
-        reports."""
-        if topology is not None:
-            energy = {u: node.energy_j for u, node in net.nodes.items()
-                      if node.alive and node.energy_j > 0.0}
-            if energy.keys() == topology.nodes:
-                links = [net.links[key] for key in topology.edge_ids]
-                if [link.latency_ms for link in links] == topology.latency:
-                    return cls(energy=energy, spend=dict.fromkeys(energy, 0.0),
-                               config_phase_energy_j=config_phase_energy_j,
-                               topology=topology,
-                               eps=[link.eps_j for link in links])
-        return cls.from_status(status_from_network(net), config_phase_energy_j,
-                               topology)
+        """A view of the alive nodes with energy left and the links between
+        them, at zero spend. ``topology`` is reused when it fits: its nodes
+        are those nodes, and each of its edges has the latency of the
+        network's link. A network's links are fixed at construction, so
+        ``topology`` is one made from this network."""
+        links = net.links
+        energy = {u: node.energy_j for u, node in net.nodes.items()
+                  if node.alive and node.energy_j > 0.0}
+        edges = ([links[key] for key in topology.edge_ids]
+                 if topology is not None and energy.keys() == topology.nodes else None)
+        if edges is None or [link.latency_ms for link in edges] != topology.latency:
+            topology = Topology(energy, {key: link.latency_ms
+                                         for key, link in links.items()
+                                         if key[0] in energy and key[1] in energy})
+            edges = [links[key] for key in topology.edge_ids]
+        return cls(energy=energy, spend=dict.fromkeys(energy, 0.0),
+                   config_phase_energy_j=config_phase_energy_j,
+                   topology=topology, eps=[link.eps_j for link in edges])
 
     @cached_property
     def edges(self) -> dict[tuple[NodeId, NodeId], tuple[float, float]]:
@@ -291,9 +241,9 @@ class PlannerView:
                   changed: Sequence[NodeId] = ()) -> Lifetimes:
         """The lifetime table for one rate under the current spend: the
         ``edge_lifetime`` of every edge, by edge id. Only the special cases
-        of ``lifetime_from_spend`` (an empty node, one at or under the
-        configuration-phase energy, zero spend) call it; every other edge's
-        lifetime is the same quotient, computed inline.
+        of ``lifetime_from_spend`` (a node at or under the configuration-phase
+        energy, zero spend) call it; every other edge's lifetime is the same
+        quotient, computed inline.
 
         ``carried`` is the table for this rate before the spend of the
         ``changed`` nodes last changed; the result is then a copy of it with
@@ -335,19 +285,6 @@ class PlannerView:
 # Valid until the view's spend next changes, at a commit between two pieces,
 # when ``PlannerView.lifetimes`` carries it on for the changed nodes.
 Lifetimes = list[float]
-
-
-def status_from_network(net: NetworkState) -> list[StatusReport]:
-    """Status reports for every alive node, as uploaded to the controller."""
-    reports = []
-    for u in sorted(net.nodes):
-        node = net.nodes[u]
-        if not node.alive or node.energy_j <= 0.0:
-            continue
-        links = {v: (net.links[(u, v)].eps_j, net.links[(u, v)].latency_ms)
-                 for v in net.neighbors[u]}
-        reports.append(StatusReport(node=u, energy_j=node.energy_j, links=links))
-    return reports
 
 
 def bottleneck_path(
@@ -562,7 +499,7 @@ def path_bottleneck(view: PlannerView, chain: list[NodeId], rate: float,
 
 
 def compute_plan(
-    status: list[StatusReport] | NetworkState,
+    net: NetworkState,
     pieces,
     proxies: set[NodeId],
     latency_budget_ms: float,
@@ -590,17 +527,14 @@ def compute_plan(
     an infinite one would let the consumer segment take one-way links (their
     round-trip latency is infinite), which the bound does not cover.
 
-    ``status`` is the uploaded status reports or, in a controller round,
-    the network itself (``PlannerView.from_network``). ``topology`` is the
-    previous plan's ``Plan.topology``; it is reused when the reports or the
-    network have its node set and latencies. The plan carries the topology
-    it was made on.
+    The view is read from ``net`` (``PlannerView.from_network``).
+    ``topology`` is the previous plan's ``Plan.topology``; it is reused when
+    the network still has its node set and latencies. The plan carries the
+    topology it was made on.
     """
     if not 0 < latency_budget_ms < INFINITY:
         raise PlanningError("latency budget must be positive and finite")
-    view = (PlannerView.from_network(status, config_phase_energy_j, topology)
-            if isinstance(status, NetworkState) else
-            PlannerView.from_status(status, config_phase_energy_j, topology))
+    view = PlannerView.from_network(net, config_phase_energy_j, topology)
     topology = view.topology
     plan = Plan(topology=topology)
     alive_proxies = sorted(p for p in proxies if p in view.energy)

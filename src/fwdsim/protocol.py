@@ -44,8 +44,8 @@ JOIN_KEY_STEP = ORDER_KEY_GAP * 1e-6
 
 @dataclass(frozen=True)
 class StatusMsg:
-    """Node -> controller status upload (traced only; the engine gathers
-    reports directly when planning)."""
+    """Node -> controller status upload (traced only; the planner reads
+    each node's status from the network)."""
     node: NodeId
     energy_j: float
 

@@ -391,8 +391,7 @@ def validate_config(cfg: ScenarioConfig) -> list[Finding]:
     if not pieces:
         warn("data.consumer_fraction", "no pieces sampled")
         return findings
-    reports = planner.status_from_network(net)
-    plan = planner.compute_plan(reports, pieces, net.proxies,
+    plan = planner.compute_plan(net, pieces, net.proxies,
                                 cfg.latency_budget_ms, cfg.config_phase_energy_j)
     for pid in sorted(plan.infeasible):
         warn("protocol.latency_budget_ms",

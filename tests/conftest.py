@@ -58,6 +58,24 @@ def make_net(edges, energies, proxies=frozenset(), eps=50e-6, latency=10.0,
     )
 
 
+def status_net(links, energies) -> NetworkState:
+    """A NetworkState whose nodes report ``energies`` (node -> joules) and
+    whose links are exactly ``links``, directed (u, v) -> (eps, latency).
+    Unlike ``make_net`` it mirrors nothing, so a link may stay one-way. A
+    node that a link names but ``energies`` leaves out is dead
+    (``alive=False``), as a node that sends no status upload."""
+    ids = sorted(set(energies).union(*links))
+    return NetworkState(
+        nodes={u: NodeState(node=u, pos=(float(u), 0.0),
+                            initial_energy_j=energies.get(u, 0.0),
+                            alive=u in energies) for u in ids},
+        links={key: LinkState(eps_j=eps, eps_prev_j=eps, latency_ms=lat)
+               for key, (eps, lat) in links.items()},
+        proxies=set(),
+        neighbors={u: tuple(sorted(v for a, v in links if a == u)) for u in ids},
+    )
+
+
 def grid(rows, cols, range_m, proxies, seed) -> NetworkState:
     """A seeded grid at 2.5 m spacing with fixed fixture draws: latencies
     8-12 ms, 50 uJ per piece per hop, nodes 0-10 J, proxies 30 J."""

@@ -44,7 +44,7 @@ from fwdsim import (INFINITE_LIFETIME, DataPiece, EngineError, NetworkState,
 from fwdsim.engine import DATA, NodeCtx
 from fwdsim.netmodel import PathReport, PathViolation
 
-from conftest import make_net
+from conftest import make_net, status_net
 
 
 def brute_force_epoch_bound(net, table, pieces, config_phase_energy_j) -> float:
@@ -157,13 +157,11 @@ def enumerate_best_bottleneck(view, src, dst, budget, rate, round_trip=False):
 def random_planner_graph(rng: random.Random, max_nodes: int = 8,
                          latencies: tuple[float, ...] | None = None,
                          one_way: float = 0.0):
-    """Random small connected graph expressed as a PlannerView plus the raw
-    pieces needed to drive compute_plan. Latencies are uniform in [3, 20] ms,
-    or drawn from ``latencies`` when given (coarse sets make ties common).
-    With ``one_way``, each link loses one of its two directions with that
-    probability."""
-    from fwdsim import PlannerView, StatusReport
-
+    """Random small connected graph expressed as a PlannerView read from a
+    ``status_net`` network, plus its node list. Latencies are uniform in
+    [3, 20] ms, or drawn from ``latencies`` when given (coarse sets make
+    ties common). With ``one_way``, each link loses one of its two
+    directions with that probability."""
     n = rng.randint(3, max_nodes)
     nodes = list(range(n))
     edges = set()
@@ -185,13 +183,8 @@ def random_planner_graph(rng: random.Random, max_nodes: int = 8,
         for u, v in sorted(edges):
             if rng.random() < one_way:
                 del links[rng.choice([(u, v), (v, u)])]
-    reports = []
-    for u in nodes:
-        own = {v: links[(u, v)] for (a, v) in links if a == u}
-        reports.append(StatusReport(node=u,
-                                    energy_j=rng.choice([0.05, 0.5, 2.0, 8.0]),
-                                    links=own))
-    view = PlannerView.from_status(reports, 5e-3)
+    energies = {u: rng.choice([0.05, 0.5, 2.0, 8.0]) for u in nodes}
+    view = PlannerView.from_network(status_net(links, energies), 5e-3)
     for u in nodes:                      # pre-existing load on some nodes
         if rng.random() < 0.4:
             view.spend[u] = rng.uniform(0.0, 2e-4)
@@ -340,7 +333,7 @@ def _insert_label(existing: list[tuple[float, float, int]],
     existing.append((lat, bot, hops))
 
 
-def reference_compute_plan(reports, pieces, proxies, latency_budget_ms, params):
+def reference_compute_plan(net, pieces, proxies, latency_budget_ms, params):
     """``compute_plan`` as it stood before branch and bound over proxies,
     verbatim: every alive proxy is tried with the unchanged label search.
 
@@ -349,11 +342,12 @@ def reference_compute_plan(reports, pieces, proxies, latency_budget_ms, params):
     segment carries the round-trip latency budget, the source segment only
     needs to exist. Segments may share no node but the proxy. Unplannable
     pieces are reported in ``Plan.infeasible``; the caller counts their
-    traffic as lost until a later plan covers them.
+    traffic as lost until a later plan covers them. The view is read afresh
+    from ``net``.
     """
     if latency_budget_ms <= 0:
         raise PlanningError("latency budget must be positive")
-    view = PlannerView.from_status(reports, params)
+    view = PlannerView.from_network(net, params)
     plan = Plan()
     alive_proxies = sorted(p for p in proxies if p in view.energy)
 

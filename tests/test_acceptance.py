@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from fwdsim import (DataPiece, InterferenceConfig, PlannerView, ScenarioConfig,
-                    Simulation, StatusReport, bottleneck_path,
+                    Simulation, bottleneck_path,
                     lifetime_from_spend, max_epoch_duration, path_bottleneck,
                     run_simulation, walk_chain)
 from fwdsim.cli import run_grid

@@ -4,20 +4,20 @@ Every strategy on the shipped ``default`` and ``forced_death`` scenarios at
 seeds 1-3, full horizon: the SHA-256 of ``csv_text() + summary_text()`` must
 match the value recorded here, and so must the local-repair message trace of
 both scenarios at seed 1. The central planner's ``Plan.to_text()`` is pinned
-the same way on grids from 3x6 to 14x14, both for the initial status reports
-and for a perturbed, replan-like set of reports, and so is every plan of a
+the same way on grids from 3x6 to 14x14, both for the initial network and
+for a perturbed, replan-like copy of it, and so is every plan of a
 PDD-CR run's chain of controller rounds. A change that moves a digest on
 purpose updates it here and says why in CHANGES.md.
 """
 
+import copy
 import hashlib
 import random
 from dataclasses import replace
 from pathlib import Path
 
-from fwdsim import (InterferenceConfig, Simulation, StatusReport, compute_plan,
-                    parse_scenario, planner, sample_pieces,
-                    status_from_network)
+from fwdsim import (InterferenceConfig, NetworkState, Simulation, compute_plan,
+                    parse_scenario, planner, sample_pieces)
 
 from conftest import churn_config
 
@@ -159,20 +159,24 @@ def plan_instance(rows: int, cols: int, seed: int):
     return cfg, net, sample_pieces(cfg, net)
 
 
-def perturbed(reports: list[StatusReport], seed: int) -> list[StatusReport]:
-    """A replan-like view: about 8% of nodes gone, about 10% of link costs
-    tripled, every energy scaled by a factor in [0.5, 1.0]."""
+def perturbed(net: NetworkState, seed: int) -> NetworkState:
+    """A replan-like copy of the network: about 8% of its alive nodes with
+    energy left dead, about 10% of their link costs tripled, and every
+    energy of the others scaled by a factor in [0.5, 1.0]."""
     rng = random.Random(f"{seed}:perturb")
-    out = []
-    for rep in reports:
-        if rng.random() < 0.08:
+    out = copy.deepcopy(net)
+    for u in sorted(out.nodes):
+        node = out.nodes[u]
+        if not node.alive or node.energy_j <= 0.0:
             continue
-        links = {}
-        for v, (eps, lat) in sorted(rep.links.items()):
-            links[v] = (eps * 3.0 if rng.random() < 0.1 else eps, lat)
-        out.append(StatusReport(node=rep.node,
-                                energy_j=rep.energy_j * rng.uniform(0.5, 1.0),
-                                links=links))
+        if rng.random() < 0.08:
+            node.alive = False
+            continue
+        for v in out.neighbors[u]:
+            if rng.random() < 0.1:
+                out.links[(u, v)].eps_j *= 3.0
+        node.initial_energy_j = node.energy_j * rng.uniform(0.5, 1.0)
+        node.spent_j = 0.0
     return out
 
 
@@ -180,10 +184,8 @@ def test_plan_texts_match_golden_digests():
     got = {}
     for rows, cols, seed in sorted({k[:3] for k in GOLDEN_PLANS}):
         cfg, net, pieces = plan_instance(rows, cols, seed)
-        reports = status_from_network(net)
-        for view, reps in (("initial", reports),
-                           ("perturbed", perturbed(reports, seed))):
-            plan = compute_plan(reps, pieces, net.proxies,
+        for view, state in (("initial", net), ("perturbed", perturbed(net, seed))):
+            plan = compute_plan(state, pieces, net.proxies,
                                 cfg.latency_budget_ms, cfg.config_phase_energy_j)
             got[(rows, cols, seed, view)] = sha256(plan.to_text())
     moved = {k: v for k, v in got.items() if GOLDEN_PLANS[k] != v}

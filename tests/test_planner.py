@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from dataclasses import replace
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 from fwdsim import netmodel, planner
 from fwdsim import (DataPiece, InterferenceConfig, PlannerView, PlanningError,
-                    ScenarioConfig, Simulation, StatusReport, bottleneck_path,
+                    ScenarioConfig, Simulation, bottleneck_path,
                     compute_plan, install_path, path_bottleneck,
-                    sample_access_latency, status_from_network, validate_paths,
-                    walk_chain, PathTable)
+                    sample_access_latency, validate_paths, walk_chain, PathTable)
 
-from conftest import grid, make_net, mini_sim, quiet_config
+from conftest import grid, make_net, mini_sim, quiet_config, status_net
 from oracles import (enumerate_best_bottleneck, enumerate_single_piece_plan,
                      random_planner_graph, reference_bottleneck_path,
                      reference_compute_plan)
@@ -24,11 +24,7 @@ PARAMS = 5e-3   # config_phase_energy_j
 
 
 def view_from(links, energies, spend=None):
-    reports = []
-    for u in sorted(energies):
-        own = {v: links[(a, v)] for (a, v) in links if a == u}
-        reports.append(StatusReport(node=u, energy_j=energies[u], links=own))
-    view = PlannerView.from_status(reports, PARAMS)
+    view = PlannerView.from_network(status_net(links, energies), PARAMS)
     if spend:
         view.spend.update(spend)
     return view
@@ -187,16 +183,14 @@ class TestMatchesReferenceSearch:
         assert view.edges == links
 
     def test_views_that_fit_share_the_index(self):
-        # Other energies and costs, and a link to a node that did not
-        # report: the same node set and latencies, so the same index objects.
+        # Other energies and costs, and a link to a dead node: the same node
+        # set and latencies, so the same index objects.
         links = sym({(0, 1): (50e-6, 5.0), (1, 2): (50e-6, 7.0), (0, 2): (50e-6, 9.0)})
         first = view_from(links, {u: 5.0 for u in range(3)})
         costlier = {key: (eps * 3.0, lat) for key, (eps, lat) in links.items()}
-        reports = [StatusReport(node=u, energy_j=2.0,
-                                links={**{v: lk for (a, v), lk in costlier.items() if a == u},
-                                       7: (50e-6, 1.0)})
-                   for u in range(3)]
-        second = PlannerView.from_status(reports, PARAMS, first.topology)
+        net = status_net({**costlier, **{(u, 7): (50e-6, 1.0) for u in range(3)}},
+                         dict.fromkeys(range(3), 2.0))
+        second = PlannerView.from_network(net, PARAMS, first.topology)
         assert second.topology is first.topology
         assert second.edges == costlier
         assert first.edges == links
@@ -322,25 +316,21 @@ class TestWidest:
                 assert u == root or w == -math.inf or w <= want[u]
 
 
-def five_node_reports(dying=1):
+def five_node_net(dying=1):
     """Proxies 1 and 2; the route to proxy `dying` passes a nearly-dead relay."""
     links = sym({(0, 3): (50e-6, 10.0), (3, 1): (50e-6, 10.0),
                  (0, 4): (50e-6, 10.0), (4, 2): (50e-6, 10.0),
                  (1, 5): (50e-6, 10.0), (2, 5): (50e-6, 10.0)})
     energies = {0: 5.0, 1: 50.0, 2: 50.0, 3: 5.0, 4: 5.0, 5: 5.0}
     energies[3 if dying == 1 else 4] = 0.02
-    reports = []
-    for u in sorted(energies):
-        own = {v: links[(a, v)] for (a, v) in links if a == u}
-        reports.append(StatusReport(node=u, energy_j=energies[u], links=own))
-    return reports, links, energies
+    return status_net(links, energies), links, energies
 
 
 class TestComputePlan:
     def test_avoids_proxy_behind_nearly_dead_relay(self):
-        reports, links, energies = five_node_reports(dying=1)
+        net, links, energies = five_node_net(dying=1)
         piece = DataPiece(id=0, source=0, consumer=5, rate=4)
-        plan = compute_plan(reports, [piece], {1, 2}, 100.0, PARAMS)
+        plan = compute_plan(net, [piece], {1, 2}, 100.0, PARAMS)
         assert plan.pieces[0].proxy == 2
         # brute force agrees on the winning bottleneck
         view = view_from(links, energies)
@@ -349,28 +339,25 @@ class TestComputePlan:
 
     def test_adjacent_source_proxy_consumer_two_hop_plan(self):
         links = sym({(0, 1): (50e-6, 10.0), (1, 2): (50e-6, 10.0)})
-        reports = []
-        for u in (0, 1, 2):
-            own = {v: links[(a, v)] for (a, v) in links if a == u}
-            reports.append(StatusReport(node=u, energy_j=5.0, links=own))
+        net = status_net(links, dict.fromkeys((0, 1, 2), 5.0))
         piece = DataPiece(id=0, source=0, consumer=2, rate=1)
-        plan = compute_plan(reports, [piece], {1}, 100.0, PARAMS)
+        plan = compute_plan(net, [piece], {1}, 100.0, PARAMS)
         assert plan.pieces[0].source_segment == [0, 1]
         assert plan.pieces[0].consumer_segment == [1, 2]
 
     def test_unattainable_budget_reported_infeasible(self):
-        reports, _, _ = five_node_reports()
+        net, _, _ = five_node_net()
         piece = DataPiece(id=0, source=0, consumer=5, rate=4)
-        plan = compute_plan(reports, [piece], {1, 2}, 1.0, PARAMS)
+        plan = compute_plan(net, [piece], {1, 2}, 1.0, PARAMS)
         assert plan.pieces == {}
         assert "no latency-feasible path" in plan.infeasible[0]
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
     def test_budget_must_be_positive_and_finite(self, budget):
-        reports, _, _ = five_node_reports()
+        net, _, _ = five_node_net()
         piece = DataPiece(id=0, source=0, consumer=5, rate=4)
         with pytest.raises(PlanningError):
-            compute_plan(reports, [piece], {1, 2}, budget, PARAMS)
+            compute_plan(net, [piece], {1, 2}, budget, PARAMS)
 
     def test_matches_single_piece_enumeration(self):
         rng = random.Random(4242)
@@ -380,12 +367,9 @@ class TestComputePlan:
                 continue
             src, cons, proxy_a, proxy_b = rng.sample(nodes, 4)
             piece = DataPiece(id=0, source=src, consumer=cons, rate=rng.randint(1, 8))
-            reports = [StatusReport(node=u, energy_j=view.energy[u],
-                                    links={v: view.edges[(a, v)]
-                                           for (a, v) in view.edges if a == u})
-                       for u in sorted(view.energy)]
-            fresh = PlannerView.from_status(reports, PARAMS)
-            plan = compute_plan(reports, [piece], {proxy_a, proxy_b}, 150.0, PARAMS)
+            net = status_net(view.edges, view.energy)
+            fresh = PlannerView.from_network(net, PARAMS)
+            plan = compute_plan(net, [piece], {proxy_a, proxy_b}, 150.0, PARAMS)
             best = enumerate_single_piece_plan(fresh, piece, {proxy_a, proxy_b}, 150.0)
             if best is None:
                 assert 0 in plan.infeasible
@@ -396,11 +380,11 @@ class TestComputePlan:
             assert got_bot == best[4]
 
     def test_planning_is_deterministic(self):
-        reports, _, _ = five_node_reports()
+        net, _, _ = five_node_net()
         pieces = [DataPiece(id=0, source=0, consumer=5, rate=4),
                   DataPiece(id=1, source=5, consumer=0, rate=4)]
-        a = compute_plan(reports, pieces, {1, 2}, 100.0, PARAMS)
-        b = compute_plan(reports, pieces, {1, 2}, 100.0, PARAMS)
+        a = compute_plan(net, pieces, {1, 2}, 100.0, PARAMS)
+        b = compute_plan(net, pieces, {1, 2}, 100.0, PARAMS)
         assert a.to_text() == b.to_text()
 
     def test_emitted_plans_validate_and_respect_budget(self):
@@ -413,8 +397,7 @@ class TestComputePlan:
             net.nodes[6].initial_energy_j = 100.0
             pieces = [DataPiece(id=0, source=0, consumer=11, rate=3),
                       DataPiece(id=1, source=4, consumer=1, rate=6)]
-            plan = compute_plan(status_from_network(net), pieces, net.proxies,
-                                100.0, PARAMS)
+            plan = compute_plan(net, pieces, net.proxies, 100.0, PARAMS)
             table = PathTable()
             for pid, pp in plan.pieces.items():
                 piece = pieces[pid]
@@ -431,8 +414,8 @@ def tie_heavy_plans(draw):
     """A small planning problem where ties are the rule: latencies of 5, 10
     or 20 ms, energies at or below the configuration-phase energy (lifetime
     1.0) or empty, pieces of rate 0, proxies on sources, consumers or
-    cut-off nodes, some one-way links and some nodes missing from the
-    reports."""
+    cut-off nodes, some one-way links and some dead nodes. An empty node
+    drops out of the view, as it does in every controller round."""
     n = draw(st.integers(4, 10))
     node = st.integers(0, n - 1)
     pairs = [(u, draw(st.integers(0, u - 1))) for u in range(1, n)
@@ -448,10 +431,8 @@ def tie_heavy_plans(draw):
                 links[(v, u)] = draw(link)
     energy = st.sampled_from([0.0, 1e-3, PARAMS,
                               0.05, 0.2, 0.5, 2.0, 8.0])
-    reported = [u for u in range(n) if draw(st.integers(0, 9))]
-    reports = [StatusReport(node=u, energy_j=draw(energy),
-                            links={v: lk for (a, v), lk in links.items() if a == u})
-               for u in reported]
+    alive = [u for u in range(n) if draw(st.integers(0, 9))]
+    net = status_net(links, {u: draw(energy) for u in alive})
     pieces = [DataPiece(id=pid, source=source,
                         consumer=(source + draw(st.integers(1, n - 1))) % n,
                         rate=draw(st.sampled_from([0, 1, 2, 4])))
@@ -459,31 +440,28 @@ def tie_heavy_plans(draw):
                                                          max_size=6)))]
     proxies = draw(st.sets(node, min_size=2, max_size=n))
     budget = draw(st.sampled_from([20.0, 40.0, 60.0, 100.0, 1000.0]))
-    return reports, pieces, proxies, budget
+    return net, pieces, proxies, budget
 
 
 @st.composite
-def next_round(draw, reports):
-    """The reports of a later controller round: every energy and link cost
-    drawn again, and now and then one node gone or one latency changed."""
+def next_round(draw, net):
+    """Edits ``net`` into what a later controller round sees: every alive
+    node's energy and every link's cost drawn again, and now and then one
+    node dead or one latency changed."""
     energy = st.sampled_from([0.0, 1e-3, PARAMS,
                               0.05, 0.2, 0.5, 2.0, 8.0])
     eps = st.sampled_from([25e-6, 50e-6, 150e-6])
-    out = [StatusReport(node=rep.node, energy_j=draw(energy),
-                        links={v: (draw(eps), lat)
-                               for v, (_, lat) in rep.links.items()})
-           for rep in reports]
+    alive = [u for u in sorted(net.nodes) if net.nodes[u].alive]
+    for u in alive:
+        net.nodes[u].initial_energy_j, net.nodes[u].spent_j = draw(energy), 0.0
+    for key in sorted(net.links):
+        net.links[key].eps_j = draw(eps)
     change = draw(st.sampled_from(["none", "drop", "latency"]))
-    if change == "drop" and out:
-        del out[draw(st.integers(0, len(out) - 1))]
-    linked = [i for i, rep in enumerate(out) if rep.links]
-    if change == "latency" and linked:
-        i = draw(st.sampled_from(linked))
-        links = dict(out[i].links)
-        v = draw(st.sampled_from(sorted(links)))
-        links[v] = (links[v][0], links[v][1] + draw(st.sampled_from([-2.5, 5.0])))
-        out[i] = replace(out[i], links=links)
-    return out
+    if change == "drop" and alive:
+        net.nodes[draw(st.sampled_from(alive))].alive = False
+    if change == "latency" and net.links:
+        link = net.links[draw(st.sampled_from(sorted(net.links)))]
+        link.latency_ms += draw(st.sampled_from([-2.5, 5.0]))
 
 
 class TestBranchAndBound:
@@ -493,9 +471,9 @@ class TestBranchAndBound:
     @settings(max_examples=600, deadline=None)
     @given(instance=tie_heavy_plans())
     def test_same_plan_as_trying_every_proxy(self, instance):
-        reports, pieces, proxies, budget = instance
-        want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
-        got = compute_plan(reports, pieces, proxies, budget, PARAMS)
+        net, pieces, proxies, budget = instance
+        want = reference_compute_plan(net, pieces, proxies, budget, PARAMS)
+        got = compute_plan(net, pieces, proxies, budget, PARAMS)
         assert got.to_text() == want.to_text()
 
     @pytest.mark.parametrize("case", ["source first", "consumer first"])
@@ -517,15 +495,12 @@ class TestBranchAndBound:
             energies = {u: 0.05 for u in range(10) if u != 8}
             energies[3] = 0.02
             consumer, proxies, chain = 9, {1, 2}, [0, 5, 2, 4, 9]
-        links = sym({pair: (50e-6, 10.0) for pair in pairs})
-        reports = [StatusReport(node=u, energy_j=e,
-                                links={v: lk for (a, v), lk in links.items() if a == u})
-                   for u, e in energies.items()]
+        net = status_net(sym({pair: (50e-6, 10.0) for pair in pairs}), energies)
         piece = DataPiece(id=0, source=0, consumer=consumer, rate=1)
-        plan = compute_plan(reports, [piece], proxies, 40.0, PARAMS)
+        plan = compute_plan(net, [piece], proxies, 40.0, PARAMS)
         assert plan.pieces[0].chain == chain
         assert plan.to_text() == reference_compute_plan(
-            reports, [piece], proxies, 40.0, PARAMS).to_text()
+            net, [piece], proxies, 40.0, PARAMS).to_text()
 
     def test_replan_grid_skips_proxies(self, monkeypatch):
         # The replan benchmark's 8x8 grid at seed 1, initial plan: 15 pieces,
@@ -541,7 +516,7 @@ class TestBranchAndBound:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(planner, "bottleneck_path", counting)
-        compute_plan(status_from_network(net), pieces, net.proxies,
+        compute_plan(net, pieces, net.proxies,
                      cfg.latency_budget_ms, cfg.config_phase_energy_j)
         assert calls <= 133
 
@@ -553,10 +528,10 @@ class TestBranchAndBound:
         # moment, whether it was filled for its rate or carried on from the
         # piece before it. Only a change of rate fills a table afresh, and
         # no table changes after its piece is planned.
-        reports, pieces, proxies, budget = instance
-        reported = {rep.node for rep in reports}
+        net, pieces, proxies, budget = instance
+        viewed = PlannerView.from_network(net, PARAMS).energy
         planned = [p for p in sorted(pieces, key=lambda p: (-p.rate, p.id))
-                   if p.source in reported and p.consumer in reported]
+                   if p.source in viewed and p.consumer in viewed]
         fill, widest = PlannerView.lifetimes, planner._widest
         fills, tables = [], []
 
@@ -573,96 +548,105 @@ class TestBranchAndBound:
 
         with mock.patch.object(PlannerView, "lifetimes", counting), \
                 mock.patch.object(planner, "_widest", checking):
-            got = compute_plan(reports, pieces, proxies, budget, PARAMS)
+            got = compute_plan(net, pieces, proxies, budget, PARAMS)
         assert len(tables) == len(planned)
         assert fills == sorted({p.rate for p in planned}, reverse=True)
         assert all(table == snapshot for table, snapshot in tables)
-        want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
+        want = reference_compute_plan(net, pieces, proxies, budget, PARAMS)
         assert got.to_text() == want.to_text()
 
     @settings(max_examples=100, deadline=None)
     @given(instance=tie_heavy_plans(), data=st.data())
     def test_plan_sequence_sharing_a_topology(self, instance, data):
-        # Each plan hands its topology to the next, as controller rounds do.
-        reports, pieces, proxies, budget = instance
+        # Each plan hands its topology to the next, as controller rounds do,
+        # on the one network that changes between them.
+        net, pieces, proxies, budget = instance
         topology = None
         for round_ in range(data.draw(st.integers(2, 4))):
             if round_:
-                reports = data.draw(next_round(reports))
-            want = reference_compute_plan(reports, pieces, proxies, budget, PARAMS)
-            got = compute_plan(reports, pieces, proxies, budget, PARAMS, topology)
+                data.draw(next_round(net))
+            want = reference_compute_plan(net, pieces, proxies, budget, PARAMS)
+            got = compute_plan(net, pieces, proxies, budget, PARAMS, topology)
             assert got.to_text() == want.to_text()
             topology = got.topology
 
     def test_topology_reused_only_for_same_nodes_and_latencies(self):
         cfg, net, pieces = plan_instance(6, 6, 1)
-        reports = status_from_network(net)
 
-        def plan(reps, topology):
-            return compute_plan(reps, pieces, net.proxies,
+        def plan(state, topology):
+            return compute_plan(state, pieces, net.proxies,
                                 cfg.latency_budget_ms, cfg.config_phase_energy_j,
                                 topology)
 
-        topology = plan(reports, None).topology
-        drained = [replace(rep, energy_j=rep.energy_j / 2,
-                           links={v: (eps * 3.0, lat)
-                                  for v, (eps, lat) in rep.links.items()})
-                   for rep in reports]
+        topology = plan(net, None).topology
+        drained = copy.deepcopy(net)
+        for node in drained.nodes.values():
+            node.spent_j = node.initial_energy_j / 2
+        for link in drained.links.values():
+            link.eps_j *= 3.0
         again = plan(drained, topology)
         assert again.topology is topology
         assert again.to_text() == plan(drained, None).to_text()
-        assert plan(drained[1:], topology).topology is not topology
-        first = drained[0]
-        v = min(first.links)
-        slower = replace(first, links={**first.links,
-                                       v: (first.links[v][0], first.links[v][1] + 1.0)})
-        assert plan([slower] + drained[1:], topology).topology is not topology
+        dead = copy.deepcopy(drained)
+        dead.nodes[0].alive = False
+        assert plan(dead, topology).topology is not topology
+        slower = copy.deepcopy(drained)
+        slower.links[min(slower.links)].latency_ms += 1.0
+        assert plan(slower, topology).topology is not topology
 
 
 class TestNetworkView:
-    """``PlannerView.from_network`` is the view ``from_status`` builds from
-    the network's status reports, and reuses the topology exactly when
-    those reports fit it."""
+    """``PlannerView.from_network`` reuses a given topology exactly when the
+    network's alive nodes with energy left and its link latencies still
+    match it, and a view read through a reused topology is the view read
+    fresh."""
 
     @settings(deadline=None)
     @given(seed=st.integers(1, 4), data=st.data())
-    def test_same_view_as_from_status_reports(self, seed, data):
+    def test_reused_topology_reads_the_fresh_view(self, seed, data):
+        # A chain of rounds on one network, each handed the topology of the
+        # one before. Drains and cost edits leave every node some energy;
+        # at most one change per round drains a node to exactly 0 J, kills
+        # one, or slows one of the topology's edges.
         _, net, _ = plan_instance(5, 5, seed)
-        topology = PlannerView.from_status(status_from_network(net), PARAMS).topology
+        topology = PlannerView.from_network(net, PARAMS).topology
         nodes, links = sorted(net.nodes), sorted(net.links)
-        for u in data.draw(st.sets(st.sampled_from(nodes), max_size=8)):
-            node = net.nodes[u]
-            node.spent_j = node.initial_energy_j * data.draw(
-                st.sampled_from([0.5, 1 - 1e-3, 1 - 1e-6]))
-        for key in data.draw(st.sets(st.sampled_from(links), max_size=8)):
-            net.links[key].eps_j *= 3.0
-        change = data.draw(st.sampled_from(["none", "death", "drained", "latency"]))
-        u = data.draw(st.sampled_from(nodes))
-        if change == "death":
-            net.nodes[u].alive = False
-        elif change == "drained":                  # alive, exactly empty
-            net.nodes[u].spent_j = net.nodes[u].initial_energy_j
-        elif change == "latency":
-            net.links[data.draw(st.sampled_from(links))].latency_ms += 2.5
-        got = PlannerView.from_network(net, PARAMS, topology)
-        want = PlannerView.from_status(status_from_network(net), PARAMS, topology)
-        assert got.energy == want.energy
-        assert got.spend == want.spend
-        assert got.eps == want.eps
-        assert ((got.topology is topology) == (want.topology is topology)
-                == (change == "none"))
-        rebuilt = got.topology
-        assert rebuilt.nodes == want.topology.nodes
-        assert rebuilt.edge_ids == want.topology.edge_ids
-        assert rebuilt.latency == want.topology.latency
-        assert PlannerView.from_network(net, PARAMS, rebuilt).topology is rebuilt
+        for _ in range(data.draw(st.integers(1, 3))):
+            for u in data.draw(st.sets(st.sampled_from(nodes), max_size=8)):
+                node = net.nodes[u]
+                node.spent_j = max(node.spent_j, node.initial_energy_j * data.draw(
+                    st.sampled_from([0.5, 1 - 1e-3, 1 - 1e-6])))
+            for key in data.draw(st.sets(st.sampled_from(links), max_size=8)):
+                net.links[key].eps_j *= 3.0
+            change = data.draw(st.sampled_from(["none", "death", "drained", "latency"]))
+            u = data.draw(st.sampled_from(sorted(topology.nodes)))
+            if change == "death":
+                net.nodes[u].alive = False
+            elif change == "drained":                  # alive, exactly empty
+                net.nodes[u].spent_j = net.nodes[u].initial_energy_j
+            elif change == "latency":
+                key = data.draw(st.sampled_from(sorted(topology.edge_ids)))
+                net.links[key].latency_ms += 2.5
+            got = PlannerView.from_network(net, PARAMS, topology)
+            want = PlannerView.from_network(net, PARAMS)
+            assert got.energy == want.energy
+            assert got.spend == want.spend
+            assert got.eps == want.eps
+            assert (got.topology is topology) == (change == "none")
+            assert want.topology is not topology
+            made = got.topology
+            assert made.nodes == want.topology.nodes
+            assert made.edge_ids == want.topology.edge_ids
+            assert made.latency == want.topology.latency
+            topology = made
+        assert PlannerView.from_network(net, PARAMS, topology).topology is topology
 
     def test_rounds_rebuild_after_a_latency_edit_between_runs(self, monkeypatch):
         # Interference hits a link every cycle, and a hit that fires the
-        # trigger calls for a replan. Each round plans what a plan from fresh
-        # status reports plans; the first round after a caller slows a link
-        # builds a topology with the new latency, and the rounds after it
-        # reuse that one.
+        # trigger calls for a replan. Each round plans what a plan on a
+        # topology built afresh plans; the first round after a caller slows a
+        # link builds a topology with the new latency, and the rounds after
+        # it reuse that one.
         edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4)]
         net = make_net(edges, {0: 5.0, 1: 50.0, 2: 5.0, 3: 5.0, 4: 50.0},
                        proxies={1, 4})
@@ -673,9 +657,9 @@ class TestNetworkView:
         plan = planner.compute_plan
         rounds = []
 
-        def checking(status, pieces, proxies, budget, phase_j, topology):
-            got = plan(status, pieces, proxies, budget, phase_j, topology)
-            fresh = plan(status_from_network(sim.net), pieces, proxies, budget, phase_j)
+        def checking(net, pieces, proxies, budget, phase_j, topology):
+            got = plan(net, pieces, proxies, budget, phase_j, topology)
+            fresh = plan(net, pieces, proxies, budget, phase_j)
             assert got.to_text() == fresh.to_text()
             rounds.append((topology, got.topology))
             return got
@@ -793,7 +777,7 @@ class TestRecompute:
                   DataPiece(id=1, source=2, consumer=0, rate=1)]
         cfg = quiet_config(strategy="PDD-CR")
         net = make_net(edges, energies, proxies={1, 4})
-        want = compute_plan(status_from_network(net), pieces, net.proxies,
+        want = compute_plan(net, pieces, net.proxies,
                             cfg.latency_budget_ms, cfg.config_phase_energy_j)
         kept = want.pieces[0]
         moved = next(chain for chain in ([2, 1, 0], [2, 3, 4, 0], [2, 1, 4, 0])
