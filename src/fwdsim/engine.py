@@ -91,12 +91,15 @@ however long the stretch. A node's ``spent_j`` is read by no quiet cycle.
 Every cycle ends the same way, written once for a range of cycles
 [start, stop): ``Simulation._sample_requests`` draws the range's consumer
 requests and tallies them, and ``Simulation._close`` adds the range's
-counts to the totals, checks piece conservation and extends the metrics
-series in bulk with the rows of its row cycles (``Simulation._row_ranges``:
-every stride-th cycle, and the horizon's last). A row's counter totals
-form progressions along the stride grid too. A step calls each with its
-one cycle; a stretch calls each once, after its event loop, for every
-cycle it ran, and calls nothing per quiet cycle. The request stream is
+counts to the totals, checks piece conservation and adds the rows of its
+row cycles (``Simulation._row_ranges``: every stride-th cycle, and the
+horizon's last) to the metrics, one block per progression of them. A row's
+counter totals form progressions along the stride grid too, so a block
+keeps the first and the step of each, the data totals and served latencies
+it is handed, and its constant columns once (``Metrics``); nothing is built
+per row. A step calls each with its one cycle; a stretch calls each once,
+after its event loop, for every cycle it ran, and calls nothing per quiet
+cycle. The request stream is
 drawn apart from the interference stream, so drawing a stretch's requests
 after its hits draws the same values, and a stretch changes nothing that
 ``sample_access_latency`` reads, so each piece's access latency is sampled
@@ -166,20 +169,22 @@ class PieceStatus:
 
 @dataclass
 class Metrics:
-    """Per-cycle series plus run totals. Counter series are cumulative;
-    max_latency_ms is the worst access latency sampled in that cycle."""
+    """Per-cycle rows plus run totals. Counter columns are cumulative;
+    max_latency_ms is the worst access latency sampled in that cycle.
+
+    The rows are kept as blocks, one per progression of row cycles that the
+    engine closes (``Simulation._close``), each added by ``add_rows``. A
+    block is a plain tuple: the row cycles (a ``range``); the data energy
+    total of each row (a list); the configuration energy total; first and
+    step of the generated, delivered and lost totals along the rows; the
+    worst latencies served in the first rows (a list; the rows after them
+    read 0.0); the reconfiguration count; and the alive node count. Only
+    the data totals and the served latencies grow with the rows.
+    ``series()`` expands the blocks into the nine per-cycle series."""
 
     strategy: str = ""
     seed: int = 0
-    cycles: list[int] = field(default_factory=list)
-    energy_data_j: list[float] = field(default_factory=list)
-    energy_cfg_j: list[float] = field(default_factory=list)
-    generated: list[int] = field(default_factory=list)
-    delivered: list[int] = field(default_factory=list)
-    lost: list[int] = field(default_factory=list)
-    max_latency_ms: list[float] = field(default_factory=list)
-    reconfigurations: list[int] = field(default_factory=list)
-    alive_nodes: list[int] = field(default_factory=list)
+    blocks: list[tuple] = field(default_factory=list)
 
     loss_causes: Counter = field(default_factory=Counter)
     requests_total: int = 0
@@ -195,39 +200,89 @@ class Metrics:
 
     CSV_HEADER = ("cycle,energy_data_J,energy_cfg_J,generated,delivered,"
                   "lost,max_latency_ms,reconfigs,alive_nodes")
-    # The per-cycle series in CSV column order, and one CSV row of them
-    # (``%.10g`` gives the same text as ``format(x, ".10g")``, ``%s`` as
-    # ``{x}``).
+    # The per-cycle series in CSV column order.
     SERIES = ("cycles", "energy_data_j", "energy_cfg_j", "generated",
               "delivered", "lost", "max_latency_ms", "reconfigurations",
               "alive_nodes")
-    CSV_ROW = "%s,%.10g,%.10g,%s,%s,%s,%.10g,%s,%s\n"
 
-    def series(self) -> list[list]:
-        """The per-cycle series, in CSV column order."""
-        return [getattr(self, name) for name in self.SERIES]
+    def add_rows(self, cycles: range, data: list[float], cfg_j: float,
+                 generated: tuple[int, int], delivered: tuple[int, int],
+                 lost: tuple[int, int], served: list[float], reconfigs: int,
+                 alive: int) -> None:
+        """Add the rows of ``cycles``, a non-empty progression, as one
+        block. ``data`` holds each row's data energy total and ``served``
+        the worst latencies of the first rows; both are kept as they are.
+        Each counter is given as (first, step): its total in the first row
+        and what each row adds."""
+        self.blocks.append((cycles, data, cfg_j, *generated, *delivered,
+                            *lost, served, reconfigs, alive))
+
+    def series(self) -> dict[str, list]:
+        """The nine per-cycle series by name, in CSV column order, expanded
+        from the blocks. Each call builds them afresh: call it once."""
+        out = {name: [] for name in self.SERIES}
+        columns = out.values()
+        for (cycles, data, cfg_j, gen, gen_step, dlv, dlv_step, lost,
+             lost_step, served, reconfigs, alive) in self.blocks:
+            n = len(cycles)
+            for column, values in zip(columns, (
+                    cycles, data, repeat(cfg_j, n),
+                    (gen + gen_step * i for i in range(n)),
+                    (dlv + dlv_step * i for i in range(n)),
+                    (lost + lost_step * i for i in range(n)),
+                    chain(served, repeat(0.0, n - len(served))),
+                    repeat(reconfigs, n), repeat(alive, n))):
+                column.extend(values)
+        return out
 
     def totals(self) -> dict[str, float]:
-        last = -1
+        if not self.blocks:
+            return {"energy_data_j": 0.0, "energy_cfg_j": 0.0, "generated": 0,
+                    "delivered": 0, "lost": 0, "reconfigurations": 0}
+        (cycles, data, cfg_j, gen, gen_step, dlv, dlv_step, lost, lost_step,
+         _, reconfigs, _) = self.blocks[-1]
+        last = len(cycles) - 1
         return {
-            "energy_data_j": self.energy_data_j[last] if self.cycles else 0.0,
-            "energy_cfg_j": self.energy_cfg_j[last] if self.cycles else 0.0,
-            "generated": self.generated[last] if self.cycles else 0,
-            "delivered": self.delivered[last] if self.cycles else 0,
-            "lost": self.lost[last] if self.cycles else 0,
-            "reconfigurations": self.reconfigurations[last] if self.cycles else 0,
+            "energy_data_j": data[-1],
+            "energy_cfg_j": cfg_j,
+            "generated": gen + gen_step * last,
+            "delivered": dlv + dlv_step * last,
+            "lost": lost + lost_step * last,
+            "reconfigurations": reconfigs,
         }
 
     def csv_text(self) -> str:
-        rows = map(self.CSV_ROW.__mod__, zip(*self.series()))
-        return self.CSV_HEADER + "\n" + "".join(rows)
+        return self.CSV_HEADER + "\n" + "".join(map(self._block_text,
+                                                     self.blocks))
+
+    @staticmethod
+    def _block_text(block: tuple) -> str:
+        """One block's CSV rows. Its constant columns, a counter whose step
+        is 0 included, are formatted once into the block's row format, and
+        the format is mapped over the other columns (``%.10g`` gives the
+        same text as ``format(x, ".10g")``, ``%s`` as ``{x}``)."""
+        (cycles, data, cfg_j, gen, gen_step, dlv, dlv_step, lost, lost_step,
+         served, reconfigs, alive) = block
+        n = len(cycles)
+        columns = [cycles, data]
+        row = "%%s,%%.10g,%.10g" % cfg_j
+        for first, step in ((gen, gen_step), (dlv, dlv_step),
+                            (lost, lost_step)):
+            if step:
+                row += ",%s"
+                columns.append(range(first, first + step * n, step))
+            else:
+                row += ",%s" % first
+        row += ",%%.10g,%s,%s\n" % (reconfigs, alive)
+        columns.append(chain(served, repeat(0.0, n - len(served))))
+        return "".join(map(row.__mod__, zip(*columns)))
 
     def summary_text(self) -> str:
         t = self.totals()
         lines = [
             f"strategy: {self.strategy}",
             f"seed: {self.seed}",
-            f"cycles: {len(self.cycles)}",
+            f"cycles: {sum(len(block[0]) for block in self.blocks)}",
             f"energy_data_J: {t['energy_data_j']:.10g}",
             f"energy_cfg_J: {t['energy_cfg_j']:.10g}",
             f"energy_total_J: {t['energy_data_j'] + t['energy_cfg_j']:.10g}",
@@ -252,7 +307,7 @@ class Metrics:
             f"initial_epoch_bound_cycles: {self.initial_epoch_bound:.10g}",
             "epoch_boundaries: " + ",".join(map(str, self.epoch_boundaries)),
             "deaths: " + ",".join(f"{n}:{c}" for n, c in sorted(self.death_times.items())),
-            f"alive_at_end: {self.alive_nodes[-1] if self.alive_nodes else 0}",
+            f"alive_at_end: {self.blocks[-1][-1] if self.blocks else 0}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -1086,16 +1141,17 @@ class Simulation:
         """End the cycles [start, stop). Each adds ``counts``, the pieces it
         generated, delivered and lost, to the totals (a step's forwarding
         has added its own, so it passes none); then piece conservation is
-        checked, and each row cycle (``_row_ranges``) gets its metrics row.
-        ``data`` holds the data total of each row cycle in order (a step
-        passes its cycle's, used when the cycle has a row), and ``served``
-        the worst latency served in the first row cycles
-        (``_sample_requests``); the rows after them served none. A
-        one-cycle range appends its row, if it has one, from the totals as
-        they stand. In a longer range, a row's counter totals leave out the
-        cycles of the range after it, so along each progression of row
-        cycles they are progressions too, and the rows are extended onto
-        the series in bulk."""
+        checked, and the row cycles (``_row_ranges``) get their rows, one
+        ``Metrics`` block per progression of them. ``data`` holds the data
+        total of each row cycle in order (a step passes its cycle's, used
+        when the cycle has a row), and ``served`` the worst latency served
+        in the first row cycles (``_sample_requests``); the rows after them
+        served none. A block keeps both lists as they are when the range's
+        rows form one progression, and its slices of them otherwise. A row's
+        counter totals leave out the cycles of the range after it, so along
+        each progression they are progressions too, and a block keeps the
+        first and the step of each. A one-cycle range adds its row, if it
+        has one, as a one-row block from the totals as they stand."""
         gen, dlv, lost = counts
         ran = stop - start
         generated = self._generated = self._generated + ran * gen
@@ -1107,33 +1163,23 @@ class Simulation:
         if ran == 1:
             if start % self._stride and start != self.cfg.horizon - 1:
                 return
-            m.cycles.append(start)
-            m.energy_data_j.append(data[0])
-            m.energy_cfg_j.append(self._cfg_energy)
-            m.generated.append(generated)
-            m.delivered.append(delivered)
-            m.lost.append(lost_total)
-            m.max_latency_ms.append(served[0] if served else 0.0)
-            m.reconfigurations.append(self._reconfigs)
-            m.alive_nodes.append(self._alive_count)
+            m.add_rows(range(start, stop), data, self._cfg_energy,
+                       (generated, 0), (delivered, 0), (lost_total, 0), served,
+                       self._reconfigs, self._alive_count)
             return
-        segments = self._row_ranges(start, stop)
-        k = sum(map(len, segments))
-        for series, total, count in ((m.generated, generated, gen),
-                                     (m.delivered, delivered, dlv),
-                                     (m.lost, lost_total, lost)):
-            for rows in segments:
-                first = total - count * (stop - 1 - rows.start)
-                inc = count * rows.step
-                series.extend(range(first, first + inc * len(rows), inc)
-                              if inc else repeat(first, len(rows)))
-        m.cycles.extend(chain.from_iterable(segments))
-        m.energy_data_j.extend(data)
-        m.energy_cfg_j.extend([self._cfg_energy] * k)
-        m.max_latency_ms.extend(served)
-        m.max_latency_ms.extend(repeat(0.0, k - len(served)))
-        m.reconfigurations.extend([self._reconfigs] * k)
-        m.alive_nodes.extend([self._alive_count] * k)
+        segments = [rows for rows in self._row_ranges(start, stop) if rows]
+        whole = len(segments) == 1
+        i = 0
+        for rows in segments:
+            j = i + len(rows)
+            after = stop - 1 - rows.start   # cycles after the block's first row
+            m.add_rows(rows, data if whole else data[i:j], self._cfg_energy,
+                       (generated - gen * after, gen * rows.step),
+                       (delivered - dlv * after, dlv * rows.step),
+                       (lost_total - lost * after, lost * rows.step),
+                       served if whole else served[i:j], self._reconfigs,
+                       self._alive_count)
+            i = j
 
     def _central_reconfiguration_hook(self) -> None:
         if not self._replan_due:

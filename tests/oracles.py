@@ -856,15 +856,16 @@ forced_deaths = {deaths}
 
 
 def reference_csv_text(m) -> str:
-    """``Metrics.csv_text``, verbatim: one f-string per row, indexing the
-    nine series."""
+    """``Metrics.csv_text`` as it stood when the metrics kept nine lists:
+    one f-string per row, indexing the nine series (``Metrics.series()``)."""
+    s = m.series()
     out = [m.CSV_HEADER]
-    for k in range(len(m.cycles)):
+    for k in range(len(s["cycles"])):
         out.append(
-            f"{m.cycles[k]},{m.energy_data_j[k]:.10g},"
-            f"{m.energy_cfg_j[k]:.10g},{m.generated[k]},"
-            f"{m.delivered[k]},{m.lost[k]},"
-            f"{m.max_latency_ms[k]:.10g},{m.reconfigurations[k]},"
-            f"{m.alive_nodes[k]}"
+            f"{s['cycles'][k]},{s['energy_data_j'][k]:.10g},"
+            f"{s['energy_cfg_j'][k]:.10g},{s['generated'][k]},"
+            f"{s['delivered'][k]},{s['lost'][k]},"
+            f"{s['max_latency_ms'][k]:.10g},{s['reconfigurations'][k]},"
+            f"{s['alive_nodes'][k]}"
         )
     return "\n".join(out) + "\n"

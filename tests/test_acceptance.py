@@ -198,8 +198,9 @@ def test_criterion_05_piece_conservation(report, default_grid,
     checked = 0
     for metrics in _collected_metrics:
         prev = (0, 0, 0)
-        for k in range(len(metrics.cycles)):
-            g, d, l = metrics.generated[k], metrics.delivered[k], metrics.lost[k]
+        s = metrics.series()
+        for k in range(len(s["cycles"])):
+            g, d, l = s["generated"][k], s["delivered"][k], s["lost"][k]
             dg, dd, dl = g - prev[0], d - prev[1], l - prev[2]
             assert dg == dd + dl, "per-cycle conservation"
             prev = (g, d, l)

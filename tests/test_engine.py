@@ -76,15 +76,16 @@ class TestStaticBehavior:
                             node_energy_wh_min=0.0)
         m = run_simulation(cfg)
         prev_g = prev_d = prev_l = 0
-        for k in range(len(m.cycles)):
-            g, d, l = m.generated[k], m.delivered[k], m.lost[k]
+        s = m.series()
+        for k in range(len(s["cycles"])):
+            g, d, l = s["generated"][k], s["delivered"][k], s["lost"][k]
             assert g - prev_g == (d - prev_d) + (l - prev_l)
             assert g >= prev_g and d >= prev_d and l >= prev_l
             prev_g, prev_d, prev_l = g, d, l
 
     def test_energy_series_monotone(self):
-        m = run_simulation(calm_scenario(strategy="PDD-CR", horizon=200))
-        for series in (m.energy_data_j, m.energy_cfg_j):
+        s = run_simulation(calm_scenario(strategy="PDD-CR", horizon=200)).series()
+        for series in (s["energy_data_j"], s["energy_cfg_j"]):
             assert all(b >= a for a, b in zip(series, series[1:]))
 
 
@@ -125,13 +126,13 @@ class TestDeaths:
                             interference=InterferenceConfig(prob_per_cycle=0.02))
         cr = run_simulation(replace(cfg, strategy="PDD-CR"))
         distr = run_simulation(replace(cfg, strategy="DistrDataFwd"))
-        initial = cr.energy_cfg_j[0]
+        initial = cr.series()["energy_cfg_j"][0]
         cr_reconf = cr.totals()["reconfigurations"]
         distr_reconf = distr.totals()["reconfigurations"]
         assert cr_reconf > 0 and distr_reconf > 0
         per_trigger_cr = (cr.totals()["energy_cfg_j"] - initial) / cr_reconf
         per_trigger_distr = (distr.totals()["energy_cfg_j"]
-                             - distr.energy_cfg_j[0]) / distr_reconf
+                             - distr.series()["energy_cfg_j"][0]) / distr_reconf
         assert per_trigger_distr < per_trigger_cr
 
     def test_forced_death_records_time_and_counts_alive(self):
@@ -139,7 +140,8 @@ class TestDeaths:
                             horizon=100)
         m = run_simulation(cfg)
         assert m.death_times[0] == 50
-        assert m.alive_nodes[49] == 18 and m.alive_nodes[51] == 17
+        alive = m.series()["alive_nodes"]
+        assert alive[49] == 18 and alive[51] == 17
 
 
 class TestInterference:

@@ -81,9 +81,9 @@ def test_energy_drained_between_runs_is_a_death(strategy, victim):
     sim.run(1)
     m = sim.metrics
     assert m.death_times == {victim: 4}
-    assert m.alive_nodes[-2:] == [5, 4]
+    assert m.series()["alive_nodes"][-2:] == [5, 4]
     sim.run()
-    assert m.alive_nodes[-1] == 4
+    assert m.series()["alive_nodes"][-1] == 4
 
 
 def test_same_cycle_deaths_are_swept_in_id_order():

@@ -18,7 +18,7 @@ the strategy and the configuration-energy and reconfiguration columns and
 lines.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,10 +45,14 @@ def configs(draw):
 
 
 def outputs(cfg):
-    """Every output of one run: the metrics' fields, diagnostics and trace."""
+    """Every output of one run: the metrics' per-cycle series and other
+    fields, diagnostics and trace. The series are compared expanded: runs
+    with the same rows can keep them in different blocks."""
     sim = Simulation(replace(cfg, trace=True))
-    sim.run()
-    return asdict(sim.metrics), sim.diagnostics, sim.trace_lines
+    m = sim.run()
+    metrics = {f.name: getattr(m, f.name) for f in fields(m)
+               if f.name != "blocks"}
+    return {**metrics, **m.series()}, sim.diagnostics, sim.trace_lines
 
 
 def scaled(out, factor, series, scalars):

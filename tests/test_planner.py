@@ -761,10 +761,11 @@ class TestRecompute:
         sim.run(4)
         assert sim.metrics.death_times == {1: 1, 2: 2}
         # Relay 2's death prompts one more replan, at cycle 3.
-        assert sim.metrics.reconfigurations == [0, 0, 1, 2]
+        s = sim.metrics.series()
+        assert s["reconfigurations"] == [0, 0, 1, 2]
         assert walk_chain(sim.table, 0, 0) == [0, 4, 3]
         assert not sim.piece_status[0].broken
-        assert sim.metrics.delivered == [2, 2, 2, 4]   # restored at cycle 3
+        assert s["delivered"] == [2, 2, 2, 4]   # restored at cycle 3
 
     def test_round_rewrites_only_the_chains_it_changes(self, monkeypatch):
         """Piece 0 is installed on the chain the round plans for it and
@@ -839,5 +840,5 @@ class TestRecompute:
             if sim.cycle == cfg.horizon:
                 break
             sim.run(1)
-        assert rounds == 1 + sim.metrics.reconfigurations[-1]
+        assert rounds == 1 + sim.metrics.series()["reconfigurations"][-1]
         assert rounds >= 3

@@ -15,7 +15,8 @@ identical after every ``run()`` call, at metrics strides 1, 7 and 72, with
 grid, then falls inside a range), hits on a run's first cycle and on a
 revert cycle, interference lasting two or three cycles, and data totals that
 cross binades. A long stretch at a thinned stride must hold memory for its
-rows, not for its cycles.
+rows, not for its cycles, and a quiet run at stride 1 must hold under 64
+bytes a row: its data totals and served latencies, not nine values a row.
 """
 
 import math
@@ -81,7 +82,8 @@ def check_runs(monkeypatch, strategy, stride, p_hit, duration, audit):
     monkeypatch.undo()
     assert steps == [] and fast.cycle == 3500   # every chunk one stretch
     off_grid = 2999 % stride > 0
-    assert len(fast.metrics.cycles) == len(range(0, 3500, stride)) + off_grid
+    assert len(fast.metrics.series()["cycles"]) == (len(range(0, 3500, stride))
+                                                   + off_grid)
     assert bool(fast.energy_log) == audit
 
     if p_hit > 0.1:
@@ -98,7 +100,8 @@ def check_runs(monkeypatch, strategy, stride, p_hit, duration, audit):
     def binades(before, after):
         return math.frexp(after)[1] - math.frexp(before)[1]
 
-    assert binades(fast.metrics.energy_data_j[0], fast._data_energy) >= 2
+    assert binades(fast.metrics.series()["energy_data_j"][0],
+                   fast._data_energy) >= 2
 
 
 @settings(deadline=None)   # 100 examples, 1,000 under the ci profile
@@ -117,22 +120,29 @@ def test_random_runs_match_stepping_every_cycle(data):
     run_in_step(Simulation(cfg), SteppedSimulation(cfg), chunks)
 
 
+def quiet_pdd(horizon, stride):
+    """A PDD run of one piece over three hops, whose only events are rare
+    interference hits that fire nothing: one quiet stretch per run."""
+    net = make_net([(0, 1), (1, 2), (2, 3)], {u: 1e6 for u in range(4)},
+                   proxies={2}, eps=3e-5)
+    return mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], horizon=horizon,
+                    strategy="PDD", request_prob=0.05, metrics_stride=stride,
+                    interference=InterferenceConfig(
+                        prob_per_cycle=0.001, multiplier=2.5,
+                        affected_links=1, duration_cycles=2))
+
+
 def test_long_thinned_stretch_holds_its_rows_not_its_cycles():
     # 300,000 quiet cycles at stride 1,000 and 30,000 at stride 100 both
     # write 300 rows on the grid and the horizon's last. A value kept per
     # cycle would cost at least 8 bytes a cycle, 2.4 MB for the long run.
     def peak(horizon, stride):
-        net = make_net([(0, 1), (1, 2), (2, 3)], {u: 1e6 for u in range(4)},
-                       proxies={2}, eps=3e-5)
-        sim = mini_sim(net, [(0, 3, 2, 1, [0, 1, 2, 3])], horizon=horizon,
-                       strategy="PDD", request_prob=0.05, metrics_stride=stride,
-                       interference=InterferenceConfig(
-                           prob_per_cycle=0.001, multiplier=2.5,
-                           affected_links=1, duration_cycles=2))
+        sim = quiet_pdd(horizon, stride)
         tracemalloc.start()
         try:
             sim.run()
-            return tracemalloc.get_traced_memory()[1], len(sim.metrics.cycles)
+            return (tracemalloc.get_traced_memory()[1],
+                    len(sim.metrics.series()["cycles"]))
         finally:
             tracemalloc.stop()
 
@@ -141,3 +151,24 @@ def test_long_thinned_stretch_holds_its_rows_not_its_cycles():
     assert long_rows == short_rows == 301
     assert long_peak < 2 * short_peak + 50_000
     assert long_peak < 300_000   # under one byte a cycle
+
+
+def test_quiet_rows_hold_their_data_totals_and_latencies_only():
+    # A quiet PDD run of 20,000 cycles at stride 1 keeps, per row, the data
+    # total and the worst latency served, in blocks; its counter, energy
+    # and count columns are progressions and constants. Nine values kept
+    # per row would cost far more than 64 bytes a row.
+    def held(stride):
+        sim = quiet_pdd(20_000, stride)
+        tracemalloc.start()
+        try:
+            sim.run()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return kept, sim.metrics.csv_text().count("\n") - 1
+
+    full, full_rows = held(1)
+    thin, thin_rows = held(1000)
+    assert (full_rows, thin_rows) == (20_000, 21)   # the horizon's last too
+    assert (full - thin) / (full_rows - thin_rows) < 64

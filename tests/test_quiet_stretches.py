@@ -325,7 +325,8 @@ def test_learning_write_reactivates_the_next_hop_before_it_is_checked():
     sim.run(1)
     assert sim.table.row(0, 1).prev == 0
     assert 0 in sim.net.links[(1, 2)].active_pieces
-    assert sim.metrics.delivered == [1] and sim.metrics.lost == [0]
+    s = sim.metrics.series()
+    assert s["delivered"] == [1] and s["lost"] == [0]
     assert not sim.metrics.loss_causes
 
 
@@ -477,7 +478,8 @@ def test_one_long_stretch_crosses_binades_like_stepping(monkeypatch, strategy,
 
     # The relay pays 4 pieces' hops a cycle; the data total is row 0.
     assert binades(4 * 3e-5, fast.net.nodes[1].spent_j) >= 2
-    assert binades(fast.metrics.energy_data_j[0], fast._data_energy) >= 2
+    assert binades(fast.metrics.series()["energy_data_j"][0],
+                   fast._data_energy) >= 2
 
 
 @pytest.mark.parametrize("workload, seed", [
